@@ -167,8 +167,8 @@ let bench_round =
     ignore (Csync_harness.Scenario.run scenario)
   in
   (* The scale gate: one synchronization round of the struct-of-arrays
-     model at n = 10^5 on a degree-8 ring - 900k events scheduled, wheeled,
-     merged and swept.  The model persists across iterations (each op
+     model at n = 10^5 on a degree-8 ring - 900k estimates filled into
+     rows and swept.  The model persists across iterations (each op
      simulates the next round); sharding follows the ambient job count. *)
   let scale_model =
     lazy (Csync_process.Soa.create ~n:100_000 ~degree:8 ~f:2 ~seed:1 ())
@@ -292,7 +292,7 @@ let bench_obs =
         (Staged.stage (fun () -> Csync_obs.Shard.Counter.incr sc_off));
       Test.make ~name:"phase-span-disabled"
         (Staged.stage (fun () ->
-             Csync_obs.Profile.time prof_off Csync_obs.Profile.Merge ignore));
+             Csync_obs.Profile.time prof_off Csync_obs.Profile.Apply ignore));
       Test.make ~name:"monitor-check-disabled"
         (Staged.stage (fun () ->
              Csync_obs.Monitor.Agreement.check mon_off ~time:1.0 ~skew:0.5));
@@ -329,7 +329,7 @@ let bench_stabilize =
 
 (* ---------- allocation counting ----------
 
-   The zero-alloc claim in numbers: minor-heap words allocated per
+   The allocation audit in numbers: minor-heap words allocated per
    simulated event on each layer's steady-state path, measured directly
    with [Gc.minor_words] after a warm-up pass (so slabs and wheels are at
    their high-water marks and the numbers reflect the recycling regime,
@@ -397,7 +397,7 @@ let delivery_alloc () =
   if events <= 0 then Float.nan else words /. float_of_int events
 
 (* Struct-of-arrays round at n = 10^4: per-event churn of the sharded
-   scale path, including the canonical merge. *)
+   scale path - row fill, sweep and row checksum. *)
 let soa_alloc () =
   let model = Csync_process.Soa.create ~n:10_000 ~degree:8 ~f:2 ~seed:1 () in
   let events, _ = Csync_harness.Scale.round ~jobs:1 model in

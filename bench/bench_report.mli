@@ -21,9 +21,10 @@ type alloc = {
       (** warm cluster ping-pong: slab-recycled deliveries, so only the
           handler's action list and closure-boundary boxing remain *)
   soa_words_per_event : float;
-      (** one struct-of-arrays round at n = 10^4, merge included *)
+      (** one struct-of-arrays round at n = 10^4: row fill, sweep and
+          row checksum *)
 }
-(** The zero-alloc audit: minor-heap words per simulated event on each
+(** The allocation audit: minor-heap words per simulated event on each
     layer's steady-state path, measured with [Gc.minor_words] after a
     warm-up pass (slabs and wheels at their high-water marks). *)
 

@@ -5,9 +5,9 @@
 
 let g_of ~f ~count = if count <= 0 then 0 else min f ((count - 1) / 3)
 
-(* Rows are short (a ring degree plus one) and arrive nearly sorted from a
-   time-ordered event drain, so insertion sort - O(len + inversions) - beats
-   anything with setup cost here. *)
+(* Rows are short (a topology's max in-degree plus one), so insertion
+   sort - O(len + inversions), in place - beats anything with setup cost
+   here. *)
 let sort_row slab ~off ~len =
   for i = off + 1 to off + len - 1 do
     let x = Array.unsafe_get slab i in

@@ -21,9 +21,9 @@ val g_of : f:int -> count:int -> int
     keeping a nonempty, majority-correct core. *)
 
 val sort_row : float array -> off:int -> len:int -> unit
-(** Insertion-sort [slab.(off .. off+len-1)] ascending, in place.  Rows
-    come out of a time-ordered event drain nearly sorted, making this
-    O(len + inversions). *)
+(** Insertion-sort [slab.(off .. off+len-1)] ascending, in place:
+    O(len + inversions), which for rows of a bounded in-degree is a
+    handful of moves with no setup cost. *)
 
 val mid_row : float array -> off:int -> count:int -> f:int -> float
 (** Sort one row in place and return its reduced midpoint

@@ -2,19 +2,18 @@
 
    A round at n = 10^5 is n(degree+1) events.  Because Soa's topology and
    delays are pure functions of (seed, src, dst, round), destination ranges
-   are independent: each shard replays its own slice of the round on its
-   own timing-wheel queue, and no cross-shard messaging exists to
+   are independent: each shard fills and sweeps its own slice of the
+   round's estimate rows, and no cross-shard messaging exists to
    serialize.  Determinism then rests on two facts:
 
    - corrections are a positional stitch of per-destination values that do
      not depend on shard boundaries, so Pool's index-ordered results make
      the state trajectory byte-identical at any worker count;
 
-   - the canonical event order is recovered by a k-way merge of the shard
-     pop streams on (time, prio, stable id) - each stream is already
-     sorted by that key (Soa.run_shard schedules ids in ascending order),
-     and ids are globally unique, so the merged sequence, and the checksum
-     folded over it, cannot depend on where the shard cuts fell. *)
+   - the round checksum hashes each sorted row together with its
+     destination id and combines rows by wrap-around addition, so it
+     cannot depend on where the shard cuts fell or which worker finished
+     first. *)
 
 module Soa = Csync_process.Soa
 module Sweep = Csync_core.Sweep
@@ -66,10 +65,27 @@ let observe_shard t sh (shard : Soa.shard) =
     done
   end
 
+(* Order-independent digest of a swept shard: each row hashes its
+   destination id, count and sorted estimates, and rows combine by
+   wrap-around addition, so a row contributes the same wherever the shard
+   cuts fall. *)
+let rows_checksum ~width (shard : Soa.shard) =
+  let sum = ref 0 in
+  Array.iteri
+    (fun row c ->
+      let h = ref (mix_int (shard.Soa.lo + row) c) in
+      for k = row * width to (row * width) + c - 1 do
+        h := mix_float !h shard.Soa.slab.(k)
+      done;
+      sum := !sum + !h)
+    shard.Soa.counts;
+  !sum
+
 let round ?jobs t =
   let n = Soa.n t in
   let jobs = resolve_jobs jobs in
   let shards = max 1 (min jobs n) in
+  let width = Soa.width t in
   let obs = Obs.installed () in
   let prof = Profile.create obs in
   let tele = Array.init shards (fun _ -> Shard.create obs) in
@@ -78,52 +94,25 @@ let round ?jobs t =
         let lo, hi = shard_bounds ~n ~shards s in
         let sh = tele.(s) in
         let shard =
-          Shard.Span.time (Shard.span sh "profile.drain") (fun () ->
+          Shard.Span.time (Shard.span sh "profile.fill") (fun () ->
               Soa.run_shard t ~lo ~hi)
         in
         let mids = Array.make (hi - lo) Float.nan in
         Shard.Span.time (Shard.span sh "profile.sweep") (fun () ->
-            Sweep.sweep ~slab:shard.Soa.slab ~width:(Soa.width t)
-              ~counts:shard.Soa.counts ~f:(Soa.f t) ~out:mids);
+            Sweep.sweep ~slab:shard.Soa.slab ~width ~counts:shard.Soa.counts
+              ~f:(Soa.f t) ~out:mids);
         observe_shard t sh shard;
-        (shard, mids))
+        (shard, mids, rows_checksum ~width shard))
   in
-  (* Canonical order: k-way merge of the sorted shard streams on
-     (time, packed (prio, id)).  Linear head scan - the stream count is the
-     worker count, not the process count. *)
-  let heads = Array.make shards 0 in
-  let events = ref 0 in
-  let checksum = ref 0x5EED in
-  Profile.time prof Profile.Merge (fun () ->
-      let exhausted = ref false in
-      while not !exhausted do
-        let best = ref (-1) in
-        let best_time = ref Float.infinity in
-        let best_key = ref max_int in
-        for s = 0 to shards - 1 do
-          let shard, _ = results.(s) in
-          let i = heads.(s) in
-          if i < shard.Soa.count then begin
-            let time = shard.Soa.times.(i) in
-            let key = shard.Soa.keys.(i) in
-            if time < !best_time || (time = !best_time && key < !best_key)
-            then begin
-              best := s;
-              best_time := time;
-              best_key := key
-            end
-          end
-        done;
-        if !best < 0 then exhausted := true
-        else begin
-          heads.(!best) <- heads.(!best) + 1;
-          incr events;
-          checksum := mix_int (mix_float !checksum !best_time) !best_key
-        end
-      done);
+  let events = ref 0 and checksum = ref 0 in
+  Array.iter
+    (fun (shard, _, sum) ->
+      events := !events + shard.Soa.count;
+      checksum := !checksum + sum)
+    results;
   Profile.time prof Profile.Apply (fun () ->
       Array.iter
-        (fun (shard, mids) -> Soa.apply t ~lo:shard.Soa.lo mids)
+        (fun (shard, mids, _) -> Soa.apply t ~lo:shard.Soa.lo mids)
         results);
   Profile.time prof Profile.Advance (fun () -> Soa.advance t);
   (* Index-ordered fold keeps the merged telemetry — and with it the

@@ -1,22 +1,22 @@
 (** Sharded driver for the struct-of-arrays cluster model
     ({!Csync_process.Soa}) - synchronization rounds at n ~ 10^5 across
-    {!Pool} workers with a deterministic cross-shard event merge.
+    {!Pool} workers.
 
     Each round splits the destination space into contiguous shards, one
-    per worker; a shard replays its slice of the round on a private
-    timing-wheel queue and sweeps its estimate rows with
-    {!Csync_core.Sweep}.  Results are stitched positionally and the shard
-    pop streams are k-way merged on the canonical (time, prio, stable id)
-    key, so both the state trajectory and the {!stats} checksum are
-    byte-identical for any worker count - the same invariant the
-    experiment suite holds through {!Pool}.
+    per worker; a shard fills its slice of the round's estimate rows
+    ({!Csync_process.Soa.run_shard}) and sweeps them with
+    {!Csync_core.Sweep}.  Results are stitched positionally, and the
+    round checksum is a wrap-around sum of per-row hashes (destination id
+    plus sorted row), so both the state trajectory and the {!stats}
+    checksum are byte-identical for any worker count - the same
+    invariant the experiment suite holds through {!Pool}.
 
     When the ambient {!Csync_obs.Registry} is enabled, each worker
     additionally fills a private telemetry shard ({!Csync_obs.Shard}:
     [scale.events], log-bucketed [scale.link_delay] / [scale.local_skew]
-    histograms, [profile.drain] / [profile.sweep] spans), folded into the
+    histograms, [profile.fill] / [profile.sweep] spans), folded into the
     registry in shard-index order after the join; the orchestrator times
-    the merge/apply/advance/shard-merge/checksum phases through
+    the apply/advance/shard-merge/checksum phases through
     {!Csync_obs.Profile} and pushes per-round convergence series.  All of
     it observes only - results are byte-identical with telemetry on or
     off, and the merged trace is byte-identical at any [--jobs] (modulo
@@ -25,8 +25,9 @@
 val round : ?jobs:int -> Csync_process.Soa.t -> int * int
 (** Simulate one round across [jobs] shards (default
     {!Pool.default_jobs}), apply every correction, and advance the model.
-    Returns [(events, checksum)]: the merged event count and the checksum
-    folded over the canonical event order - both independent of [jobs]. *)
+    Returns [(events, checksum)]: the round's event count (arrivals plus
+    one round close per live row) and the wrap-around sum of per-row
+    hashes over the swept rows - both independent of [jobs]. *)
 
 type stats = {
   n : int;
@@ -34,7 +35,7 @@ type stats = {
   shards : int;
   rounds : int;
   events : int;  (** total events across all rounds *)
-  checksum : int;  (** fold of the per-round merge checksums *)
+  checksum : int;  (** fold of the per-round row checksums *)
   state : int;  (** {!state_checksum} of the final model state *)
   spread0 : float;  (** nonfaulty broadcast-time spread before round 1 *)
   spread1 : float;  (** same spread after the last round *)

@@ -5,7 +5,7 @@
    max) and a "profile.<phase>.ns" series (one point per occurrence, so
    per-round phase times survive into the trace for [csync report]'s
    profile table and [csync top]'s bars).  Workers time their own
-   drain/sweep via {!Shard.span} under the same names; both fold into
+   fill/sweep via {!Shard.span} under the same names; both fold into
    the same registry spans.
 
    The clock is [Unix.gettimeofday] in integer nanoseconds, clamped
@@ -15,27 +15,25 @@
    inside a clock-synchronization testbed.  During a backward step the
    clock holds still, so affected durations read 0, never negative. *)
 
-type phase = Drain | Sweep | Merge | Apply | Advance | Shard_merge | Checksum
+type phase = Fill | Sweep | Apply | Advance | Shard_merge | Checksum
 
-let phases = [ Drain; Sweep; Merge; Apply; Advance; Shard_merge; Checksum ]
+let phases = [ Fill; Sweep; Apply; Advance; Shard_merge; Checksum ]
 
 let phase_name = function
-  | Drain -> "drain"
+  | Fill -> "fill"
   | Sweep -> "sweep"
-  | Merge -> "merge"
   | Apply -> "apply"
   | Advance -> "advance"
   | Shard_merge -> "shard_merge"
   | Checksum -> "checksum"
 
 let phase_index = function
-  | Drain -> 0
+  | Fill -> 0
   | Sweep -> 1
-  | Merge -> 2
-  | Apply -> 3
-  | Advance -> 4
-  | Shard_merge -> 5
-  | Checksum -> 6
+  | Apply -> 2
+  | Advance -> 3
+  | Shard_merge -> 4
+  | Checksum -> 5
 
 let last_ns = Atomic.make 0
 

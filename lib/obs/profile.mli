@@ -12,13 +12,13 @@
     stdlib without C stubs), so durations are never negative — during a
     backward wall-clock step they read 0. *)
 
-type phase = Drain | Sweep | Merge | Apply | Advance | Shard_merge | Checksum
+type phase = Fill | Sweep | Apply | Advance | Shard_merge | Checksum
 
 val phases : phase list
 (** In pipeline order. *)
 
 val phase_name : phase -> string
-(** ["drain"], ["sweep"], ... — the [<phase>] in the metric names. *)
+(** ["fill"], ["sweep"], ... — the [<phase>] in the metric names. *)
 
 type t
 

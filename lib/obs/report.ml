@@ -361,9 +361,9 @@ let render_hists ppf ~focus t =
         per_link
   end
 
-(* The scale pipeline's phase spans, in execution order within a round;
-   phases a trace lacks are simply absent from the table. *)
-let phase_order = [ "drain"; "sweep"; "merge"; "apply"; "checksum"; "advance" ]
+(* The scale pipeline's phase spans, in pipeline order; phases a trace
+   lacks are simply absent from the table. *)
+let phase_order = List.map Profile.phase_name Profile.phases
 
 let phase_rank p =
   let rec go i = function

@@ -74,6 +74,10 @@ val monitors : t -> (string * monitor_rec) list
 val warnings : t -> string list
 (** Reader warnings: skipped unknown record kinds / manifest fields. *)
 
+val phase_rank : string -> int
+(** Position of a round phase name (["fill"], ["sweep"], ...) in
+    {!Profile.phases} order; unknown names sort last. *)
+
 val render : ?focus:string -> Format.formatter -> t -> unit
 (** Render the report: manifest, skew timelines, ADJ-per-round table,
     delay/skew histograms (via {!Csync_metrics.Histogram.render}), the

@@ -51,14 +51,6 @@ let total_events t =
       if base = "scale.events" || base = "sim.events" then acc + v else acc)
     0 (Report.counters t)
 
-let phase_rank p =
-  let order = [ "drain"; "sweep"; "merge"; "apply"; "checksum"; "advance" ] in
-  let rec go i = function
-    | [] -> List.length order
-    | q :: rest -> if q = p then i else go (i + 1) rest
-  in
-  go 0 order
-
 let phases t ~focus =
   List.filter_map
     (fun (name, (s : Record.span_rec)) ->
@@ -68,7 +60,8 @@ let phases t ~focus =
       then Some (String.sub base 8 (String.length base - 8), s)
       else None)
     (Report.spans t)
-  |> List.sort (fun (a, _) (b, _) -> compare (phase_rank a, a) (phase_rank b, b))
+  |> List.sort (fun (a, _) (b, _) ->
+         compare (Report.phase_rank a, a) (Report.phase_rank b, b))
 
 let fault_counters t =
   List.filter

@@ -7,7 +7,7 @@
    one synchronization round as a pure function of that state: broadcast
    times, hashed per-link delays and arrival estimates are all recomputed
    from (seed, src, dst, round) rather than stored, so a shard of the
-   process space can be simulated with nothing but its own event queue.
+   process space can be simulated with nothing but its own estimate rows.
 
    Who hears whom is a Topo.Graph - the default is the same directed
    predecessor ring the model hardcoded before topologies existed (and
@@ -20,14 +20,12 @@
    midpoint), whose per-hop skew guarantee is what sparse topologies are
    for.
 
-   Events are integers: an arrival or round timer for destination [dst] is
-   [dst * width + slot], where [width] = max in-degree + 1; arrival slots
-   are in-neighbor positions, the timer is slot [width - 1].  This gives
-   every event a globally stable id - the merge key (time, prio, id) that
-   Harness.Scale uses to stitch shard streams back into one canonical
-   order. *)
+   A round fills each destination's estimate row directly: the averaging
+   function reads only the multiset of ARR - delta estimates (mid o reduce
+   sorts them itself), so no event order is needed to build it.  A
+   shard's event count is one per arrival plus one round close per live
+   row. *)
 
-module Event_queue = Csync_sim.Event_queue
 module Graph = Csync_topo.Graph
 module Gradient = Csync_topo.Gradient
 
@@ -36,7 +34,7 @@ type mode = Midpoint | Gradient_avg of float
 type t = {
   n : int;
   graph : Graph.t;
-  width : int;  (* max in-degree + 1: slab row width and event-id stride *)
+  width : int;  (* max in-degree + 1: slab row width *)
   f : int;
   seed : int;
   hseed : int;  (* mix seed, hoisted out of every per-link hash *)
@@ -124,7 +122,6 @@ let degree t = t.width - 1
 let f t = t.f
 let round t = t.round
 let width t = t.width
-let stride t = t.width
 
 let check_pid t pid name =
   if pid < 0 || pid >= t.n then invalid_arg ("Soa." ^ name ^ ": pid out of range")
@@ -200,99 +197,41 @@ type shard = {
   lo : int;
   hi : int;
   count : int;
-  times : float array;
-  keys : int array;
   slab : float array;
   counts : int array;
 }
 
-let prio_bits = 42
-
-let shard_key ~prio ~id = (prio lsl prio_bits) lor id
-
-let key_prio k = k lsr prio_bits
-let key_id k = k land ((1 lsl prio_bits) - 1)
-
-(* Unlike Cluster, a round's arrivals spread over the whole dispersion span,
-   not just one delay window - size the buckets so the wheel's horizon
-   covers the span (else most events detour through the overflow heap),
-   but never finer than the delay jitter resolves. *)
-let wheel_backend t ~span =
-  match Event_queue.default_backend () with
-  | Event_queue.Heap -> Event_queue.Heap
-  | Event_queue.Wheel { buckets; width = default_width } ->
-    let jitter =
-      if t.eps > 0. then t.eps /. 2.
-      else if t.delta > 0. then t.delta /. 8.
-      else default_width
-    in
-    let width = Float.max jitter (span /. float_of_int buckets) in
-    Event_queue.Wheel { width; buckets }
-
 let run_shard t ~lo ~hi =
   if lo < 0 || hi > t.n || lo >= hi then invalid_arg "Soa.run_shard: bad range";
-  let rows = hi - lo in
-  let stride = stride t in
-  let width = width t in
+  let width = t.width in
   let hround = mix (t.round + mix (3 + t.hseed)) in
-  (* Round horizon: the latest claimed broadcast plus the worst-case delay
-     bounds every arrival, so the per-destination round timers (prio 1,
-     after messages at equal time) close every row. *)
-  let hmax = ref neg_infinity and hmin = ref infinity in
-  for p = 0 to t.n - 1 do
-    if t.status.(p) <> st_crashed then begin
-      let b = report_time t p in
-      if b > !hmax then hmax := b;
-      if b < !hmin then hmin := b
-    end
-  done;
-  let horizon = !hmax +. t.delta +. t.eps in
-  let span = Float.max 0. (horizon -. (!hmin +. t.delta -. t.eps)) in
-  let cap = rows * stride in
-  let q = Event_queue.create ~backend:(wheel_backend t ~span) ~expected:cap () in
-  let slab = Array.make (rows * width) 0. in
-  let counts = Array.make rows 0 in
+  let slab = Array.make ((hi - lo) * width) 0. in
+  let counts = Array.make (hi - lo) 0 in
+  let count = ref 0 in
   for dst = lo to hi - 1 do
     if t.status.(dst) = st_ok then begin
       let row = dst - lo in
+      let off = row * width in
       (* A process hears its own broadcast exactly. *)
-      slab.(row * width) <- broadcast_time t dst;
-      counts.(row) <- 1;
+      slab.(off) <- broadcast_time t dst;
+      let c = ref 1 in
       for j = 0 to in_degree t dst - 1 do
         let src = in_neighbor t ~dst j in
         if t.status.(src) <> st_crashed then begin
+          (* The estimate of the sender's round start is the arrival time
+             minus the nominal delay (Section 4's ARR - delta), off by at
+             most eps. *)
           let a = report_time t src +. delay t ~hround ~src ~dst in
-          Event_queue.add q ~time:a ~prio:0 ((dst * stride) + j)
+          slab.(off + !c) <- a -. t.delta;
+          incr c
         end
       done;
-      Event_queue.add q ~time:horizon ~prio:1 ((dst * stride) + (stride - 1))
+      counts.(row) <- !c;
+      (* The row's arrivals plus its round close: [c] again. *)
+      count := !count + !c
     end
   done;
-  let times = Array.make (max cap 1) 0. in
-  let keys = Array.make (max cap 1) 0 in
-  let count = ref 0 in
-  let delta = t.delta in
-  let timer_slot = stride - 1 in
-  let n =
-    Event_queue.iter_pop_until q ~until:Float.infinity ~f:(fun time id ->
-        let i = !count in
-        incr count;
-        Array.unsafe_set times i time;
-        let slot = id mod stride in
-        if slot < timer_slot then begin
-          (* Arrival: the estimate of the sender's round start is the
-             arrival time minus the nominal delay (Section 4's ARR - delta),
-             off by at most eps. *)
-          Array.unsafe_set keys i (shard_key ~prio:0 ~id);
-          let row = (id / stride) - lo in
-          let c = Array.unsafe_get counts row in
-          Array.unsafe_set slab ((row * width) + c) (time -. delta);
-          Array.unsafe_set counts row (c + 1)
-        end
-        else Array.unsafe_set keys i (shard_key ~prio:1 ~id))
-  in
-  assert (n = !count);
-  { lo; hi; count = !count; times; keys; slab; counts }
+  { lo; hi; count = !count; slab; counts }
 
 (* Retarget each surviving row's broadcast toward its correction target:
    the row's reduced midpoint under [Midpoint] (the Welch-Lynch jump), or

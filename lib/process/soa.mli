@@ -14,7 +14,7 @@
     Topology is any {!Csync_topo.Graph} - by default the directed
     predecessor ring the model originally hardcoded (process [p] hears
     [p-1 .. p-degree] mod n plus itself), reproduced neighbor-for-neighbor
-    by [Graph.ring] so default-model event streams and checksums are
+    by [Graph.ring] so default-model rows and checksums are
     byte-identical to the hardcoded era.  The correction [mode] is either
     the full reduced-midpoint jump (Welch-Lynch) or the gradient
     neighbor-averaging rule ({!Csync_topo.Gradient}).  Faults are crash
@@ -70,13 +70,6 @@ val width : t -> int
     self).  Rows of lower-degree destinations simply hold fewer
     estimates. *)
 
-val stride : t -> int
-(** Event-id stride ([= width]): destination [dst]'s events occupy ids
-    [dst * stride .. dst * stride + stride - 1]; slots
-    [0 .. in_degree - 1] are arrivals from its in-neighbours in adjacency
-    order, slot [stride - 1] the round timer.  Ids are stable across
-    shardings - the third component of the canonical merge key. *)
-
 val crash : t -> int -> unit
 (** Crash fault: the process stops broadcasting (and, being dead, its own
     row is no longer simulated). *)
@@ -120,37 +113,25 @@ val local_skew_at : t -> int -> float
 val link_delay : t -> src:int -> dst:int -> float
 (** The current round's network delay on edge [src -> dst] - the same
     deterministic draw from [[delta - eps, delta + eps]] that
-    {!run_shard} schedules with, exposed so telemetry can histogram the
+    {!run_shard} fills rows with, exposed so telemetry can histogram the
     delay distribution without replaying the round. *)
 
 type shard = {
   lo : int;
   hi : int;
-  count : int;  (** events logged; [times]/[keys] are valid below it *)
-  times : float array;  (** event times in pop order *)
-  keys : int array;  (** packed [(prio, id)] in pop order, see {!shard_key} *)
+  count : int;  (** events: arrivals plus one round close per live row *)
   slab : float array;  (** [(hi-lo) * width] row estimates, unsorted *)
   counts : int array;  (** per-row estimate counts *)
 }
 
-val shard_key : prio:int -> id:int -> int
-(** [prio lsl 42 lor id] - compares in (prio, id) order for equal times,
-    matching the engine's (time, prio, seq) discipline with the stable id
-    in place of the insertion seqno. *)
-
-val key_prio : int -> int
-val key_id : int -> int
-
 val run_shard : t -> lo:int -> hi:int -> shard
-(** Simulate the current round for destinations [lo .. hi - 1]: schedule
-    every arrival and the per-destination round timer into a fresh
-    timing-wheel event queue (bucket width from the delay model, as in
-    {!Cluster}), drain it in (time, prio, insertion) order, and record the
-    pop stream and the estimate rows.  Ids are scheduled in ascending
-    order, so within a shard the insertion seqno order coincides with the
-    stable-id order and the logged stream is already sorted by the
-    canonical (time, prio, id) key.  Read-only on [t]: shards of the same
-    round may run concurrently.
+(** Simulate the current round for destinations [lo .. hi - 1]: each
+    nonfaulty destination's row gets its own exact {!broadcast_time} in
+    slot 0, then one estimate [report_time src + delay - delta] per
+    non-crashed in-neighbour, in adjacency order.  Faulty rows (crashed
+    or pull) stay empty.  Row contents depend only on the round, never on the shard
+    cut.  Read-only on [t]: shards of the same round may run
+    concurrently.
     @raise Invalid_argument unless [0 <= lo < hi <= n]. *)
 
 val apply : t -> lo:int -> float array -> unit

@@ -11,7 +11,7 @@
    Orientation: [adj] stores *in*-neighbors - the processes a destination
    hears.  Every family except [ring] is symmetric (in = out); the ring
    keeps PR 7's directed predecessor orientation so the scale stack's
-   event ids and delay hashes are byte-identical to the hardcoded wiring
+   row layout and delay hashes are byte-identical to the hardcoded wiring
    it replaces.  The transpose (out-edges, i.e. who hears me) and the
    broadcast lists (self + out-neighbors, ascending) are derived lazily
    and cached - generators never pay for them. *)
@@ -84,8 +84,7 @@ let ring ~n ~degree =
     invalid_arg "Graph.ring: need 1 <= degree <= n - 1";
   (* PR 7's orientation and order: dst hears its [degree] predecessors
      dst - 1, dst - 2, ..., dst - degree (mod n).  The scale stack's slot
-     layout, event ids and per-link delay hashes all key off this exact
-     sequence. *)
+     layout and per-link delay hashes key off this exact sequence. *)
   of_in_lists ~kind:Ring ~seed:0
     (Array.init n (fun dst ->
          List.init degree (fun j -> (dst - 1 - j + n) mod n)))

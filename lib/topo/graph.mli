@@ -5,7 +5,7 @@
     family except {!ring} is symmetric (in-edges = out-edges); the ring
     keeps the directed predecessor orientation of the original
     struct-of-arrays model so replacing the hardcoded wiring with
-    [Graph.ring] leaves the scale stack's event ids, delay hashes and
+    [Graph.ring] leaves the scale stack's row layout, delay hashes and
     checksums byte-identical.
 
     Construction is a pure function of the named parameters (plus [seed]

@@ -618,7 +618,7 @@ let diff_tests =
                 Manifest.make ~target:"scenario" ~seed:1 ~jobs:1 ~quick:true ();
                 Record.to_json (Record.Counter ("E/run.rounds", 6));
                 Record.to_json
-                  (Record.Series ("E/profile.drain.ns", [| 1.; 2. |], [| v; v +. 7. |]));
+                  (Record.Series ("E/profile.fill.ns", [| 1.; 2. |], [| v; v +. 7. |]));
                 Record.to_json
                   (Record.Span
                      ("E/phase.drain", { Record.count = 8; total_s = v; max_s = v }));
@@ -729,7 +729,7 @@ let record_gen =
   let open QCheck2.Gen in
   let base =
     oneofl
-      [ "run.skew"; "net.delay"; "scale.events"; "proc.3.adj"; "profile.drain" ]
+      [ "run.skew"; "net.delay"; "scale.events"; "proc.3.adj"; "profile.fill" ]
   in
   let label = oneofl [ ""; "E1/eps=0.0001"; "ring n=100" ] in
   let name = map2 (fun l b -> if l = "" then b else l ^ "/" ^ b) label base in
@@ -913,8 +913,8 @@ let btrace_tests =
             Record.Counter ("pool.tasks.worker0", 5);
             Record.Gauge ("sim.queue_depth_hw", 9.);
             Record.Span
-              ("E1/profile.drain", { Record.count = 1; total_s = 0.1; max_s = 0.1 });
-            Record.Series ("E1/profile.drain.ns", [| 0. |], [| 100. |]);
+              ("E1/profile.fill", { Record.count = 1; total_s = 0.1; max_s = 0.1 });
+            Record.Series ("E1/profile.fill.ns", [| 0. |], [| 100. |]);
             Record.Series ("obs.worker3", [| 0. |], [| 1. |]);
             keep_series;
             Record.Monitor
@@ -1005,16 +1005,16 @@ let shard_profile_tests =
         let reg = Obs.create () in
         let p = Profile.create reg in
         check_true "active" (Profile.active p);
-        check_int "passthrough" 42 (Profile.time p Profile.Merge (fun () -> 42));
-        Profile.record_ns p Profile.Merge 1_000_000;
+        check_int "passthrough" 42 (Profile.time p Profile.Fill (fun () -> 42));
+        Profile.record_ns p Profile.Fill 1_000_000;
         (* A fresh profiler over the same registry continues the same
            interned instruments - the per-round case in Scale.round. *)
-        Profile.record_ns (Profile.create reg) Profile.Merge 2_000_000;
+        Profile.record_ns (Profile.create reg) Profile.Fill 2_000_000;
         let rep = report_of_registry reg in
-        let spr = List.assoc "profile.merge" (Report.spans rep) in
+        let spr = List.assoc "profile.fill" (Report.spans rep) in
         check_int "three occurrences" 3 spr.Report.count;
         let _, xs, ys =
-          List.find (fun (n, _, _) -> n = "profile.merge.ns") (Report.series rep)
+          List.find (fun (n, _, _) -> n = "profile.fill.ns") (Report.series rep)
         in
         check_true "x is the occurrence index" (xs = [| 0.; 1.; 2. |]);
         check_float "recorded ns" 1_000_000. ys.(1);
@@ -1022,7 +1022,7 @@ let shard_profile_tests =
     t "disabled profiler is an exact passthrough" (fun () ->
         check_true "inactive" (not (Profile.active Profile.disabled));
         check_int "result" 7
-          (Profile.time Profile.disabled Profile.Drain (fun () -> 7));
+          (Profile.time Profile.disabled Profile.Sweep (fun () -> 7));
         Profile.record_ns Profile.disabled Profile.Checksum 5;
         check_true "time is monotone nonneg" (Profile.now_ns () >= 0));
     t "profiler timing also records when the thunk raises" (fun () ->
@@ -1065,10 +1065,10 @@ let top_tests =
               Record.Counter ("cell/scale.events", 30);
               Record.Counter ("chaos.dropped", 2);
               Record.Span
-                ( "cell/profile.drain",
+                ( "cell/profile.fill",
                   { Record.count = 3; total_s = 0.3; max_s = 0.2 } );
               Record.Span
-                ( "cell/profile.merge",
+                ( "cell/profile.sweep",
                   { Record.count = 3; total_s = 0.1; max_s = 0.05 } );
               Record.Monitor
                 ("local_skew", { Record.checks = 10; violations = 0; first = None });
@@ -1083,12 +1083,12 @@ let top_tests =
               (contains f needle))
           [
             "csync top — E16"; "seed 7"; "jobs 4"; "cell cell"; "round 3";
-            "events 30"; "scale.spread"; "scale.events_per_round"; "drain";
-            "merge"; "75"; "[ok]   local_skew"; "[FAIL] agreement";
+            "events 30"; "scale.spread"; "scale.events_per_round"; "fill";
+            "sweep"; "75"; "[ok]   local_skew"; "[FAIL] agreement";
             "chaos.dropped";
           ];
-        check_true "drain bar dominates"
-          (contains f "drain        ########################"));
+        check_true "fill bar dominates"
+          (contains f "fill         ########################"));
     t "top frame degrades gracefully on an empty trace" (fun () ->
         let f = Top.frame (Report.of_records []) ~path:"x" in
         check_true "header still renders" (contains f "csync top"));

@@ -73,6 +73,85 @@ let sweep_tests =
         check_int "full attendance" 2 (Sweep.g_of ~f:2 ~count:7));
   ]
 
+(* Differential reference for Soa.run_shard: the same arrivals scheduled
+   into an event queue with a round-close timer per live row, drained in
+   (time, prio) order, each arrival writing [time - delta] into its
+   destination's row.  Row order differs from the direct fill; once
+   sorted, the rows and their midpoints must match bit for bit. *)
+module Event_queue = Csync_sim.Event_queue
+module Graph = Csync_topo.Graph
+
+type queued = Arrival of int | Close
+
+let queue_rows backend m ~delta ~crashed ~lo ~hi =
+  let width = Soa.width m in
+  let slab = Array.make ((hi - lo) * width) 0. in
+  let counts = Array.make (hi - lo) 0 in
+  let q = Event_queue.create ~backend () in
+  let last = ref neg_infinity in
+  for dst = lo to hi - 1 do
+    if Soa.is_ok m dst then begin
+      slab.((dst - lo) * width) <- Soa.broadcast_time m dst;
+      counts.(dst - lo) <- 1;
+      for j = 0 to Soa.in_degree m dst - 1 do
+        let src = Soa.in_neighbor m ~dst j in
+        if not (List.mem src crashed) then begin
+          let time = Soa.report_time m src +. Soa.link_delay m ~src ~dst in
+          last := Float.max !last time;
+          Event_queue.add q ~time ~prio:Event_queue.prio_message (Arrival dst)
+        end
+      done
+    end
+  done;
+  for dst = lo to hi - 1 do
+    if Soa.is_ok m dst then
+      Event_queue.add q ~time:!last ~prio:Event_queue.prio_timer Close
+  done;
+  let events =
+    Event_queue.iter_pop_until q ~until:Float.infinity ~f:(fun time -> function
+      | Close -> ()
+      | Arrival dst ->
+        let row = dst - lo in
+        slab.((row * width) + counts.(row)) <- time -. delta;
+        counts.(row) <- counts.(row) + 1)
+  in
+  (events, slab, counts)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let check_against_queue name m ~delta ~crashed =
+  let width = Soa.width m and f = Soa.f m in
+  let swept slab counts =
+    let mids = Array.make (Array.length counts) Float.nan in
+    Sweep.sweep ~slab ~width ~counts ~f ~out:mids;
+    mids
+  in
+  let n = Soa.n m in
+  List.iter
+    (fun (lo, hi) ->
+      let s = Soa.run_shard m ~lo ~hi in
+      let mids = swept s.Soa.slab s.Soa.counts in
+      List.iter
+        (fun (tag, backend) ->
+          let events, slab, counts =
+            queue_rows backend m ~delta ~crashed ~lo ~hi
+          in
+          let ref_mids = swept slab counts in
+          let what = Printf.sprintf "%s [%d, %d) %s" name lo hi tag in
+          check_int (what ^ " events") events s.Soa.count;
+          check_true (what ^ " counts") (counts = s.Soa.counts);
+          check_true (what ^ " sorted rows") (bits_equal slab s.Soa.slab);
+          check_true (what ^ " midpoints") (bits_equal ref_mids mids))
+        [
+          ("heap", Event_queue.Heap);
+          ("wheel", Event_queue.Wheel { width = 1e-4; buckets = 256 });
+        ])
+    [ (0, n); (n / 3, (2 * n) / 3) ]
+
 let soa_tests =
   [
     t "ring neighbours wrap and are distinct" (fun () ->
@@ -105,26 +184,6 @@ let soa_tests =
         (* Its own row (5 arrivals + timer) and one arrival in each of its
            5 successors' rows are gone. *)
         check_int "minus row and edges" ((50 * 6) - 6 - 5) events);
-    t "shard stream is sorted by the canonical key" (fun () ->
-        let m = Soa.create ~n:200 ~degree:6 ~seed:9 () in
-        let s = Soa.run_shard m ~lo:50 ~hi:150 in
-        check_true "nonempty" (s.Soa.count > 0);
-        let sorted = ref true in
-        for i = 1 to s.Soa.count - 1 do
-          let ta = s.Soa.times.(i - 1) and tb = s.Soa.times.(i) in
-          if ta > tb || (ta = tb && s.Soa.keys.(i - 1) >= s.Soa.keys.(i)) then
-            sorted := false
-        done;
-        check_true "(time, prio, id) nondecreasing" !sorted;
-        (* Ids stay inside the shard's destination range. *)
-        let stride = Soa.stride m in
-        Array.iteri
-          (fun i k ->
-            if i < s.Soa.count then begin
-              let dst = Soa.key_id k / stride in
-              check_true "dst in range" (dst >= 50 && dst < 150)
-            end)
-          s.Soa.keys);
     t "estimates land within eps of the sender's round start" (fun () ->
         let m = Soa.create ~n:40 ~degree:4 ~eps:0.002 ~seed:5 () in
         let s = Soa.run_shard m ~lo:0 ~hi:40 in
@@ -143,6 +202,26 @@ let soa_tests =
             check_true "within eps of some in-neighbour" !ok
           done
         done);
+    t "direct row fill matches a queue-drained reference" (fun () ->
+        let delta = 0.01 in
+        let check name m ~crashed =
+          (* Round 0, then again after two rounds of corrections. *)
+          check_against_queue name m ~delta ~crashed;
+          ignore (Scale.round ~jobs:1 m);
+          ignore (Scale.round ~jobs:1 m);
+          check_against_queue name m ~delta ~crashed
+        in
+        check "ring" (Soa.create ~n:200 ~degree:6 ~seed:9 ~delta ()) ~crashed:[];
+        let graph = Graph.expander ~n:300 ~degree:8 ~seed:4 in
+        check "expander"
+          (Soa.create ~graph ~seed:4 ~delta ~dispersion:0.02
+             ~mode:(Soa.Gradient_avg 0.5) ~n:300 ())
+          ~crashed:[];
+        let m = Soa.create ~n:500 ~degree:7 ~seed:11 ~delta ~dispersion:0.5 () in
+        Soa.crash m 17;
+        Soa.set_pull m 42 0.3;
+        Soa.set_pull m 499 (-0.2);
+        check "crash + pull" m ~crashed:[ 17 ]);
   ]
 
 let with_engine_env value f =

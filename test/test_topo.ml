@@ -179,8 +179,14 @@ let gradient_tests =
 
 (* Golden trajectories recorded on the pre-topology scale stack (PR 7):
    replacing the hardcoded predecessor ring with Graph.ring must leave
-   event counts, merge checksums and final state checksums bit-exact,
-   whether the ring is the implicit default or passed explicitly. *)
+   event counts, round checksums and final state checksums bit-exact,
+   whether the ring is the implicit default or passed explicitly.  The
+   event counts and state checksums are the values first recorded.  The
+   round checksum component was re-pinned when Soa stopped routing
+   arrivals through an event queue: it used to fold the queue's pop
+   order and now sums per-row hashes of the sorted estimate rows.  The
+   unchanged event counts and state checksums show the rows themselves
+   did not move. *)
 let golden_cases =
   [
     ( "n=500 faulty",
@@ -194,21 +200,21 @@ let golden_cases =
         let s = Scale.run ~jobs:1 ~rounds:3 m in
         (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)),
       Graph.ring ~n:500 ~degree:7,
-      (11907, -2303805237783978019, 3861587819302134822) );
+      (11907, -810643870014291179, 3861587819302134822) );
     ( "n=1000 clean",
       (fun ?graph () ->
         let m = Soa.create ?graph ~n:1000 ~degree:8 ~f:2 ~seed:1 () in
         let s = Scale.run ~jobs:1 ~rounds:2 m in
         (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)),
       Graph.ring ~n:1000 ~degree:8,
-      (18000, 3668795842935423207, 1321678982338770021) );
+      (18000, 578019244748216792, 1321678982338770021) );
     ( "n=64 small",
       (fun ?graph () ->
         let m = Soa.create ?graph ~n:64 ~degree:3 ~f:1 ~seed:7 () in
         let s = Scale.run ~jobs:1 ~rounds:4 m in
         (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)),
       Graph.ring ~n:64 ~degree:3,
-      (1024, 110781624145683342, -2703970182535417761) );
+      (1024, -3353609132746644865, -2703970182535417761) );
   ]
 
 let checksum_regression_tests =
@@ -222,7 +228,7 @@ let checksum_regression_tests =
       t (Printf.sprintf "PR 7 golden trajectory: %s" name) (fun () ->
           let check_triple tag (e, c, s) =
             check_int (tag ^ " events") events e;
-            check_true (tag ^ " merge checksum") (c = checksum);
+            check_true (tag ^ " round checksum") (c = checksum);
             check_true (tag ^ " state checksum") (s = state)
           in
           check_triple "default ring" (run ());

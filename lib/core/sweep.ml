@@ -7,8 +7,12 @@ let g_of ~f ~count = if count <= 0 then 0 else min f ((count - 1) / 3)
 
 (* Rows are short (a topology's max in-degree plus one), so insertion
    sort - O(len + inversions), in place - beats anything with setup cost
-   here. *)
-let sort_row slab ~off ~len =
+   here.  The [float array] annotation is load-bearing: without it the
+   slab is inferred as ['a array], every comparison becomes a
+   polymorphic-compare C call on freshly boxed floats, and the sort
+   allocates on each step.  Float [>] and polymorphic [>] order floats
+   identically (IEEE, [-0. = 0.]), so the annotation moves no result. *)
+let sort_row (slab : float array) ~off ~len =
   for i = off + 1 to off + len - 1 do
     let x = Array.unsafe_get slab i in
     let j = ref i in
@@ -19,7 +23,8 @@ let sort_row slab ~off ~len =
     Array.unsafe_set slab !j x
   done
 
-let mid_sorted slab ~off ~count ~g =
+(* [@inline]: out of line, the midpoint of every row would be boxed. *)
+let[@inline] mid_sorted slab ~off ~count ~g =
   (Array.unsafe_get slab (off + g) +. Array.unsafe_get slab (off + count - 1 - g))
   /. 2.
 

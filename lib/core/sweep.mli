@@ -36,6 +36,8 @@ val sweep :
   out:float array -> unit
 (** Row [i] of the slab is [slab.(i*width .. i*width + counts.(i) - 1)].
     Sorts every row in place and writes its reduced midpoint to [out.(i)];
-    empty rows ([counts.(i) = 0]) write [nan].  Allocation-free.
+    empty rows ([counts.(i) = 0]) write [nan].  Allocation-free: the
+    test suite sweeps a 10^4-row slab and checks that it allocates zero
+    minor-heap words.
     @raise Invalid_argument if [f < 0], [out] is shorter than [counts],
     or any count is negative or exceeds [width]. *)

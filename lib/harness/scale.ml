@@ -22,17 +22,18 @@ module Shard = Csync_obs.Shard
 module Profile = Csync_obs.Profile
 
 (* Same 62-bit mixer family as Soa's hash: allocation-free, deterministic
-   across 64-bit platforms. *)
-let mix x =
+   across 64-bit platforms.  [@inline] keeps [mix_float]'s argument
+   unboxed in [rows_checksum], which hashes every estimate of a round. *)
+let[@inline] mix x =
   let x = x lxor (x lsr 31) in
   let x = x * 0x2545F4914F6CDD1D in
   let x = x lxor (x lsr 29) in
   let x = x * 0x1F123BB5159A55E5 in
   x lxor (x lsr 32)
 
-let mix_int h k = mix (h lxor k)
+let[@inline] mix_int h k = mix (h lxor k)
 
-let mix_float h x = mix_int h (Int64.to_int (Int64.bits_of_float x))
+let[@inline] mix_float h x = mix_int h (Int64.to_int (Int64.bits_of_float x))
 
 let shard_bounds ~n ~shards s = (s * n / shards, (s + 1) * n / shards)
 

@@ -57,8 +57,12 @@ let st_pull = 2
 
 (* 62-bit mixer (splitmix-style, constants chosen to fit OCaml's native
    int): deterministic across 64-bit platforms and allocation-free, unlike
-   the boxed Int64 route. *)
-let mix x =
+   the boxed Int64 route.
+
+   This and the per-link helpers below are [@inline] so that [run_shard]
+   and [apply] keep their floats unboxed: an out-of-line call boxes its
+   float result, on every edge of every round. *)
+let[@inline] mix x =
   let x = x lxor (x lsr 31) in
   let x = x * 0x2545F4914F6CDD1D in
   let x = x lxor (x lsr 29) in
@@ -67,7 +71,8 @@ let mix x =
 
 let u01_scale = 1. /. 1099511627776.  (* 2^-40 *)
 
-let u01 h = float_of_int ((h land max_int) land ((1 lsl 40) - 1)) *. u01_scale
+let[@inline] u01 h =
+  float_of_int ((h land max_int) land ((1 lsl 40) - 1)) *. u01_scale
 
 let create ?graph ?(degree = 8) ?(f = 2) ?(seed = 1) ?(rho = 1e-5)
     ?(delta = 0.01) ?(eps = 0.001) ?(period = 10.) ?(dispersion = 1.)
@@ -143,16 +148,22 @@ let in_neighbor t ~dst j = Graph.in_neighbor t.graph ~dst j
 
 (* Real time at which p's logical clock reads the current round's target
    T_r = period * (round + 1): L_p(b) = (1 + rate) b + offset + corr = T_r. *)
-let broadcast_time t p =
+let[@inline] broadcast_time t p =
   let target = t.period *. float_of_int (t.round + 1) in
   (target -. t.offset.(p) -. t.corr.(p)) /. (1. +. t.rate.(p))
 
-let report_time t p =
+let[@inline] report_time t p =
   let b = broadcast_time t p in
   if t.status.(p) = st_pull then b +. t.pull.(p) else b
 
-let delay t ~hround ~src ~dst =
-  let u = u01 (mix (src + mix (dst + hround))) in
+(* Per-round hash seed of the link delays. *)
+let hround t = mix (t.round + mix (3 + t.hseed))
+
+(* The delay on link src -> dst, given the destination's hash
+   [hdst = mix (dst + hround t)]: [run_shard] computes [hdst] once per
+   row rather than once per sender. *)
+let[@inline] delay t ~hdst ~src =
+  let u = u01 (mix (src + hdst)) in
   t.delta -. t.eps +. (2. *. t.eps *. u)
 
 let spread t =
@@ -191,7 +202,7 @@ let local_skew_at t p =
 let link_delay t ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Soa.link_delay";
-  delay t ~hround:(mix (t.round + mix (3 + t.hseed))) ~src ~dst
+  delay t ~hdst:(mix (dst + hround t)) ~src
 
 type shard = {
   lo : int;
@@ -204,7 +215,7 @@ type shard = {
 let run_shard t ~lo ~hi =
   if lo < 0 || hi > t.n || lo >= hi then invalid_arg "Soa.run_shard: bad range";
   let width = t.width in
-  let hround = mix (t.round + mix (3 + t.hseed)) in
+  let hround = hround t in
   let slab = Array.make ((hi - lo) * width) 0. in
   let counts = Array.make (hi - lo) 0 in
   let count = ref 0 in
@@ -214,6 +225,7 @@ let run_shard t ~lo ~hi =
       let off = row * width in
       (* A process hears its own broadcast exactly. *)
       slab.(off) <- broadcast_time t dst;
+      let hdst = mix (dst + hround) in
       let c = ref 1 in
       for j = 0 to in_degree t dst - 1 do
         let src = in_neighbor t ~dst j in
@@ -221,7 +233,7 @@ let run_shard t ~lo ~hi =
           (* The estimate of the sender's round start is the arrival time
              minus the nominal delay (Section 4's ARR - delta), off by at
              most eps. *)
-          let a = report_time t src +. delay t ~hround ~src ~dst in
+          let a = report_time t src +. delay t ~hdst ~src in
           slab.(off + !c) <- a -. t.delta;
           incr c
         end
@@ -238,7 +250,9 @@ let run_shard t ~lo ~hi =
    [gain] of the way there under [Gradient_avg] (the neighbor-averaging
    rule whose fixed point bounds neighbor skew).  b' = m requires
    corr' = corr - (m - b)(1 + rate), since db/dcorr = -1/(1 + rate).
-   Faulty processes never adjust. *)
+   Faulty processes never adjust.  The gradient step is
+   [Gradient.target] written out: a call into another library would box
+   its float arguments and result once per process. *)
 let apply t ~lo mids =
   for i = 0 to Array.length mids - 1 do
     let p = lo + i in
@@ -248,7 +262,7 @@ let apply t ~lo mids =
       let m =
         match t.mode with
         | Midpoint -> m
-        | Gradient_avg gain -> Gradient.target ~gain ~own:b ~mid:m
+        | Gradient_avg gain -> b +. (gain *. (m -. b))
       in
       t.corr.(p) <- t.corr.(p) -. ((m -. b) *. (1. +. t.rate.(p)))
     end

@@ -19,14 +19,46 @@ let check_float msg a b = Alcotest.(check (float 1e-12)) msg a b
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* Minor-heap words [f] allocates, counted the way the bench's allocation
+   audit counts them.  Slabs at these sizes live in the major heap, so
+   what shows is per-event churn such as boxed floats. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Row values that stress the order: duplicates, both zeros and both
+   infinities alongside ordinary finite floats. *)
+let gen_row =
+  QCheck.Gen.(
+    list_size (1 -- 12)
+      (frequency
+         [
+           (3, oneofl [ 0.; -0.; 1.; -1.; 2.5; infinity; neg_infinity ]);
+           (2, float_range (-100.) 100.);
+         ]))
+
+let print_row row =
+  Printf.sprintf "[%s]" (String.concat "; " (List.map (Printf.sprintf "%h") row))
+
+(* The shape of the benchmark's scale workload: an n = 10^4 degree-8
+   expander in gradient mode with one crash and one pull fault. *)
+let expander_model () =
+  let graph = Csync_topo.Graph.expander ~n:10_000 ~degree:8 ~seed:1 in
+  let m =
+    Soa.create ~graph ~f:2 ~seed:1 ~dispersion:0.002
+      ~mode:(Soa.Gradient_avg 0.5) ~n:10_000 ()
+  in
+  Soa.crash m 17;
+  Soa.set_pull m 42 0.3;
+  m
+
 let sweep_tests =
   [
     qcheck
-      (QCheck.Test.make ~count:500
+      (QCheck.Test.make ~count:1000
          ~name:"sweep midpoint matches the multiset reference"
-         QCheck.(
-           pair (int_bound 3)
-             (list_of_size Gen.(1 -- 12) (float_bound_exclusive 100.)))
+         QCheck.(pair (int_bound 3) (make ~print:print_row gen_row))
          (fun (f, row) ->
            let count = List.length row in
            let a = Array.of_list row in
@@ -34,7 +66,48 @@ let sweep_tests =
            let got = Sweep.mid_row slab ~off:0 ~count ~f in
            let g = Sweep.g_of ~f ~count in
            let want = Multiset.mid_reduced ~f:g (Multiset.of_array a) in
-           got = want));
+           (* [Float.equal] identifies [-0.] with [0.] and nan with nan:
+              the reference's unstable sort may order the two zeros (and
+              so sign a zero midpoint) differently. *)
+           Float.equal got want));
+    qcheck
+      (QCheck.Test.make ~count:1000
+         ~name:"float sort_row orders rows like Float.compare"
+         (QCheck.make ~print:print_row gen_row)
+         (fun row ->
+           let a = Array.of_list row in
+           let len = Array.length a in
+           (* Embed the row between sentinels to check the sort stays
+              inside [off, off + len). *)
+           let slab = Array.concat [ [| nan |]; a; [| nan |] ] in
+           Sweep.sort_row slab ~off:1 ~len;
+           let got = Array.sub slab 1 len in
+           let sorted = Array.copy a in
+           Array.sort Float.compare sorted;
+           (* Insertion sort is stable, so it must also match a stable
+              sort bit for bit, [-0.]/[0.] ties included. *)
+           let stable = Array.copy a in
+           Array.stable_sort Float.compare stable;
+           Float.is_nan slab.(0)
+           && Float.is_nan slab.(len + 1)
+           && Array.for_all2 Float.equal got sorted
+           && Array.for_all2
+                (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+                got stable));
+    t "sweep allocates nothing" (fun () ->
+        let m = expander_model () in
+        let sh = Soa.run_shard m ~lo:0 ~hi:(Soa.n m) in
+        let unsorted = Array.copy sh.Soa.slab in
+        let slab = sh.Soa.slab and counts = sh.Soa.counts in
+        let out = Array.make (Soa.n m) Float.nan in
+        let sweep () =
+          Sweep.sweep ~slab ~width:(Soa.width m) ~counts ~f:(Soa.f m) ~out
+        in
+        sweep ();
+        Array.blit unsorted 0 slab 0 (Array.length slab);
+        let words = minor_words sweep in
+        check_true "the measured pass sorted something" (unsorted <> slab);
+        Alcotest.(check (float 0.)) "minor words" 0. words);
     t "sweep handles offsets, empty rows and slack width" (fun () ->
         (* width 4, three rows: full, partial, empty. *)
         let slab = [| 3.; 1.; 2.; 9.; 5.; 4.; 0.; 0.; 0.; 0.; 0.; 0. |] in
@@ -222,6 +295,37 @@ let soa_tests =
         Soa.set_pull m 42 0.3;
         Soa.set_pull m 499 (-0.2);
         check "crash + pull" m ~crashed:[ 17 ]);
+    t "gradient apply is Gradient.target, bit for bit" (fun () ->
+        (* [apply] writes the gradient step out by hand; a Midpoint twin
+           fed [Gradient.target]'s values must land on the same
+           corrections. *)
+        let gain = 0.3 in
+        let make mode =
+          let graph = Graph.expander ~n:300 ~degree:8 ~seed:4 in
+          let m = Soa.create ~graph ~seed:4 ~dispersion:0.02 ~mode ~n:300 () in
+          Soa.crash m 17;
+          Soa.set_pull m 42 0.3;
+          m
+        in
+        let grad = make (Soa.Gradient_avg gain) and mid = make Soa.Midpoint in
+        let sh = Soa.run_shard grad ~lo:0 ~hi:300 in
+        let mids = Array.make 300 Float.nan in
+        Sweep.sweep ~slab:sh.Soa.slab ~width:(Soa.width grad) ~counts:sh.Soa.counts
+          ~f:(Soa.f grad) ~out:mids;
+        let targets =
+          Array.mapi
+            (fun p m ->
+              Csync_topo.Gradient.target ~gain ~own:(Soa.broadcast_time mid p)
+                ~mid:m)
+            mids
+        in
+        Soa.apply grad ~lo:0 mids;
+        Soa.apply mid ~lo:0 targets;
+        for p = 0 to 299 do
+          if Int64.bits_of_float (Soa.corr grad p)
+             <> Int64.bits_of_float (Soa.corr mid p)
+          then Alcotest.failf "corr %d differs" p
+        done);
   ]
 
 let with_engine_env value f =
@@ -238,6 +342,17 @@ let scale_model () =
 
 let scale_tests =
   [
+    t "scale round stays under one word per event" (fun () ->
+        let m = expander_model () in
+        ignore (Scale.round ~jobs:1 m);
+        let events = ref 0 in
+        let words =
+          minor_words (fun () -> events := fst (Scale.round ~jobs:1 m))
+        in
+        let per_event = words /. float_of_int !events in
+        if not (per_event <= 1.0) then
+          Alcotest.failf "%.2f minor words per event over %d events" per_event
+            !events);
     t "trajectory and merge checksum are worker-count invariant" (fun () ->
         let run jobs =
           let m = scale_model () in

@@ -257,8 +257,8 @@ let collect_frames =
 let bench_obs =
   (* The telemetry invariant in numbers: a counter increment through a
      handle minted from the disabled registry (what every untraced
-     simulation pays at each instrumentation point) vs the enabled
-     atomic path.  The monitor kernels hold the same line for the online
+     simulation pays at each instrumentation point, pool workers
+     included) vs the enabled plain-field path.  The monitor kernels hold the same line for the online
      theorem checks: an unmonitored run pays one branch per check site. *)
   let off = Csync_obs.Registry.counter Csync_obs.Registry.none "bench.c" in
   let on_reg = Csync_obs.Registry.create () in
@@ -273,11 +273,8 @@ let bench_obs =
       (Csync_obs.Monitor.create ())
       ~gamma:1.0 ~from_time:0.
   in
-  (* Same line for the sharded/profiled paths: a worker-shard counter hit
-     and a phase-span wrap on the disabled registry are what every
-     untraced Scale round pays per instrumentation point. *)
-  let shard_off = Csync_obs.Shard.create Csync_obs.Registry.none in
-  let sc_off = Csync_obs.Shard.counter shard_off "bench.sc" in
+  (* Same line for the profiled path: a phase-span wrap on the disabled
+     registry is what every untraced Scale round pays per phase. *)
   let prof_off = Csync_obs.Profile.create Csync_obs.Registry.none in
   Test.make_grouped ~name:"obs"
     [
@@ -288,8 +285,6 @@ let bench_obs =
       Test.make ~name:"gauge-observe-disabled"
         (Staged.stage (fun () ->
              Csync_obs.Registry.Gauge.observe_max g_off 1.0));
-      Test.make ~name:"shard-incr-disabled"
-        (Staged.stage (fun () -> Csync_obs.Shard.Counter.incr sc_off));
       Test.make ~name:"phase-span-disabled"
         (Staged.stage (fun () ->
              Csync_obs.Profile.time prof_off Csync_obs.Profile.Apply ignore));

@@ -1,5 +1,4 @@
 module Obs = Csync_obs.Registry
-module Shard = Csync_obs.Shard
 
 let parallel_available = Pool_backend.available
 
@@ -17,31 +16,34 @@ let init ~jobs n f =
   let obs = Obs.installed () in
   if not (Obs.enabled obs) then Pool_backend.run ~jobs n f
   else begin
-    (* Mirror the backend's round-robin sharding (task i runs on worker
-       i mod effective-jobs) so per-worker timings attribute correctly;
-       this only wraps observation around f, so results are unchanged.
-       Each worker gets its own telemetry shard — plain cells, no
-       contention during the region — folded into the registry in
-       worker-id order after the join, so trace output is independent of
-       completion order. *)
+    (* Every task records into its own child registry, installed on the
+       worker running it (worker 0 is this domain, so the previous
+       registry is restored afterwards).  The children fold into [obs] in
+       task-index order after the join, which is the order a one-worker
+       run records in, so the trace does not depend on [jobs].  Task i
+       runs on worker i mod effective-jobs (the backend's round-robin);
+       the worker metrics are minted before [f] can relabel the child, so
+       they carry the pool's own label.  This only wraps observation
+       around [f]; results are unchanged. *)
     let eff = if Pool_backend.available then max 1 (min jobs n) else 1 in
-    let shards = Array.init eff (fun _ -> Shard.create obs) in
-    let spans =
-      Array.init eff (fun w ->
-          Shard.span shards.(w) (Printf.sprintf "pool.worker%d" w))
-    in
-    let tasks =
-      Array.init eff (fun w ->
-          Shard.counter shards.(w) (Printf.sprintf "pool.tasks.worker%d" w))
-    in
-    let result =
+    let tagged =
       Pool_backend.run ~jobs n (fun i ->
+          let reg = Obs.child obs in
           let w = i mod eff in
-          Shard.Counter.incr tasks.(w);
-          Shard.Span.time spans.(w) (fun () -> f i))
+          Obs.Counter.incr
+            (Obs.counter reg (Printf.sprintf "pool.tasks.worker%d" w));
+          let span = Obs.span reg (Printf.sprintf "pool.worker%d" w) in
+          let prev = Obs.installed () in
+          Obs.install reg;
+          let v =
+            Fun.protect
+              ~finally:(fun () -> Obs.install prev)
+              (fun () -> Obs.Span.time span (fun () -> f i))
+          in
+          (v, reg))
     in
-    Array.iter Shard.merge shards;
-    result
+    Array.iter (fun (_, reg) -> Obs.merge ~into:obs reg) tagged;
+    Array.map fst tagged
   end
 
 let map ~jobs f a = init ~jobs (Array.length a) (fun i -> f a.(i))

@@ -30,18 +30,15 @@ let run_list ?jobs ~quick experiments =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let per_exp = List.map (fun e -> (e, Experiment.tasks ~quick e)) experiments in
   let flat = Array.of_list (List.concat_map snd per_exp) in
-  let obs = Csync_obs.Registry.installed () in
-  let traced = Csync_obs.Registry.enabled obs in
   let run_task i =
     let label, thunk = flat.(i) in
     (* Prefix this cell's metrics with its label so cells don't collide.
-       The label is worker-local (set here, on the worker executing the
-       task), so per-cell names are exact for any --jobs. *)
-    if traced then Csync_obs.Registry.set_label obs label;
+       The installed registry is this task's own child (see {!Pool.init}),
+       so the label never leaks into another cell or into the caller. *)
+    Csync_obs.Registry.set_label (Csync_obs.Registry.installed ()) label;
     thunk ()
   in
   let pieces = Pool.init ~jobs (Array.length flat) run_task in
-  if traced then Csync_obs.Registry.set_label obs "";
   let next = ref 0 in
   List.map
     (fun (e, tasks) ->

@@ -18,7 +18,6 @@
 module Soa = Csync_process.Soa
 module Sweep = Csync_core.Sweep
 module Obs = Csync_obs.Registry
-module Shard = Csync_obs.Shard
 module Profile = Csync_obs.Profile
 
 (* Same 62-bit mixer family as Soa's hash: allocation-free, deterministic
@@ -40,29 +39,30 @@ let shard_bounds ~n ~shards s = (s * n / shards, (s + 1) * n / shards)
 let resolve_jobs jobs =
   match jobs with Some j when j > 0 -> j | _ -> Pool.default_jobs ()
 
-(* Per-shard telemetry, recorded by the worker into its own shard scope
-   (zero contention), then folded into the registry in shard-index order.
-   Everything recorded is a pure observation of [t]; the run itself is
-   untouched, so results stay byte-identical with telemetry on or off. *)
-let observe_shard t sh (shard : Soa.shard) =
-  if Shard.active sh then begin
-    Shard.Counter.add (Shard.counter sh "scale.events") shard.Soa.count;
+(* Per-shard telemetry, recorded by the worker into its task's own
+   registry (see {!Pool.init}), which the pool folds back in shard-index
+   order.  Everything recorded is a pure observation of [t]; the run
+   itself is untouched, so results stay byte-identical with telemetry on
+   or off. *)
+let observe_shard t obs (shard : Soa.shard) =
+  if Obs.enabled obs then begin
+    Obs.Counter.add (Obs.counter obs "scale.events") shard.Soa.count;
     (* Delays live in [delta - eps, delta + eps] (~1e-2 at the paper's
        params); local skews span many decades as they contract round
        over round — both are log-histogram shaped. *)
     let delays =
-      Shard.hist_log sh ~lo:1e-3 ~hi:1e-1 ~per_decade:32 "scale.link_delay"
+      Obs.hist_log obs ~lo:1e-3 ~hi:1e-1 ~per_decade:32 "scale.link_delay"
     in
     let skews =
-      Shard.hist_log sh ~lo:1e-9 ~hi:1.0 ~per_decade:8 "scale.local_skew"
+      Obs.hist_log obs ~lo:1e-9 ~hi:1.0 ~per_decade:8 "scale.local_skew"
     in
     for dst = shard.Soa.lo to shard.Soa.hi - 1 do
       for j = 0 to Soa.in_degree t dst - 1 do
         let src = Soa.in_neighbor t ~dst j in
         if src <> dst then
-          Shard.Hist.add delays (Soa.link_delay t ~src ~dst)
+          Obs.Hist.add delays (Soa.link_delay t ~src ~dst)
       done;
-      Shard.Hist.add skews (Soa.local_skew_at t dst)
+      Obs.Hist.add skews (Soa.local_skew_at t dst)
     done
   end
 
@@ -89,20 +89,20 @@ let round ?jobs t =
   let width = Soa.width t in
   let obs = Obs.installed () in
   let prof = Profile.create obs in
-  let tele = Array.init shards (fun _ -> Shard.create obs) in
   let results =
     Pool.init ~jobs shards (fun s ->
         let lo, hi = shard_bounds ~n ~shards s in
-        let sh = tele.(s) in
+        (* This task's own registry when tracing (see {!Pool.init}). *)
+        let obs = Obs.installed () in
         let shard =
-          Shard.Span.time (Shard.span sh "profile.fill") (fun () ->
+          Obs.Span.time (Obs.span obs "profile.fill") (fun () ->
               Soa.run_shard t ~lo ~hi)
         in
         let mids = Array.make (hi - lo) Float.nan in
-        Shard.Span.time (Shard.span sh "profile.sweep") (fun () ->
+        Obs.Span.time (Obs.span obs "profile.sweep") (fun () ->
             Sweep.sweep ~slab:shard.Soa.slab ~width ~counts:shard.Soa.counts
               ~f:(Soa.f t) ~out:mids);
-        observe_shard t sh shard;
+        observe_shard t obs shard;
         (shard, mids, rows_checksum ~width shard))
   in
   let events = ref 0 and checksum = ref 0 in
@@ -116,9 +116,6 @@ let round ?jobs t =
         (fun (shard, mids, _) -> Soa.apply t ~lo:shard.Soa.lo mids)
         results);
   Profile.time prof Profile.Advance (fun () -> Soa.advance t);
-  (* Index-ordered fold keeps the merged telemetry — and with it the
-     trace bytes — independent of which worker finished first. *)
-  Profile.time prof Profile.Shard_merge (fun () -> Array.iter Shard.merge tele);
   (* Per-round convergence series (an O(n)/O(edges) observation pass,
      only when telemetry is on).  Pushed here rather than in [run] so
      every round-driving caller — the experiments loop rounds themselves

@@ -4,9 +4,9 @@
    state checksum); each gets a "profile.<phase>" span (count / total /
    max) and a "profile.<phase>.ns" series (one point per occurrence, so
    per-round phase times survive into the trace for [csync report]'s
-   profile table and [csync top]'s bars).  Workers time their own
-   fill/sweep via {!Shard.span} under the same names; both fold into
-   the same registry spans.
+   profile table and [csync top]'s bars).  Pool workers time their own
+   fill/sweep as plain registry spans under the same names in their
+   task's registry, which the pool folds into the run's registry.
 
    The clock is [Unix.gettimeofday] in integer nanoseconds, clamped
    monotone through an atomic high-water mark: the stdlib exposes no
@@ -15,16 +15,15 @@
    inside a clock-synchronization testbed.  During a backward step the
    clock holds still, so affected durations read 0, never negative. *)
 
-type phase = Fill | Sweep | Apply | Advance | Shard_merge | Checksum
+type phase = Fill | Sweep | Apply | Advance | Checksum
 
-let phases = [ Fill; Sweep; Apply; Advance; Shard_merge; Checksum ]
+let phases = [ Fill; Sweep; Apply; Advance; Checksum ]
 
 let phase_name = function
   | Fill -> "fill"
   | Sweep -> "sweep"
   | Apply -> "apply"
   | Advance -> "advance"
-  | Shard_merge -> "shard_merge"
   | Checksum -> "checksum"
 
 let phase_index = function
@@ -32,8 +31,7 @@ let phase_index = function
   | Sweep -> 1
   | Apply -> 2
   | Advance -> 3
-  | Shard_merge -> 4
-  | Checksum -> 5
+  | Checksum -> 4
 
 let last_ns = Atomic.make 0
 

@@ -6,13 +6,16 @@
     [csync top]'s phase bars.  The disabled path ({!create} on a
     disabled registry, or {!disabled}) is one pattern-match branch,
     perf-gated by the [obs/phase-span-disabled] bench kernel.
+    [Fill] and [Sweep] run inside pool tasks, so the scale driver times
+    them as plain spans of the same names in each task's own registry,
+    and the pool's merge folds them into the run's.
 
     Timing uses {!now_ns}: wall-clock nanoseconds clamped monotone
     through an atomic high-water mark (no monotonic clock exists in the
     stdlib without C stubs), so durations are never negative — during a
     backward wall-clock step they read 0. *)
 
-type phase = Fill | Sweep | Apply | Advance | Shard_merge | Checksum
+type phase = Fill | Sweep | Apply | Advance | Checksum
 
 val phases : phase list
 (** In pipeline order. *)

@@ -1,44 +1,31 @@
 module Histogram = Csync_metrics.Histogram
 
-(* All mutation other than counters goes through this spinlock.  The
-   enabled registry is shared across pool domains, and the 4.14 CI leg
-   has no threads library, so a CAS busy-wait is the one portable
-   primitive; critical sections are a few stores, so contention is
-   negligible. *)
-type lock = bool Atomic.t
+(* Every cell is plain mutable state: a registry has exactly one writer
+   at a time (see registry.mli), so nothing here synchronizes.  Parallel
+   regions record into per-task children and fold them in with [merge]
+   after the join. *)
 
-let lock_create () : lock = Atomic.make false
+type counter_cell = { mutable cv : int }
 
-let acquire l = while not (Atomic.compare_and_set l false true) do () done
-
-let release l = Atomic.set l false
-
-let locked l f =
-  acquire l;
-  match f () with
-  | v ->
-    release l;
-    v
-  | exception e ->
-    release l;
-    raise e
-
-type gauge_cell = { glock : lock; mutable gv : float; mutable gset : bool }
+(* [gmax] remembers whether the last operation was [observe_max], so that
+   [merge] can replay it: a set gauge's last writer wins, a high-water
+   mark keeps the max. *)
+type gauge_cell = {
+  mutable gv : float;
+  mutable gset : bool;
+  mutable gmax : bool;
+}
 
 type series_cell = {
-  slock : lock;
   mutable sx : float array;
   mutable sy : float array;
   mutable sn : int;
 }
 
-type hist_cell = { hlock : lock; hh : Histogram.t }
-
 (* Durations accumulate as integer nanoseconds: the clock resolves µs at
    best, summing exact ns quotients avoids float drift, and the trace
    encoder stores ns-exact span times as varints instead of raw f64. *)
 type span_cell = {
-  plock : lock;
   mutable pcount : int;
   mutable ptotal_ns : int;
   mutable pmax_ns : int;
@@ -48,90 +35,86 @@ type event = { ev_name : string; ev_fields : (string * Json.t) list }
 
 type t = {
   enabled : bool;
-  rlock : lock;
-  counters : (string, int Atomic.t) Hashtbl.t;
+  mutable label : string;
+  counters : (string, counter_cell) Hashtbl.t;
   gauges : (string, gauge_cell) Hashtbl.t;
   series_tbl : (string, series_cell) Hashtbl.t;
-  hists : (string, hist_cell) Hashtbl.t;
+  hists : (string, Histogram.t) Hashtbl.t;
   spans : (string, span_cell) Hashtbl.t;
   mutable events : event list; (* newest first *)
   mutable events_n : int;
   mutable events_dropped : int;
 }
 
-(* The cell label is worker-local (Domain.DLS on OCaml 5): each pool worker
-   sets the label of the cell it is executing and mints names under it, so
-   per-cell metric names stay exact under any [--jobs], not last-writer-wins
-   as a shared field would be. *)
-let label_key = Tls.new_key (fun () -> "")
-
 let event_cap = 65536
 
-let make_registry enabled =
+let make_registry enabled label =
+  let size = if enabled then 8 else 1 in
   {
     enabled;
-    rlock = lock_create ();
-    counters = Hashtbl.create (if enabled then 64 else 1);
-    gauges = Hashtbl.create (if enabled then 16 else 1);
-    series_tbl = Hashtbl.create (if enabled then 32 else 1);
-    hists = Hashtbl.create (if enabled then 32 else 1);
-    spans = Hashtbl.create (if enabled then 8 else 1);
+    label;
+    counters = Hashtbl.create size;
+    gauges = Hashtbl.create size;
+    series_tbl = Hashtbl.create size;
+    hists = Hashtbl.create size;
+    spans = Hashtbl.create size;
     events = [];
     events_n = 0;
     events_dropped = 0;
   }
 
-let none = make_registry false
+let none = make_registry false ""
 
-let create () = make_registry true
+let create () = make_registry true ""
+
+let child t = if t.enabled then make_registry true t.label else none
 
 let enabled t = t.enabled
 
-let set_label t label = if t.enabled then Tls.set label_key label
+let set_label t label = if t.enabled then t.label <- label
 
-let label (_ : t) = Tls.get label_key
+let label t = t.label
 
-let full_name (_ : t) name =
-  match Tls.get label_key with "" -> name | l -> l ^ "/" ^ name
+let full_name t name = match t.label with "" -> name | l -> l ^ "/" ^ name
 
-(* Ambient registry: installed before a traced run, captured by
-   components at creation time.  A plain ref is enough — install/clear
-   happen on the orchestrating domain before and after the parallel
-   region; workers only read it. *)
-let installed_ref = ref none
+(* Ambient registry, one slot per worker ({!Tls}): [Pool] installs each
+   task's child on the worker running it, so components created inside a
+   task capture the child and never another worker's registry. *)
+let installed_key = Tls.new_key (fun () -> none)
 
-let install t = installed_ref := t
+let install t = Tls.set installed_key t
 
-let installed () = !installed_ref
+let installed () = Tls.get installed_key
 
-let clear_installed () = installed_ref := none
+let clear_installed () = Tls.set installed_key none
 
 let now_s () = Unix.gettimeofday ()
 
-let intern tbl rlock name make =
-  locked rlock (fun () ->
-      match Hashtbl.find_opt tbl name with
-      | Some v -> v
-      | None ->
-        let v = make () in
-        Hashtbl.replace tbl name v;
-        v)
+let intern tbl name make =
+  match Hashtbl.find_opt tbl name with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Hashtbl.replace tbl name v;
+    v
 
 module Counter = struct
-  type handle = Noop | C of int Atomic.t
+  type handle = Noop | C of counter_cell
 
   let noop = Noop
 
-  let incr = function Noop -> () | C a -> ignore (Atomic.fetch_and_add a 1)
+  let incr = function Noop -> () | C c -> c.cv <- c.cv + 1
 
-  let add h n = match h with Noop -> () | C a -> ignore (Atomic.fetch_and_add a n)
+  let add h n = match h with Noop -> () | C c -> c.cv <- c.cv + n
 
-  let value = function Noop -> 0 | C a -> Atomic.get a
+  let value = function Noop -> 0 | C c -> c.cv
 end
+
+let counter_cell t name = intern t.counters name (fun () -> { cv = 0 })
 
 let counter t name =
   if not t.enabled then Counter.Noop
-  else Counter.C (intern t.counters t.rlock (full_name t name) (fun () -> Atomic.make 0))
+  else Counter.C (counter_cell t (full_name t name))
 
 module Gauge = struct
   type handle = Noop | G of gauge_cell
@@ -140,35 +123,31 @@ module Gauge = struct
 
   let active = function Noop -> false | G _ -> true
 
-  let set h v =
-    match h with
-    | Noop -> ()
-    | G c ->
-      locked c.glock (fun () ->
-          c.gv <- v;
-          c.gset <- true)
+  let set_cell c v =
+    c.gv <- v;
+    c.gset <- true;
+    c.gmax <- false
 
-  let observe_max h v =
-    match h with
-    | Noop -> ()
-    | G c ->
-      locked c.glock (fun () ->
-          if (not c.gset) || v > c.gv then begin
-            c.gv <- v;
-            c.gset <- true
-          end)
+  let max_cell c v =
+    if (not c.gset) || v > c.gv then begin
+      c.gv <- v;
+      c.gset <- true
+    end;
+    c.gmax <- true
 
-  let value = function
-    | Noop -> None
-    | G c -> locked c.glock (fun () -> if c.gset then Some c.gv else None)
+  let set h v = match h with Noop -> () | G c -> set_cell c v
+
+  let observe_max h v = match h with Noop -> () | G c -> max_cell c v
+
+  let value = function Noop -> None | G c -> if c.gset then Some c.gv else None
 end
+
+let gauge_cell t name =
+  intern t.gauges name (fun () -> { gv = 0.; gset = false; gmax = false })
 
 let gauge t name =
   if not t.enabled then Gauge.Noop
-  else
-    Gauge.G
-      (intern t.gauges t.rlock (full_name t name) (fun () ->
-           { glock = lock_create (); gv = 0.; gset = false }))
+  else Gauge.G (gauge_cell t (full_name t name))
 
 module Series = struct
   type handle = Noop | S of series_cell
@@ -177,71 +156,57 @@ module Series = struct
 
   let active = function Noop -> false | S _ -> true
 
-  let push h x y =
-    match h with
-    | Noop -> ()
-    | S c ->
-      locked c.slock (fun () ->
-          let cap = Array.length c.sx in
-          if c.sn = cap then begin
-            let cap' = max 16 (2 * cap) in
-            let grow a = Array.append a (Array.make (cap' - cap) 0.) in
-            c.sx <- grow c.sx;
-            c.sy <- grow c.sy
-          end;
-          c.sx.(c.sn) <- x;
-          c.sy.(c.sn) <- y;
-          c.sn <- c.sn + 1)
+  let push_cell c x y =
+    let cap = Array.length c.sx in
+    if c.sn = cap then begin
+      let cap' = max 16 (2 * cap) in
+      let grow a = Array.append a (Array.make (cap' - cap) 0.) in
+      c.sx <- grow c.sx;
+      c.sy <- grow c.sy
+    end;
+    c.sx.(c.sn) <- x;
+    c.sy.(c.sn) <- y;
+    c.sn <- c.sn + 1
+
+  let push h x y = match h with Noop -> () | S c -> push_cell c x y
 
   let points = function
     | Noop -> []
-    | S c ->
-      locked c.slock (fun () ->
-          List.init c.sn (fun i -> (c.sx.(i), c.sy.(i))))
+    | S c -> List.init c.sn (fun i -> (c.sx.(i), c.sy.(i)))
 end
+
+let series_cell t name =
+  intern t.series_tbl name (fun () -> { sx = [||]; sy = [||]; sn = 0 })
 
 let series t name =
   if not t.enabled then Series.Noop
-  else
-    Series.S
-      (intern t.series_tbl t.rlock (full_name t name) (fun () ->
-           { slock = lock_create (); sx = [||]; sy = [||]; sn = 0 }))
+  else Series.S (series_cell t (full_name t name))
 
 module Hist = struct
-  type handle = Noop | H of hist_cell
+  type handle = Noop | H of Histogram.t
 
   let noop = Noop
 
   let active = function Noop -> false | H _ -> true
 
-  let add h v =
-    match h with Noop -> () | H c -> locked c.hlock (fun () -> Histogram.add c.hh v)
+  let add h v = match h with Noop -> () | H hh -> Histogram.add hh v
 
-  let count = function
-    | Noop -> 0
-    | H c -> locked c.hlock (fun () -> Histogram.count c.hh)
-
-  (* Shard-fold primitive: add a worker-local histogram's counters into
-     the shared one (same shape required, see {!Histogram.merge}). *)
-  let merge h src =
-    match h with
-    | Noop -> ()
-    | H c -> locked c.hlock (fun () -> Histogram.merge c.hh src)
+  let count = function Noop -> 0 | H hh -> Histogram.count hh
 end
 
 let hist t ~lo ~hi ~bins name =
   if not t.enabled then Hist.Noop
   else
     Hist.H
-      (intern t.hists t.rlock (full_name t name) (fun () ->
-           { hlock = lock_create (); hh = Histogram.create ~lo ~hi ~bins }))
+      (intern t.hists (full_name t name) (fun () ->
+           Histogram.create ~lo ~hi ~bins))
 
 let hist_log t ~lo ~hi ~per_decade name =
   if not t.enabled then Hist.Noop
   else
     Hist.H
-      (intern t.hists t.rlock (full_name t name) (fun () ->
-           { hlock = lock_create (); hh = Histogram.log ~lo ~hi ~per_decade }))
+      (intern t.hists (full_name t name) (fun () ->
+           Histogram.log ~lo ~hi ~per_decade))
 
 module Span = struct
   type handle = Noop | P of span_cell
@@ -250,17 +215,14 @@ module Span = struct
 
   let active = function Noop -> false | P _ -> true
 
-  let to_ns seconds = max 0 (int_of_float (Float.round (seconds *. 1e9)))
-
   let record h seconds =
     match h with
     | Noop -> ()
     | P c ->
-      let ns = to_ns seconds in
-      locked c.plock (fun () ->
-          c.pcount <- c.pcount + 1;
-          c.ptotal_ns <- c.ptotal_ns + ns;
-          if ns > c.pmax_ns then c.pmax_ns <- ns)
+      let ns = max 0 (int_of_float (Float.round (seconds *. 1e9))) in
+      c.pcount <- c.pcount + 1;
+      c.ptotal_ns <- c.ptotal_ns + ns;
+      if ns > c.pmax_ns then c.pmax_ns <- ns
 
   let time h f =
     match h with
@@ -277,34 +239,74 @@ module Span = struct
         raise e)
 
   let count = function Noop -> 0 | P c -> c.pcount
-
-  (* Shard-fold primitive: fold a worker-local span accumulator in. *)
-  let add h ~count ~total_s ~max_s =
-    match h with
-    | Noop -> ()
-    | P c ->
-      let total_ns = to_ns total_s and max_ns = to_ns max_s in
-      locked c.plock (fun () ->
-          c.pcount <- c.pcount + count;
-          c.ptotal_ns <- c.ptotal_ns + total_ns;
-          if max_ns > c.pmax_ns then c.pmax_ns <- max_ns)
 end
 
+let span_cell t name =
+  intern t.spans name (fun () -> { pcount = 0; ptotal_ns = 0; pmax_ns = 0 })
+
 let span t name =
-  if not t.enabled then Span.Noop
-  else
-    Span.P
-      (intern t.spans t.rlock (full_name t name) (fun () ->
-           { plock = lock_create (); pcount = 0; ptotal_ns = 0; pmax_ns = 0 }))
+  if not t.enabled then Span.Noop else Span.P (span_cell t (full_name t name))
+
+let push_event t e =
+  if t.events_n >= event_cap then t.events_dropped <- t.events_dropped + 1
+  else begin
+    t.events <- e :: t.events;
+    t.events_n <- t.events_n + 1
+  end
 
 let event t name fields =
   if t.enabled then
-    locked t.rlock (fun () ->
-        if t.events_n >= event_cap then t.events_dropped <- t.events_dropped + 1
-        else begin
-          t.events <- { ev_name = full_name t name; ev_fields = fields } :: t.events;
-          t.events_n <- t.events_n + 1
-        end)
+    push_event t { ev_name = full_name t name; ev_fields = fields }
+
+(* ---------- merging a child ---------- *)
+
+(* Names are already full in the child, so cells fold by name.  Every
+   name is interned in [into] even when its cell is empty, exactly as if
+   the child's recording had happened in [into] directly. *)
+let merge ~into c =
+  if into.enabled && c.enabled then begin
+    Hashtbl.iter
+      (fun name (k : counter_cell) ->
+        let p = counter_cell into name in
+        p.cv <- p.cv + k.cv)
+      c.counters;
+    Hashtbl.iter
+      (fun name (g : gauge_cell) ->
+        if g.gset then
+          (if g.gmax then Gauge.max_cell else Gauge.set_cell)
+            (gauge_cell into name) g.gv)
+      c.gauges;
+    Hashtbl.iter
+      (fun name (s : series_cell) ->
+        let p = series_cell into name in
+        for i = 0 to s.sn - 1 do
+          Series.push_cell p s.sx.(i) s.sy.(i)
+        done)
+      c.series_tbl;
+    Hashtbl.iter
+      (fun name h ->
+        let p =
+          intern into.hists name (fun () ->
+              let lo, hi = Histogram.range h in
+              match Histogram.per_decade h with
+              | None -> Histogram.create ~lo ~hi ~bins:(Histogram.bins h)
+              | Some per_decade -> Histogram.log ~lo ~hi ~per_decade)
+        in
+        Histogram.merge p h)
+      c.hists;
+    Hashtbl.iter
+      (fun name (s : span_cell) ->
+        let p = span_cell into name in
+        p.pcount <- p.pcount + s.pcount;
+        p.ptotal_ns <- p.ptotal_ns + s.ptotal_ns;
+        if s.pmax_ns > p.pmax_ns then p.pmax_ns <- s.pmax_ns)
+      c.spans;
+    (* The child kept a prefix of its events and counted the rest, so
+       appending that prefix under [into]'s cap keeps and drops exactly
+       what recording into [into] directly would have. *)
+    List.iter (push_event into) (List.rev c.events);
+    into.events_dropped <- into.events_dropped + c.events_dropped
+  end
 
 (* ---------- dumping ---------- *)
 
@@ -313,105 +315,103 @@ let sorted_bindings tbl =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let dump t =
-  locked t.rlock (fun () ->
-      let counters =
-        sorted_bindings t.counters
-        |> List.map (fun (name, a) ->
-               Json.Obj
-                 [
-                   ("record", Json.Str "counter");
-                   ("name", Json.Str name);
-                   ("value", Json.num_of_int (Atomic.get a));
-                 ])
-      in
-      let gauges =
-        sorted_bindings t.gauges
-        |> List.filter_map (fun (name, c) ->
-               if not c.gset then None
-               else
-                 Some
-                   (Json.Obj
-                      [
-                        ("record", Json.Str "gauge");
-                        ("name", Json.Str name);
-                        ("value", Json.Num c.gv);
-                      ]))
-      in
-      let series =
-        sorted_bindings t.series_tbl
-        |> List.map (fun (name, c) ->
-               let take a = List.init c.sn (fun i -> Json.Num a.(i)) in
-               Json.Obj
-                 [
-                   ("record", Json.Str "series");
-                   ("name", Json.Str name);
-                   ("xs", Json.Arr (take c.sx));
-                   ("ys", Json.Arr (take c.sy));
-                 ])
-      in
-      let hists =
-        sorted_bindings t.hists
-        |> List.map (fun (name, c) ->
-               let h = c.hh in
-               let lo, hi = Histogram.range h in
-               let counts =
-                 List.init (Histogram.bins h) (fun i ->
-                     Json.num_of_int (Histogram.bin_count h i))
-               in
-               let scheme =
-                 match Histogram.per_decade h with
-                 | None -> []
-                 | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
-               in
-               Json.Obj
-                 ([
-                    ("record", Json.Str "hist");
+  let counters =
+    sorted_bindings t.counters
+    |> List.map (fun (name, c) ->
+           Json.Obj
+             [
+               ("record", Json.Str "counter");
+               ("name", Json.Str name);
+               ("value", Json.num_of_int c.cv);
+             ])
+  in
+  let gauges =
+    sorted_bindings t.gauges
+    |> List.filter_map (fun (name, c) ->
+           if not c.gset then None
+           else
+             Some
+               (Json.Obj
+                  [
+                    ("record", Json.Str "gauge");
                     ("name", Json.Str name);
-                    ("lo", Json.Num lo);
-                    ("hi", Json.Num hi);
-                  ]
-                 @ scheme
-                 @ [
-                     ("counts", Json.Arr counts);
-                     ("underflow", Json.num_of_int (Histogram.underflow h));
-                     ("overflow", Json.num_of_int (Histogram.overflow h));
-                     ("invalid", Json.num_of_int (Histogram.invalid h));
-                     ("total", Json.num_of_int (Histogram.count h));
-                   ]))
-      in
-      let spans =
-        sorted_bindings t.spans
-        |> List.map (fun (name, c) ->
-               Json.Obj
-                 [
-                   ("record", Json.Str "span");
-                   ("name", Json.Str name);
-                   ("count", Json.num_of_int c.pcount);
-                   ("total_s", Json.Num (float_of_int c.ptotal_ns /. 1e9));
-                   ("max_s", Json.Num (float_of_int c.pmax_ns /. 1e9));
-                 ])
-      in
-      let events =
-        List.rev_map
-          (fun e ->
-            Json.Obj
-              [
-                ("record", Json.Str "event");
-                ("name", Json.Str e.ev_name);
-                ("fields", Json.Obj e.ev_fields);
-              ])
-          t.events
-      in
-      let dropped =
-        if t.events_dropped = 0 then []
-        else
+                    ("value", Json.Num c.gv);
+                  ]))
+  in
+  let series =
+    sorted_bindings t.series_tbl
+    |> List.map (fun (name, c) ->
+           let take a = List.init c.sn (fun i -> Json.Num a.(i)) in
+           Json.Obj
+             [
+               ("record", Json.Str "series");
+               ("name", Json.Str name);
+               ("xs", Json.Arr (take c.sx));
+               ("ys", Json.Arr (take c.sy));
+             ])
+  in
+  let hists =
+    sorted_bindings t.hists
+    |> List.map (fun (name, h) ->
+           let lo, hi = Histogram.range h in
+           let counts =
+             List.init (Histogram.bins h) (fun i ->
+                 Json.num_of_int (Histogram.bin_count h i))
+           in
+           let scheme =
+             match Histogram.per_decade h with
+             | None -> []
+             | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
+           in
+           Json.Obj
+             ([
+                ("record", Json.Str "hist");
+                ("name", Json.Str name);
+                ("lo", Json.Num lo);
+                ("hi", Json.Num hi);
+              ]
+             @ scheme
+             @ [
+                 ("counts", Json.Arr counts);
+                 ("underflow", Json.num_of_int (Histogram.underflow h));
+                 ("overflow", Json.num_of_int (Histogram.overflow h));
+                 ("invalid", Json.num_of_int (Histogram.invalid h));
+                 ("total", Json.num_of_int (Histogram.count h));
+               ]))
+  in
+  let spans =
+    sorted_bindings t.spans
+    |> List.map (fun (name, c) ->
+           Json.Obj
+             [
+               ("record", Json.Str "span");
+               ("name", Json.Str name);
+               ("count", Json.num_of_int c.pcount);
+               ("total_s", Json.Num (float_of_int c.ptotal_ns /. 1e9));
+               ("max_s", Json.Num (float_of_int c.pmax_ns /. 1e9));
+             ])
+  in
+  let events =
+    List.rev_map
+      (fun e ->
+        Json.Obj
           [
-            Json.Obj
-              [
-                ("record", Json.Str "counter");
-                ("name", Json.Str "obs.events_dropped");
-                ("value", Json.num_of_int t.events_dropped);
-              ];
-          ]
-      in
-      counters @ dropped @ gauges @ series @ hists @ spans @ events)
+            ("record", Json.Str "event");
+            ("name", Json.Str e.ev_name);
+            ("fields", Json.Obj e.ev_fields);
+          ])
+      t.events
+  in
+  let dropped =
+    if t.events_dropped = 0 then []
+    else
+      [
+        Json.Obj
+          [
+            ("record", Json.Str "counter");
+            ("name", Json.Str "obs.events_dropped");
+            ("value", Json.num_of_int t.events_dropped);
+          ];
+      ]
+  in
+  counters @ dropped @ gauges @ series @ hists @ spans @ events

@@ -12,9 +12,17 @@
     changes what an experiment computes: instrumentation only observes,
     it draws no randomness and alters no scheduling.
 
-    Enabled registries are safe to share across pool domains: counters
-    are atomics, everything else takes a short CAS spinlock (portable to
-    the 4.14 leg, which builds without the threads library). *)
+    {b One writer.}  A registry's cells are plain mutable fields with no
+    atomics or locks, so at any moment at most one worker (domain or
+    thread) may record into (or mint handles from) a given registry.
+    Parallel code upholds this through [Csync_harness.Pool]: when the
+    ambient registry is enabled, [Pool.init] gives every task its own
+    {!child}, installs it on the worker for the duration of the task,
+    and after the join {!merge}s the children into the parent in
+    task-index order — the order a one-worker run records in, which is
+    why traces do not depend on [--jobs].  Code inside a pool task must
+    therefore record only into {!installed} (or handles minted from
+    it), never into a registry captured outside the task. *)
 
 type t
 
@@ -29,23 +37,39 @@ val enabled : t -> bool
 (** {2 Ambient installation} *)
 
 val install : t -> unit
-(** Make [t] the ambient registry picked up by components created from
-    now on.  Call before constructing the traced run. *)
+(** Make [t] this worker's ambient registry, picked up by components
+    created from now on.  Call before constructing the traced run. *)
 
 val installed : unit -> t
-(** The ambient registry ({!none} unless {!install} was called). *)
+(** The ambient registry of this worker ({!none} unless {!install} was
+    called on it).  The slot is worker-local ({!Tls}: [Domain.DLS] on
+    OCaml 5), so a pool task sees its own child. *)
 
 val clear_installed : unit -> unit
 
 val set_label : t -> string -> unit
-(** Prefix metric names subsequently minted {e on this worker} with
-    [label ^ "/"]; the harness sets this to the experiment-cell label
-    around each task so per-cell metrics don't collide.  The label is
-    worker-local storage ({!Tls}: [Domain.DLS] on OCaml 5), so per-cell
-    names are exact under any [--jobs], including [> 1]. *)
+(** Prefix metric names subsequently minted from [t] with
+    [label ^ "/"]; the harness sets this on each task's child to the
+    experiment-cell label so per-cell metrics don't collide.  No-op on
+    {!none}. *)
 
 val label : t -> string
-(** The label currently in force on this worker. *)
+(** The label in force on [t] ([""] on {!none}). *)
+
+(** {2 Per-task children} *)
+
+val child : t -> t
+(** A fresh enabled registry carrying [t]'s label, or {!none} if [t] is
+    {!none}.  Record into it on one worker, then {!merge} it back. *)
+
+val merge : into:t -> t -> unit
+(** Fold a child's records into [into], as if they had been recorded
+    there directly after everything [into] already holds: counters add;
+    histograms fold ([Invalid_argument] if [into] holds the name with
+    another shape); spans fold; series points and events append in the
+    child's order, under [into]'s event cap; a gauge replays its last
+    operation ({!Gauge.set}: the child's value wins; {!Gauge.observe_max}:
+    the max is kept).  No-op if either registry is {!none}. *)
 
 val now_s : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]), for span timing. *)
@@ -106,10 +130,6 @@ module Hist : sig
   val add : handle -> float -> unit
 
   val count : handle -> int
-
-  val merge : handle -> Csync_metrics.Histogram.t -> unit
-  (** Fold a worker-local histogram's counters in (the {!Shard} merge
-      primitive).  @raise Invalid_argument on a shape mismatch. *)
 end
 
 module Span : sig
@@ -122,19 +142,11 @@ module Span : sig
   val record : handle -> float -> unit
   (** Record a duration in seconds. *)
 
-  val to_ns : float -> int
-  (** Seconds to the integer nanoseconds spans accumulate in (rounded,
-      clamped at zero).  Exposed for shard-local span accumulators. *)
-
   val time : handle -> (unit -> 'a) -> 'a
   (** Run the thunk, recording its wall-clock duration (also on raise).
       On a no-op handle this is exactly [f ()]. *)
 
   val count : handle -> int
-
-  val add : handle -> count:int -> total_s:float -> max_s:float -> unit
-  (** Fold a worker-local span accumulator in (the {!Shard} merge
-      primitive). *)
 end
 
 val counter : t -> string -> Counter.handle

@@ -866,7 +866,11 @@ let default_focus t =
       t.series
   with
   | Some (name, _, _) -> fst (split_name name)
-  | None -> ( match labels t with l :: _ -> l | [] -> "")
+  | None -> (
+    (* Run-level metrics (the outer pool's) are unlabeled; prefer a cell. *)
+    match List.filter (fun l -> l <> "") (labels t) with
+    | l :: _ -> l
+    | [] -> "")
 
 let render ?focus ppf t =
   (match t.manifest with

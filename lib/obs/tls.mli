@@ -1,7 +1,7 @@
 (** Worker-local storage for ambient telemetry context.
 
     The pool runs experiment cells on OCaml 5 domains; ambient per-task
-    context (the cell label, the delivery provenance id) must therefore be
+    context (the installed registry, the delivery provenance id) must be
     stored per worker, not in a shared mutable field — a shared field is
     last-writer-wins under [--jobs > 1].
 

@@ -226,6 +226,20 @@ let report_tests =
           let out = Format.asprintf "%a" (Report.render ?focus:None) t in
           check_true "manifest section" (contains out "== Manifest ==");
           check_true "target" (contains out "E1"));
+    t "default focus skips the unlabeled run-level metrics" (fun () ->
+        (* The outer pool's metrics carry no cell label; with no skew
+           series to go by, the report still focuses the first cell. *)
+        let rep =
+          Report.of_records
+            [
+              Record.Counter ("pool.tasks.worker0", 3);
+              Record.Counter ("E16/ring n=100/scale.events", 8);
+              Record.Counter ("E16/grid n=100/scale.events", 8);
+            ]
+        in
+        let out = Format.asprintf "%a" (Report.render ?focus:None) rep in
+        check_true "first cell focused" (contains out "* E16/grid n=100");
+        check_true "unlabeled listed" (contains out "  (unlabeled)"));
   ]
 
 (* Forward compatibility: the reader must survive traces from newer
@@ -936,71 +950,163 @@ let btrace_tests =
             (List.length other));
   ]
 
-(* ---------- worker shards and the round-phase profiler ---------- *)
+(* ---------- per-task children and the round-phase profiler ---------- *)
 
-module Shard = Csync_obs.Shard
 module Profile = Csync_obs.Profile
+module Pool = Csync_harness.Pool
 
-let report_of_registry reg =
-  Report.of_records
-    (List.filter_map
-       (fun j -> Result.to_option (Record.of_json j))
-       (Obs.dump reg))
+let records_of_registry reg =
+  List.filter_map (fun j -> Result.to_option (Record.of_json j)) (Obs.dump reg)
 
-let shard_profile_tests =
+let report_of_registry reg = Report.of_records (records_of_registry reg)
+
+let dump_lines reg = List.map Json.to_string (Obs.dump reg)
+
+let child_profile_tests =
   [
-    t "shard cells fold into the registry on merge" (fun () ->
+    t "child counters sum into the parent on merge" (fun () ->
         let reg = Obs.create () in
-        let sh = Shard.create reg in
-        check_true "active on a live registry" (Shard.active sh);
-        let c = Shard.counter sh "s.count" in
-        Shard.Counter.add c 3;
-        Shard.Counter.incr c;
-        check_int "local value" 4 (Shard.Counter.value c);
-        let h = Shard.hist sh ~lo:0. ~hi:10. ~bins:5 "s.h" in
-        Shard.Hist.add h 1.;
-        Shard.Hist.add h 7.;
-        let hl = Shard.hist_log sh ~lo:1e-3 ~hi:1. ~per_decade:4 "s.hl" in
-        Shard.Hist.add hl 0.01;
-        let sr = Shard.series sh "s.series" in
-        Shard.Series.push sr 1. 10.;
-        Shard.Series.push sr 2. 20.;
-        let sp = Shard.span sh "s.span" in
-        Shard.Span.record sp 0.5;
-        check_int "nothing reaches the registry before merge" 0
-          (List.length (Report.counters (report_of_registry reg)));
-        Shard.merge sh;
+        Obs.Counter.add (Obs.counter reg "c") 2;
+        let a = Obs.child reg and b = Obs.child reg in
+        Obs.Counter.add (Obs.counter a "c") 3;
+        Obs.Counter.incr (Obs.counter b "c");
+        Obs.Counter.incr (Obs.counter b "only.b");
+        check_int "nothing reaches the parent before merge" 2
+          (Obs.Counter.value (Obs.counter reg "c"));
+        Obs.merge ~into:reg a;
+        Obs.merge ~into:reg b;
+        check_int "sum" 6 (Obs.Counter.value (Obs.counter reg "c"));
+        check_int "new name" 1 (Obs.Counter.value (Obs.counter reg "only.b")));
+    t "child histograms fold, a shape clash raises" (fun () ->
+        let reg = Obs.create () in
+        Obs.Hist.add (Obs.hist reg ~lo:0. ~hi:10. ~bins:5 "h") 1.;
+        let c = Obs.child reg in
+        let h = Obs.hist c ~lo:0. ~hi:10. ~bins:5 "h" in
+        Obs.Hist.add h 7.;
+        Obs.Hist.add h 70.;
+        Obs.Hist.add (Obs.hist_log c ~lo:1e-3 ~hi:1. ~per_decade:4 "hl") 0.01;
+        Obs.merge ~into:reg c;
         let rep = report_of_registry reg in
-        check_int "counter merged" 4 (List.assoc "s.count" (Report.counters rep));
-        let hr = List.assoc "s.h" (Report.hists rep) in
-        check_int "hist merged" 2 hr.Report.total;
-        let hlr = List.assoc "s.hl" (Report.hists rep) in
+        let hr = List.assoc "h" (Report.hists rep) in
+        check_int "folded total" 3 hr.Report.total;
+        check_int "folded overflow" 1 hr.Report.overflow;
+        let hlr = List.assoc "hl" (Report.hists rep) in
         check_true "log shape survives" (hlr.Report.per_decade = Some 4);
-        let _, xs, ys =
-          List.find (fun (n, _, _) -> n = "s.series") (Report.series rep)
+        check_int "log count" 1 hlr.Report.total;
+        let clash = Obs.child reg in
+        Obs.Hist.add (Obs.hist clash ~lo:0. ~hi:10. ~bins:4 "h") 1.;
+        check_raises_invalid "shape clash" (fun () -> Obs.merge ~into:reg clash));
+    t "child spans fold count, total and max" (fun () ->
+        let reg = Obs.create () in
+        Obs.Span.record (Obs.span reg "p") 0.5;
+        let c = Obs.child reg in
+        Obs.Span.record (Obs.span c "p") 0.25;
+        Obs.Span.record (Obs.span c "p") 1.0;
+        Obs.merge ~into:reg c;
+        let spr = List.assoc "p" (Report.spans (report_of_registry reg)) in
+        check_int "count" 3 spr.Report.count;
+        check_float "total" 1.75 spr.Report.total_s;
+        check_float "max" 1.0 spr.Report.max_s);
+    t "series and events append in merge order under the event cap"
+      (fun () ->
+        (* The same recording once straight into one registry and once
+           spread over children merged in order must dump identically,
+           the cap and the dropped count included. *)
+        let cap = 65536 in
+        let steps =
+          [
+            ("root", cap - 6, [ (0., 0.) ]);
+            ("a", 4, [ (1., 10.); (2., 20.) ]);
+            ("b", 4, [ (3., 30.) ]);
+            ("c", cap + 2, [ (4., 40.) ]);
+          ]
         in
-        check_true "series points appended in order"
-          (xs = [| 1.; 2. |] && ys = [| 10.; 20. |]);
-        let spr = List.assoc "s.span" (Report.spans rep) in
-        check_int "span count" 1 spr.Report.count;
-        check_float "span total" 0.5 spr.Report.total_s);
-    t "shard names intern per kind and reject clashes" (fun () ->
-        let sh = Shard.create (Obs.create ()) in
-        let a = Shard.counter sh "x" in
-        Shard.Counter.incr a;
-        Shard.Counter.incr (Shard.counter sh "x");
-        check_int "same cell" 2 (Shard.Counter.value a);
-        check_raises_invalid "kind clash" (fun () ->
-            ignore (Shard.series sh "x")));
-    t "disabled shard is inert" (fun () ->
-        let sh = Shard.create Obs.none in
-        check_true "inactive" (not (Shard.active sh));
-        let c = Shard.counter sh "dead" in
-        Shard.Counter.incr c;
-        check_int "no-op counter" 0 (Shard.Counter.value c);
-        check_true "no-op hist"
-          (not (Shard.Hist.active (Shard.hist sh ~lo:0. ~hi:1. ~bins:2 "h")));
-        Shard.merge sh);
+        let record reg (tag, events, points) =
+          for i = 1 to events do
+            Obs.event reg "ev" [ (tag, Json.num_of_int i) ]
+          done;
+          List.iter (fun (x, y) -> Obs.Series.push (Obs.series reg "s") x y) points
+        in
+        let direct = Obs.create () in
+        List.iter (record direct) steps;
+        let merged = Obs.create () in
+        record merged (List.hd steps);
+        List.iter
+          (fun step ->
+            let c = Obs.child merged in
+            record c step;
+            Obs.merge ~into:merged c)
+          (List.tl steps);
+        check_true "identical dumps" (dump_lines direct = dump_lines merged);
+        let rep = report_of_registry merged in
+        check_int "dropped past the cap" (cap + 4)
+          (List.assoc "obs.events_dropped" (Report.counters rep));
+        let _, xs, _ =
+          List.find (fun (n, _, _) -> n = "s") (Report.series rep)
+        in
+        check_true "series in merge order" (xs = [| 0.; 1.; 2.; 3.; 4. |]));
+    t "merged gauges replay set and observe_max" (fun () ->
+        let reg = Obs.create () in
+        Obs.Gauge.set (Obs.gauge reg "last") 5.;
+        Obs.Gauge.observe_max (Obs.gauge reg "hw") 5.;
+        let a = Obs.child reg and b = Obs.child reg in
+        Obs.Gauge.set (Obs.gauge a "last") 9.;
+        Obs.Gauge.set (Obs.gauge b "last") 3.;
+        Obs.Gauge.observe_max (Obs.gauge a "hw") 7.;
+        Obs.Gauge.observe_max (Obs.gauge b "hw") 6.;
+        ignore (Obs.gauge b "unset");
+        Obs.merge ~into:reg a;
+        Obs.merge ~into:reg b;
+        check_true "set: the last writer wins"
+          (Obs.Gauge.value (Obs.gauge reg "last") = Some 3.);
+        check_true "observe_max: the max is kept"
+          (Obs.Gauge.value (Obs.gauge reg "hw") = Some 7.);
+        check_true "an unset gauge stays unset"
+          (Obs.Gauge.value (Obs.gauge reg "unset") = None));
+    t "child of none is none, a child inherits the label" (fun () ->
+        check_true "none" (Obs.child Obs.none == Obs.none);
+        Obs.merge ~into:Obs.none (Obs.create ());
+        let reg = Obs.create () in
+        Obs.set_label reg "cell A";
+        let c = Obs.child reg in
+        check_true "enabled" (Obs.enabled c);
+        Alcotest.(check string) "inherited" "cell A" (Obs.label c);
+        Obs.Counter.incr (Obs.counter c "x");
+        Obs.set_label c "cell B";
+        Obs.Counter.incr (Obs.counter c "x");
+        Alcotest.(check string) "parent label untouched" "cell A" (Obs.label reg);
+        Obs.merge ~into:reg c;
+        let names = List.map fst (Report.counters (report_of_registry reg)) in
+        check_true "both labels" (names = [ "cell A/x"; "cell B/x" ]));
+    t "Pool.init gives each task a child and restores the caller's" (fun () ->
+        let reg = Obs.create () in
+        with_installed reg (fun () ->
+            List.iter
+              (fun jobs ->
+                let seen =
+                  Pool.init ~jobs 6 (fun i ->
+                      let mine = Obs.installed () in
+                      Obs.Counter.incr (Obs.counter mine "task");
+                      Obs.Series.push (Obs.series mine "order") (float_of_int i) 0.;
+                      Obs.enabled mine && mine != reg)
+                in
+                check_true "a child per task" (Array.for_all Fun.id seen);
+                check_true "caller's registry restored" (Obs.installed () == reg))
+              [ 1; 4 ];
+            (match Pool.init ~jobs:1 2 (fun _ -> failwith "boom") with
+            | exception Failure _ -> ()
+            | _ -> Alcotest.fail "expected the task's exception");
+            check_true "restored after a raise" (Obs.installed () == reg));
+        check_true "cleared" (Obs.installed () == Obs.none);
+        let rep = report_of_registry reg in
+        check_int "every task counted" 12 (List.assoc "task" (Report.counters rep));
+        let _, xs, _ =
+          List.find (fun (n, _, _) -> n = "order") (Report.series rep)
+        in
+        check_true "task-index order at jobs 1 and 4"
+          (xs = [| 0.; 1.; 2.; 3.; 4.; 5.; 0.; 1.; 2.; 3.; 4.; 5. |]);
+        ignore (Pool.init ~jobs:4 3 (fun _ -> ()));
+        check_true "untraced stays untraced" (Obs.installed () == Obs.none));
     t "profiler spans and per-occurrence series accumulate" (fun () ->
         let reg = Obs.create () in
         let p = Profile.create reg in
@@ -1034,6 +1140,83 @@ let shard_profile_tests =
         let rep = report_of_registry reg in
         check_int "occurrence recorded" 1
           (List.assoc "profile.apply" (Report.spans rep)).Report.count);
+  ]
+
+(* ---------- canonical traces do not depend on --jobs ---------- *)
+
+module Scope = Csync_check.Scope
+module Explorer = Csync_check.Explorer
+
+(* Run [go] with a fresh registry installed; return the full records and
+   the canonical trace as JSON lines. *)
+let traced_run go =
+  let reg = Obs.create () in
+  with_installed reg go;
+  let records = records_of_registry reg in
+  ( records,
+    List.map (fun r -> Json.to_string (Record.to_json r)) (Record.canonical records) )
+
+let check_same_lines what a b =
+  check_true (what ^ ": not vacuous") (List.length a > 1);
+  let rec first i = function
+    | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else Some (i, x, y)
+    | [], [] -> None
+    | x :: _, [] -> Some (i, x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", y)
+  in
+  let clip l = if String.length l <= 160 then l else String.sub l 0 160 ^ "..." in
+  match first 0 (a, b) with
+  | None -> ()
+  | Some (i, x, y) ->
+    Alcotest.failf "%s: line %d differs:\n  %s\n  %s" what i (clip x) (clip y)
+
+let canonical_jobs_tests =
+  [
+    t "traced E15: canonical trace identical at jobs 1 and 4" (fun () ->
+        let e15 =
+          match Csync_harness.Registry.find "E15" with
+          | Some e -> e
+          | None -> Alcotest.fail "E15 not registered"
+        in
+        let trace jobs =
+          traced_run (fun () ->
+              ignore (Csync_harness.Registry.run_list ~jobs ~quick:true [ e15 ]))
+        in
+        let full1, canon1 = trace 1 in
+        let _, canon4 = trace 4 in
+        check_true "per-cell chaos.inject events recorded"
+          (List.exists
+             (function
+               | Record.Event (n, _) -> snd (Record.split_name n) = "chaos.inject"
+               | _ -> false)
+             full1);
+        check_same_lines "E15 canonical" canon1 canon4;
+        (* The outer pool's metrics carry the pool's own (empty) label,
+           not the label of whichever cell ran last. *)
+        let names =
+          List.filter_map
+            (function
+              | Record.Counter (n, _) | Record.Span (n, _) -> Some n | _ -> None)
+            full1
+        in
+        check_true "pool.worker0" (List.mem "pool.worker0" names);
+        check_true "pool.tasks.worker0" (List.mem "pool.tasks.worker0" names);
+        check_true "no cell-labelled outer pool metric"
+          (not
+             (List.exists
+                (fun n ->
+                  let label, base = Record.split_name n in
+                  label <> "" && (base = "pool.worker0" || base = "pool.tasks.worker0"))
+                names)));
+    t "traced model check: canonical trace identical at jobs 1 and 4"
+      (fun () ->
+        let scope = { (Scope.preset_exn "divergence-n2f1") with Scope.depth = 1 } in
+        let trace jobs = traced_run (fun () -> ignore (Explorer.run ~jobs scope)) in
+        let _, canon1 = trace 1 in
+        let _, canon4 = trace 4 in
+        check_true "per-round ADJ series recorded"
+          (List.exists (fun l -> contains l ".adj\"") canon1);
+        check_same_lines "check canonical" canon1 canon4);
   ]
 
 (* ---------- csync top ---------- *)
@@ -1317,5 +1500,6 @@ let collect_tests =
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
-  @ determinism_tests @ btrace_tests @ shard_profile_tests @ collect_tests
+  @ determinism_tests @ btrace_tests @ child_profile_tests
+  @ canonical_jobs_tests @ collect_tests
   @ top_tests

@@ -224,7 +224,7 @@ let automaton ~self_hint cfg =
   let observing = Obs.Series.active obs_adj in
   (* Online |ADJ| monitor (Theorem 18), captured like the obs handles.  The
      shadow array remembers, per peer, the provenance id of the last
-     message that wrote ARR[q] (published worker-locally by the cluster),
+     message that wrote ARR[q] (published on the monitor by the cluster),
      so a violating update can name the exact message copies behind it. *)
   let mon = Mon.installed () in
   let mon_adj =

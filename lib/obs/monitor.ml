@@ -1,25 +1,8 @@
 (* Online theorem monitors.  The structure mirrors Registry: an enabled
-   flag checked on every handle mint, permanent no-op handles, and a CAS
-   spinlock for the (rare) shared mutation — violation recording and
-   provenance ring writes.  Per-sample counters are atomics. *)
-
-type lock = bool Atomic.t
-
-let lock_create () : lock = Atomic.make false
-
-let acquire l = while not (Atomic.compare_and_set l false true) do () done
-
-let release l = Atomic.set l false
-
-let locked l f =
-  acquire l;
-  match f () with
-  | v ->
-    release l;
-    v
-  | exception e ->
-    release l;
-    raise e
+   flag checked on every handle mint, permanent no-op handles, and plain
+   mutable state - a monitor has one writer at a time (see monitor.mli),
+   so nothing here synchronizes.  Parallel regions record into per-task
+   children and fold them in with [merge] after the join. *)
 
 type check =
   | Agreement
@@ -82,105 +65,115 @@ type violation = {
 }
 
 type cell = {
-  evals : int Atomic.t;
-  viols : int Atomic.t;
+  mutable evals : int;
+  mutable viols : int;
   mutable first : violation option;
 }
 
-(* Provenance ids are minted from one shared atomic; the ring slot is
-   [id land (cap - 1)], and a stored entry is only trusted when its own
+(* Provenance ids count this monitor's mints from 0; the ring slot is
+   [id land (length - 1)], and a stored entry is only trusted when its own
    id matches the probe, so eviction degrades to [find = None] instead of
-   misattribution. *)
+   misattribution.  The ring starts at one slot and doubles on demand up
+   to [ring_cap], so a short-lived per-task child stays small. *)
 let ring_cap = 65536 (* power of two *)
 
 type t = {
   enabled : bool;
   tighten : float;
-  on : bool array; (* indexed by check_index *)
-  lock : lock;
+  on : bool array; (* indexed by check_index; shared with children *)
   cells : cell array;
   mutable first_overall : violation option;
-  prov_next : int Atomic.t;
-  ring : prov_entry option array;
+  mutable prov_next : int;
+  mutable ring : prov_entry option array;
+  (* Chaos fault kinds applied to the message currently passing through
+     the injector, attached to every mint until [Prov.clear_staged]. *)
+  mutable staged : string list;
+  (* Provenance id of the delivery being dispatched to an automaton. *)
+  mutable current : int;
 }
-
-(* Worker-local side channels.  [staged_key] accumulates the chaos fault
-   kinds applied to the message currently passing through the injector
-   (drained by the next mint on the same worker); [current_key] carries
-   the provenance id of the delivery being dispatched to an automaton. *)
-let staged_key = Tls.new_key (fun () -> ([] : string list))
-
-let current_key = Tls.new_key (fun () -> -1)
 
 let n_checks = List.length all_checks
 
-let make_monitor ~enabled ~checks ~tighten =
-  let on = Array.make n_checks false in
-  if enabled then List.iter (fun c -> on.(check_index c) <- true) checks;
+let make_monitor ~enabled ~on ~tighten =
   {
     enabled;
     tighten;
     on;
-    lock = lock_create ();
     cells =
-      Array.init n_checks (fun _ ->
-          { evals = Atomic.make 0; viols = Atomic.make 0; first = None });
+      Array.init n_checks (fun _ -> { evals = 0; viols = 0; first = None });
     first_overall = None;
-    prov_next = Atomic.make 0;
-    ring = Array.make (if enabled then ring_cap else 1) None;
+    prov_next = 0;
+    ring = [| None |];
+    staged = [];
+    current = -1;
   }
 
-let none = make_monitor ~enabled:false ~checks:[] ~tighten:1.0
+let none =
+  make_monitor ~enabled:false ~on:(Array.make n_checks false) ~tighten:1.0
 
 let create ?(checks = all_checks) ?(tighten = 1.0) () =
-  make_monitor ~enabled:true ~checks ~tighten
+  let on = Array.make n_checks false in
+  List.iter (fun c -> on.(check_index c) <- true) checks;
+  make_monitor ~enabled:true ~on ~tighten
+
+let child t =
+  if t.enabled then make_monitor ~enabled:true ~on:t.on ~tighten:t.tighten
+  else none
 
 let enabled t = t.enabled
 
-let installed_ref = ref none
+(* Ambient monitor, one slot per worker ({!Tls}): [Pool] installs each
+   task's child on the worker running it, so components created inside a
+   task capture the child and never another worker's monitor. *)
+let installed_key = Tls.new_key (fun () -> none)
 
-let install t = installed_ref := t
+let install t = Tls.set installed_key t
 
-let installed () = !installed_ref
+let installed () = Tls.get installed_key
 
-let clear_installed () = installed_ref := none
+let clear_installed () = Tls.set installed_key none
 
 let current_label () = Registry.label (Registry.installed ())
 
-let bump t c = ignore (Atomic.fetch_and_add t.cells.(check_index c).evals 1)
+let bump t c =
+  let cell = t.cells.(check_index c) in
+  cell.evals <- cell.evals + 1
 
-let record t (v : violation) =
-  let cell = t.cells.(check_index v.monitor) in
-  ignore (Atomic.fetch_and_add cell.viols 1);
-  locked t.lock (fun () ->
-      if cell.first = None then cell.first <- Some v;
-      if t.first_overall = None then t.first_overall <- Some v)
+let record ?round ?pid ?(provenance = []) t monitor ~time ~measured ~bound =
+  let cell = t.cells.(check_index monitor) in
+  cell.viols <- cell.viols + 1;
+  let label = current_label () in
+  let v = { monitor; label; round; pid; time; measured; bound; provenance } in
+  if cell.first = None then cell.first <- Some v;
+  if t.first_overall = None then t.first_overall <- Some v
 
 module Prov = struct
   type id = int
 
   let null = -1
 
+  (* Ids are dense from 0, so while the ring is below [ring_cap] every
+     minted id sits at its own index and doubling is a plain copy. *)
   let mint t ~src ~dst ~sent ~delay =
     if not t.enabled then null
     else begin
-      let faults = List.rev (Tls.get staged_key) in
-      let id = Atomic.fetch_and_add t.prov_next 1 in
-      let e = { id; src; dst; sent; delay; faults } in
-      locked t.lock (fun () -> t.ring.(id land (ring_cap - 1)) <- Some e);
+      let id = t.prov_next in
+      t.prov_next <- id + 1;
+      let len = Array.length t.ring in
+      if id >= len && len < ring_cap then
+        t.ring <- Array.append t.ring (Array.make len None);
+      t.ring.(id land (Array.length t.ring - 1)) <-
+        Some { id; src; dst; sent; delay; faults = List.rev t.staged };
       id
     end
 
-  let stage_fault t kind =
-    if t.enabled then Tls.set staged_key (kind :: Tls.get staged_key)
+  let stage_fault t kind = if t.enabled then t.staged <- kind :: t.staged
 
-  let clear_staged t =
-    if t.enabled then
-      match Tls.get staged_key with [] -> () | _ -> Tls.set staged_key []
+  let clear_staged t = if t.enabled then t.staged <- []
 
-  let set_current t id = if t.enabled then Tls.set current_key id
+  let set_current t id = if t.enabled then t.current <- id
 
-  let current t = if t.enabled then Tls.get current_key else null
+  let current t = if t.enabled then t.current else null
 
   type entry = prov_entry = {
     id : id;
@@ -194,10 +187,9 @@ module Prov = struct
   let find t id =
     if (not t.enabled) || id < 0 then None
     else
-      locked t.lock (fun () ->
-          match t.ring.(id land (ring_cap - 1)) with
-          | Some e when e.id = id -> Some e
-          | _ -> None)
+      match t.ring.(id land (Array.length t.ring - 1)) with
+      | Some e when e.id = id -> Some e
+      | _ -> None
 end
 
 (* Bound comparisons tolerate float noise the same way the offline
@@ -222,17 +214,7 @@ module Agreement = struct
       if time >= from_time then begin
         bump t Agreement;
         if exceeds skew gamma then
-          record t
-            {
-              monitor = Agreement;
-              label = current_label ();
-              round = None;
-              pid = None;
-              time;
-              measured = skew;
-              bound = gamma;
-              provenance = [];
-            }
+          record t Agreement ~time ~measured:skew ~bound:gamma
       end
 end
 
@@ -262,17 +244,7 @@ module Validity = struct
       let lower = (c.alpha1 *. (time -. c.tmax0)) -. c.alpha3 in
       let upper = (c.alpha2 *. (time -. c.tmin0)) +. c.alpha3 in
       let violation measured bound =
-        record c.t
-          {
-            monitor = Validity;
-            label = current_label ();
-            round = None;
-            pid = None;
-            time;
-            measured;
-            bound;
-            provenance = [];
-          }
+        record c.t Validity ~time ~measured ~bound
       in
       if exceeds lower (min_local -. c.t0) then violation (min_local -. c.t0) lower
       else if exceeds (max_local -. c.t0) upper then
@@ -304,17 +276,8 @@ module Adjustment = struct
                    | None -> None
                  else None)
         in
-        record t
-          {
-            monitor = Adjustment;
-            label = current_label ();
-            round = Some round;
-            pid = Some pid;
-            time;
-            measured = Float.abs adj;
-            bound;
-            provenance = resolve true @ resolve false;
-          }
+        record t Adjustment ~round ~pid ~time ~measured:(Float.abs adj) ~bound
+          ~provenance:(resolve true @ resolve false)
       end
 end
 
@@ -341,17 +304,8 @@ module Halving = struct
         bump c.t Halving;
         let bound = c.recurrence b *. c.t.tighten in
         if exceeds spread bound then
-          record c.t
-            {
-              monitor = Halving;
-              label = current_label ();
-              round = Some round;
-              pid = None;
-              time = float_of_int round;
-              measured = spread;
-              bound;
-              provenance = [];
-            }
+          record c.t Halving ~round ~time:(float_of_int round)
+            ~measured:spread ~bound
       | _ -> ());
       c.last <- Some (round, spread)
 end
@@ -397,17 +351,8 @@ module Eventual = struct
         if p.pid = pid && (not p.breached) && time > p.deadline && bad then begin
           p.breached <- true;
           bump c.t c.check;
-          record c.t
-            {
-              monitor = c.check;
-              label = current_label ();
-              round = None;
-              pid = Some pid;
-              time;
-              measured;
-              bound;
-              provenance = p.provenance;
-            }
+          record c.t c.check ~pid ~time ~measured ~bound
+            ~provenance:p.provenance
         end)
       c.pending
 
@@ -516,36 +461,52 @@ module Local_skew = struct
         bump t Local_skew;
         let bound = kappa *. float_of_int dist in
         if exceeds skew bound then
-          record t
-            {
-              monitor = Local_skew;
-              label = current_label ();
-              round = Some round;
-              pid = None;
-              time;
-              measured = skew;
-              bound;
-              provenance = [];
-            }
+          record t Local_skew ~round ~time ~measured:skew ~bound
       end
 end
 
+(* ---------- merging a child ---------- *)
+
+(* Children are merged in task-index order, which is the order a
+   one-worker run records in: counts add, the first violation already
+   held wins, and the child's provenance ids (counted from 0) move past
+   every id [into] has minted, so they read as if minted in [into]. *)
+let merge ~into c =
+  if into.enabled && c.enabled then begin
+    let shift = into.prov_next in
+    let renumber (v : violation) =
+      let shifted ((e : prov_entry), fresh) =
+        ({ e with id = e.id + shift }, fresh)
+      in
+      { v with provenance = List.map shifted v.provenance }
+    in
+    let keep held first =
+      match held with Some _ -> held | None -> Option.map renumber first
+    in
+    Array.iteri
+      (fun i (k : cell) ->
+        let p = into.cells.(i) in
+        p.evals <- p.evals + k.evals;
+        p.viols <- p.viols + k.viols;
+        p.first <- keep p.first k.first)
+      c.cells;
+    into.first_overall <- keep into.first_overall c.first_overall;
+    into.prov_next <- shift + c.prov_next
+  end
+
 (* ---------- results ---------- *)
 
-let checks_performed t =
-  Array.fold_left (fun acc c -> acc + Atomic.get c.evals) 0 t.cells
+let checks_performed t = Array.fold_left (fun acc c -> acc + c.evals) 0 t.cells
 
-let violations_total t =
-  Array.fold_left (fun acc c -> acc + Atomic.get c.viols) 0 t.cells
+let violations_total t = Array.fold_left (fun acc c -> acc + c.viols) 0 t.cells
 
-let first_violation t = locked t.lock (fun () -> t.first_overall)
+let first_violation t = t.first_overall
 
 let results t =
   List.map
     (fun c ->
       let cell = t.cells.(check_index c) in
-      let first = locked t.lock (fun () -> cell.first) in
-      (c, Atomic.get cell.evals, Atomic.get cell.viols, first))
+      (c, cell.evals, cell.viols, cell.first))
     all_checks
 
 let opt_int = function None -> Json.Null | Some i -> Json.num_of_int i

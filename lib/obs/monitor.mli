@@ -18,6 +18,16 @@
     from a disabled monitor are permanent no-ops (a single branch —
     measured by the [obs/monitor-check-disabled] bench kernel).
 
+    {b One writer per monitor; [Pool] hands out children.}  A monitor's
+    counts, first violations and provenance ring are plain mutable
+    fields with no atomics or locks, so at any moment at most one worker
+    may record into a given monitor.  As for the registry, when the
+    ambient monitor is enabled [Csync_harness.Pool.init] gives every task
+    its own {!child}, installs it on the worker for the duration of the
+    task, and after the join {!merge}s the children into the parent in
+    task-index order - so verdicts, first violations and provenance ids
+    do not depend on [--jobs].
+
     The cardinal invariant carries over: monitors only observe.  They
     draw no randomness, alter no scheduling, and a monitored run's
     experiment tables are byte-identical to an unmonitored run's at any
@@ -58,18 +68,42 @@ val install : t -> unit
     on.  Call before constructing the monitored run. *)
 
 val installed : unit -> t
+(** The ambient monitor of this worker ({!none} unless {!install} was
+    called on it); worker-local like {!Registry.installed}. *)
 
 val clear_installed : unit -> unit
+
+(** {2 Per-task children} *)
+
+val child : t -> t
+(** A fresh enabled monitor with [t]'s checks and [tighten], or {!none}
+    if [t] is {!none}.  Record into it on one worker, then {!merge} it
+    back. *)
+
+val merge : into:t -> t -> unit
+(** Fold a child into [into], as if its recording had happened there
+    directly after everything [into] already holds: evaluation and
+    violation counts add; a first violation (per check and overall) is
+    kept only where [into] has none; the child's provenance ids are
+    renumbered past [into]'s mint count, which advances by the child's.
+    No-op if either monitor is {!none}. *)
 
 (** {2 Causal message provenance}
 
     [Message_buffer.send] mints one provenance id per scheduled message
-    copy; the id rides the delivery to the receiving automaton (via a
-    worker-local slot set by [Cluster]), lands in the ARR-slot shadow
-    array of [Maintenance], and is resolved back into the message's
-    (src, dst, sent, delay, faults) when an adjustment violation names
-    it.  Entries live in a bounded ring; a violation resolves its ids
-    immediately, so eviction only affects post-hoc lookups. *)
+    copy; the id rides the delivery to the receiving automaton (via the
+    monitor's current-delivery field, set by [Cluster]), lands in the
+    ARR-slot shadow array of [Maintenance], and is resolved back into the
+    message's (src, dst, sent, delay, faults) when an adjustment
+    violation names it.
+
+    Ids are per monitor: each counts its own mints from 0, and {!merge}
+    renumbers a child's ids past the parent's, which reproduces the ids
+    a one-worker run mints.  Entries live in a ring that starts at one
+    slot and doubles on demand up to 65536; the last 65536 ids a monitor
+    minted resolve through {!find} on that monitor (not on its parent).
+    A violation resolves its ids immediately, so eviction only affects
+    post-hoc lookups. *)
 
 module Prov : sig
   type id = int
@@ -79,22 +113,21 @@ module Prov : sig
 
   val mint :
     t -> src:int -> dst:int -> sent:float -> delay:float -> id
-  (** Record one scheduled message copy.  Any fault kinds staged on this
-      worker are attached to the entry ({e not} cleared — every copy of a
+  (** Record one scheduled message copy.  Any fault kinds staged on [t]
+      are attached to the entry ({e not} cleared — every copy of a
       duplicated send shares them; the sender calls {!clear_staged} once
       the send is fully scheduled). *)
 
   val stage_fault : t -> string -> unit
-  (** Note (worker-locally) that the fault [kind] touched the message
-      currently being sent; attached to every {!mint} until
-      {!clear_staged}. *)
+  (** Note that the fault [kind] touched the message currently being
+      sent; attached to every {!mint} until {!clear_staged}. *)
 
   val clear_staged : t -> unit
   (** Clear staged fault kinds: after the last copy of a send is minted,
       or when the message was dropped and no copy will carry them. *)
 
   val set_current : t -> id -> unit
-  (** Worker-local delivery side-channel, set by the cluster just before
+  (** Delivery side-channel, set by the cluster just before
       dispatching a delivery to its automaton. *)
 
   val current : t -> id
@@ -269,12 +302,13 @@ end
 (** {2 Results} *)
 
 val checks_performed : t -> int
-(** Total bound evaluations across all four monitors. *)
+(** Total bound evaluations across every check. *)
 
 val violations_total : t -> int
 
 val first_violation : t -> violation option
-(** The overall first violation recorded (by wall order of recording). *)
+(** The overall first violation recorded: in recording order within one
+    worker, and across pool tasks in task-index order. *)
 
 val results : t -> (check * int * int * violation option) list
 (** Per monitor in fixed order: (check, evaluations, violations, first

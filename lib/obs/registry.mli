@@ -16,7 +16,8 @@
     atomics or locks, so at any moment at most one worker (domain or
     thread) may record into (or mint handles from) a given registry.
     Parallel code upholds this through [Csync_harness.Pool]: when the
-    ambient registry is enabled, [Pool.init] gives every task its own
+    ambient registry (or monitor, see {!Monitor}) is enabled, [Pool.init]
+    gives every task its own
     {!child}, installs it on the worker for the duration of the task,
     and after the join {!merge}s the children into the parent in
     task-index order — the order a one-worker run records in, which is

@@ -1,8 +1,8 @@
 (** Worker-local storage for ambient telemetry context.
 
     The pool runs experiment cells on OCaml 5 domains; ambient per-task
-    context (the installed registry, the delivery provenance id) must be
-    stored per worker, not in a shared mutable field — a shared field is
+    context (the installed registry and monitor) must be stored per
+    worker, not in a shared mutable field — a shared field is
     last-writer-wins under [--jobs > 1].
 
     The implementation is selected at build time by a dune rule on the

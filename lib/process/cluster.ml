@@ -162,7 +162,7 @@ let handle_delivery t time (delivery : 'm Message_buffer.delivery) =
     (* All fields are captured in [interrupt]/[prov]; recycle the record
        before running the automaton so the sends it triggers reuse it. *)
     Message_buffer.release t.buffer delivery;
-    (* Publish the delivery's provenance id in the worker-local slot so the
+    (* Publish the delivery's provenance id on the monitor so the
        receiving automaton's instrumentation (Maintenance's ARR shadow)
        can attribute the interrupt to the exact message copy. *)
     if Mon.enabled t.mon then Mon.Prov.set_current t.mon prov;

@@ -672,13 +672,14 @@ let diff_tests =
    tables and identical results.  Telemetry only observes - it draws no
    randomness and alters no scheduling - so any divergence here is a bug
    in an instrumentation site. *)
+let experiment id =
+  match Csync_harness.Registry.find id with
+  | Some e -> e
+  | None -> Alcotest.failf "%s not registered" id
+
 let determinism_tests =
   let render_e1 ?monitor ~traced ~jobs () =
-    let e1 =
-      match Csync_harness.Registry.find "E1" with
-      | Some e -> e
-      | None -> Alcotest.fail "E1 not registered"
-    in
+    let e1 = experiment "E1" in
     let go () =
       Format.asprintf "%a"
         (fun ppf () ->
@@ -722,6 +723,20 @@ let determinism_tests =
         check_int "clean at jobs=4" 0 (Mon.violations_total m4);
         check_int "same evaluations at any jobs" (Mon.checks_performed m1)
           (Mon.checks_performed m4));
+    t "tracing-off monitored E5: summary identical at jobs 1 and 4" (fun () ->
+        (* No registry installed: the pool must still hand every task its
+           own monitor, or tasks would share the caller's across workers. *)
+        let summary jobs =
+          let m = Mon.create ~tighten:0.3 () in
+          with_monitor m (fun () ->
+              ignore
+                (Csync_harness.Registry.run_list ~jobs ~quick:true
+                   [ experiment "E5" ]));
+          Format.asprintf "%a" Mon.pp_summary m
+        in
+        let s1 = summary 1 in
+        check_true "a provenance line is printed" (contains s1 "msg #");
+        Alcotest.(check string) "jobs=4" s1 (summary 4));
     t "chaos skews identical: telemetry on/off x jobs 1/4" (fun () ->
         let base = chaos_skews ~traced:false ~jobs:1 in
         check_int "two campaign runs" 2 (List.length base);
@@ -1079,25 +1094,36 @@ let child_profile_tests =
         let names = List.map fst (Report.counters (report_of_registry reg)) in
         check_true "both labels" (names = [ "cell A/x"; "cell B/x" ]));
     t "Pool.init gives each task a child and restores the caller's" (fun () ->
-        let reg = Obs.create () in
+        let reg = Obs.create () and mon = Mon.create () in
+        let restored () = Obs.installed () == reg && Mon.installed () == mon in
         with_installed reg (fun () ->
-            List.iter
-              (fun jobs ->
-                let seen =
-                  Pool.init ~jobs 6 (fun i ->
-                      let mine = Obs.installed () in
-                      Obs.Counter.incr (Obs.counter mine "task");
-                      Obs.Series.push (Obs.series mine "order") (float_of_int i) 0.;
-                      Obs.enabled mine && mine != reg)
-                in
-                check_true "a child per task" (Array.for_all Fun.id seen);
-                check_true "caller's registry restored" (Obs.installed () == reg))
-              [ 1; 4 ];
-            (match Pool.init ~jobs:1 2 (fun _ -> failwith "boom") with
-            | exception Failure _ -> ()
-            | _ -> Alcotest.fail "expected the task's exception");
-            check_true "restored after a raise" (Obs.installed () == reg));
-        check_true "cleared" (Obs.installed () == Obs.none);
+            with_monitor mon (fun () ->
+                List.iter
+                  (fun jobs ->
+                    let seen =
+                      Pool.init ~jobs 6 (fun i ->
+                          let mine = Obs.installed () in
+                          Obs.Counter.incr (Obs.counter mine "task");
+                          Obs.Series.push (Obs.series mine "order")
+                            (float_of_int i) 0.;
+                          let m = Mon.installed () in
+                          Mon.Agreement.check
+                            (Mon.Agreement.handle m ~gamma:1. ~from_time:0.)
+                            ~time:1. ~skew:0.;
+                          Obs.enabled mine && mine != reg && Mon.enabled m
+                          && m != mon)
+                    in
+                    check_true "a child per task" (Array.for_all Fun.id seen);
+                    check_true "caller's registry and monitor restored"
+                      (restored ()))
+                  [ 1; 4 ];
+                (match Pool.init ~jobs:1 2 (fun _ -> failwith "boom") with
+                | exception Failure _ -> ()
+                | _ -> Alcotest.fail "expected the task's exception");
+                check_true "restored after a raise" (restored ())));
+        check_true "cleared"
+          (Obs.installed () == Obs.none && Mon.installed () == Mon.none);
+        check_int "every task's monitor merged" 12 (Mon.checks_performed mon);
         let rep = report_of_registry reg in
         check_int "every task counted" 12 (List.assoc "task" (Report.counters rep));
         let _, xs, _ =
@@ -1106,7 +1132,8 @@ let child_profile_tests =
         check_true "task-index order at jobs 1 and 4"
           (xs = [| 0.; 1.; 2.; 3.; 4.; 5.; 0.; 1.; 2.; 3.; 4.; 5. |]);
         ignore (Pool.init ~jobs:4 3 (fun _ -> ()));
-        check_true "untraced stays untraced" (Obs.installed () == Obs.none));
+        check_true "untraced stays untraced"
+          (Obs.installed () == Obs.none && Mon.installed () == Mon.none));
     t "profiler spans and per-occurrence series accumulate" (fun () ->
         let reg = Obs.create () in
         let p = Profile.create reg in
@@ -1142,6 +1169,113 @@ let child_profile_tests =
           (List.assoc "profile.apply" (Report.spans rep)).Report.count);
   ]
 
+(* Per-task monitors: a child records like its parent, and merging the
+   children in task-index order reproduces a one-monitor run. *)
+let monitor_child_tests =
+  let agree m = Mon.Agreement.handle m ~gamma:1.0 ~from_time:0. in
+  let mint m src = Mon.Prov.mint m ~src ~dst:0 ~sent:0. ~delay:1e-3 in
+  let dump_lines m = List.map Json.to_string (Mon.dump m) in
+  [
+    t "monitor child: counts add, firsts follow task index" (fun () ->
+        let m =
+          Mon.create ~checks:[ Mon.Agreement; Mon.Validity ] ~tighten:0.5 ()
+        in
+        let a = Mon.child m and b = Mon.child m in
+        check_true "enabled" (Mon.enabled a);
+        check_bool "checks inherited" false
+          (Mon.Adjustment.active (Mon.Adjustment.handle a ~bound:1. ~pid:0));
+        (* Task 1 records first in wall order; task 0's violation must
+           still be the merged first. *)
+        Mon.Agreement.check (agree b) ~time:1. ~skew:5.;
+        Mon.Validity.check
+          (Mon.Validity.handle b ~alpha1:1. ~alpha2:1. ~alpha3:0.1 ~t0:0.
+             ~tmin0:0. ~tmax0:0.)
+          ~time:1. ~min_local:1. ~max_local:3.;
+        Mon.Agreement.check (agree a) ~time:2. ~skew:0.1;
+        Mon.Agreement.check (agree a) ~time:3. ~skew:7.;
+        Mon.merge ~into:m a;
+        Mon.merge ~into:m b;
+        check_int "evaluations add" 4 (Mon.checks_performed m);
+        check_int "violations add" 3 (Mon.violations_total m);
+        (match Mon.first_violation m with
+        | Some v ->
+          check_float "task 0's violation is first overall" 3. v.Mon.time;
+          check_float "tighten inherited" 0.5 v.Mon.bound
+        | None -> Alcotest.fail "expected a violation");
+        match
+          List.find_map
+            (fun (c, _, _, first) -> if c = Mon.Validity then first else None)
+            (Mon.results m)
+        with
+        | Some v ->
+          check_float "task 1 holds the validity first" 3. v.Mon.measured
+        | None -> Alcotest.fail "expected a validity violation");
+    t "monitor merge renumbers provenance ids like a one-monitor run"
+      (fun () ->
+        (* The same recording straight into one monitor and spread over
+           two children merged in order: identical dumps and mint counts. *)
+        let task m ~src =
+          let p = Array.init 3 (fun i -> mint m (src + i)) in
+          let h = Mon.Adjustment.handle m ~bound:1e-6 ~pid:0 in
+          Mon.Adjustment.check h ~round:1 ~time:1. ~adj:1.
+            ~slots:[| { Mon.pid = src; prov = p.(1); fresh = true } |];
+          let s = Mon.Stabilization.handle m ~rounds:1 ~big_p:1. in
+          Mon.Stabilization.corrupted s ~pid:src ~time:0.;
+          Mon.Stabilization.observe s ~pid:src ~time:5. ~within_gamma:false
+        in
+        let direct = Mon.create () in
+        ignore (mint direct 9);
+        task direct ~src:1;
+        task direct ~src:2;
+        let merged = Mon.create () in
+        ignore (mint merged 9);
+        let a = Mon.child merged and b = Mon.child merged in
+        task b ~src:2;
+        task a ~src:1;
+        Mon.merge ~into:merged a;
+        Mon.merge ~into:merged b;
+        check_true "identical dumps" (dump_lines direct = dump_lines merged);
+        (match Mon.first_violation merged with
+        | Some { Mon.provenance = [ (e, _) ]; _ } ->
+          check_int "child id 1 shifted past the parent's one mint" 2
+            e.Mon.Prov.id
+        | _ -> Alcotest.fail "expected one provenance entry");
+        check_int "mint count advanced by both children" (mint direct 0)
+          (mint merged 0));
+    t "monitor child of none is none" (fun () ->
+        check_true "none" (Mon.child Mon.none == Mon.none);
+        let c = Mon.create () in
+        Mon.Agreement.check (agree c) ~time:1. ~skew:2.;
+        Mon.merge ~into:Mon.none c;
+        check_int "none stays empty" 0 (Mon.checks_performed Mon.none);
+        let m = Mon.create () in
+        Mon.merge ~into:m Mon.none;
+        check_int "merging none is a no-op" 0 (Mon.checks_performed m));
+    t "each monitor child has its own growing provenance ring" (fun () ->
+        let cap = 65536 in
+        let m = Mon.create () in
+        let a = Mon.child m and b = Mon.child m in
+        let a_ids = List.init 5 (fun i -> mint a i) in
+        let minted = cap + 100 in
+        for i = 0 to minted - 1 do
+          ignore (mint b i)
+        done;
+        check_true "child B's mints evict none of child A's ids"
+          (List.for_all (fun id -> Mon.Prov.find a id <> None) a_ids);
+        let resolves id =
+          match Mon.Prov.find b id with
+          | Some e -> e.Mon.Prov.id = id && e.Mon.Prov.src = id
+          | None -> false
+        in
+        let last = List.init cap (fun i -> minted - cap + i) in
+        check_true "a grown ring resolves its last ring_cap ids"
+          (List.for_all resolves last);
+        check_true "older ids are evicted"
+          (Mon.Prov.find b (minted - cap - 1) = None);
+        check_true "ids are per monitor: the parent minted none"
+          (Mon.Prov.find m 0 = None));
+  ]
+
 (* ---------- canonical traces do not depend on --jobs ---------- *)
 
 module Scope = Csync_check.Scope
@@ -1173,11 +1307,7 @@ let check_same_lines what a b =
 let canonical_jobs_tests =
   [
     t "traced E15: canonical trace identical at jobs 1 and 4" (fun () ->
-        let e15 =
-          match Csync_harness.Registry.find "E15" with
-          | Some e -> e
-          | None -> Alcotest.fail "E15 not registered"
-        in
+        let e15 = experiment "E15" in
         let trace jobs =
           traced_run (fun () ->
               ignore (Csync_harness.Registry.run_list ~jobs ~quick:true [ e15 ]))
@@ -1208,6 +1338,32 @@ let canonical_jobs_tests =
                   let label, base = Record.split_name n in
                   label <> "" && (base = "pool.worker0" || base = "pool.tasks.worker0"))
                 names)));
+    t "monitored E5 and E13: canonical trace identical at jobs 1 and 4"
+      (fun () ->
+        (* As [csync trace <id> --canonical --tighten 0.3]: registry and
+           monitor records, restricted to the canonical subset.  The
+           violations' provenance ids and first cells must not depend on
+           which worker ran which cell. *)
+        let trace id jobs =
+          let reg = Obs.create () and mon = Mon.create ~tighten:0.3 () in
+          with_installed reg (fun () ->
+              with_monitor mon (fun () ->
+                  ignore
+                    (Csync_harness.Registry.run_list ~jobs ~quick:true
+                       [ experiment id ])));
+          List.filter_map
+            (fun j -> Result.to_option (Record.of_json j))
+            (Obs.dump reg @ Mon.dump mon)
+          |> Record.canonical
+          |> List.map (fun r -> Json.to_string (Record.to_json r))
+        in
+        List.iter
+          (fun id ->
+            let canon1 = trace id 1 in
+            check_true (id ^ ": provenance recorded")
+              (List.exists (fun l -> contains l {|"provenance":[{|}) canon1);
+            check_same_lines (id ^ " monitored canonical") canon1 (trace id 4))
+          [ "E5"; "E13" ]);
     t "traced model check: canonical trace identical at jobs 1 and 4"
       (fun () ->
         let scope = { (Scope.preset_exn "divergence-n2f1") with Scope.depth = 1 } in
@@ -1501,5 +1657,6 @@ let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
   @ determinism_tests @ btrace_tests @ child_profile_tests
+  @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
   @ top_tests

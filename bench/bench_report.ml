@@ -141,6 +141,25 @@ let bench_engine =
                (Csync_sim.Engine.drain e
                   ~handler:(fun _ _ -> ())
                   ~max_events:1_000_001)));
+      (* The 1k kernel as an instrumented run sees it: with a registry
+         installed at creation, every schedule also reads the queue's
+         depth and wheel occupancy into the high-water gauges. *)
+      (let reg = Csync_obs.Registry.create () in
+       Test.make ~name:"schedule-pop-1k-registry"
+         (Staged.stage (fun () ->
+              Csync_obs.Registry.install reg;
+              let e =
+                Fun.protect ~finally:Csync_obs.Registry.clear_installed
+                  (fun () -> Csync_sim.Engine.create ())
+              in
+              for i = 0 to 999 do
+                Csync_sim.Engine.schedule e ~time:(float_of_int (i mod 97)) i
+              done;
+              let count = ref 0 in
+              ignore
+                (Csync_sim.Engine.drain e
+                   ~handler:(fun _ _ -> incr count)
+                   ~max_events:10_000))));
       (let h = Csync_sim.Heap.create ~cmp:Int.compare in
        Test.make ~name:"heap-clear-refill-1k"
          (Staged.stage (fun () ->
@@ -254,6 +273,15 @@ let collect_frames =
      done;
      List.rev !frames)
 
+(* Per-link delay names at n = 64, the shape of a full E5 trace's
+   [net.delay.i->j] hists: 4096 distinct bases behind one label, so the
+   encode cost is dominated by string interning. *)
+let delay_name_records =
+  lazy
+    (List.init 4096 (fun k ->
+         Csync_obs.Record.Counter
+           (Printf.sprintf "E5/net.delay.%d->%d" (k / 64) (k mod 64), k)))
+
 let bench_obs =
   (* The telemetry invariant in numbers: a counter increment through a
      handle minted from the disabled registry (what every untraced
@@ -294,6 +322,13 @@ let bench_obs =
       Test.make ~name:"monitor-check-enabled"
         (Staged.stage (fun () ->
              Csync_obs.Monitor.Agreement.check mon_on ~time:1.0 ~skew:0.5));
+      Test.make ~name:"btrace-encode-4k-names"
+        (Staged.stage (fun () ->
+             let b = Buffer.create (1 lsl 16) in
+             let w = Csync_obs.Btrace.writer_fn (Buffer.add_string b) in
+             List.iter (Csync_obs.Btrace.write w)
+               (Lazy.force delay_name_records);
+             Csync_obs.Btrace.close_writer w));
       Test.make ~name:"collect-merge-10k"
         (Staged.stage (fun () ->
              let t = Csync_obs.Collect.create () in

@@ -20,6 +20,8 @@
    no reference and omits [shared]): [shared] bytes are copied from the
    front of the referenced earlier string, so sibling names ("profile.
    apply.ns" after "profile.advance.ns") pay only their distinct tail.
+   The writer finds that reference in a prefix trie of every string
+   defined so far, so interning is linear in the total name length.
 
    Integers are unsigned LEB128 varints ([zigzag] for signed); bare
    floats are binary64 little-endian.  Float arrays pick the cheapest
@@ -69,6 +71,11 @@ let unzigzag n = (n lsr 1) lxor (-(n land 1))
 
 (* ---------- writer ---------- *)
 
+(* A prefix trie over the defined strings, one node per distinct prefix.
+   [first] is the lowest id among the strings through the node: ids only
+   grow, so that is the id of the string that created it. *)
+type trie = { first : int; mutable kids : (char * trie) list }
+
 (* The writer is generalized over a sink so the same encoder serves both
    file output and the fleet emitter's socket stream.  The sink only
    ever receives *whole frames* (length prefix + payload as one string),
@@ -79,7 +86,7 @@ type writer = {
   flush_sink : unit -> unit;
   ids : (string, int) Hashtbl.t;
   mutable next_id : int;
-  mutable defs : (int * string) list;  (* defined strings, for prefix refs *)
+  defs : trie;  (* root: the empty prefix *)
   buf : Buffer.t;  (* current record payload *)
   mutable pending : int;  (* records since last flush *)
 }
@@ -128,7 +135,7 @@ let writer_fn ?(flush = fun () -> ()) sink =
     flush_sink = flush;
     ids = Hashtbl.create 64;
     next_id = 0;
-    defs = [];
+    defs = { first = 0; kids = [] };
     buf = Buffer.create 256;
     pending = 0;
   }
@@ -151,16 +158,15 @@ let emit_frame w buf =
 
 let emit w = emit_frame w w.buf
 
+let rec trie_kid c = function
+  | [] -> None
+  | (c', t) :: rest -> if Char.equal c c' then Some t else trie_kid c rest
+
 (* STRDEF frames go out through their own scratch buffer: [string_id] is
    called mid-record (from [put_name], after the record's tag byte is
    already in [w.buf]), so the definition must not disturb the
    in-progress payload — it lands on the channel just before the record
    that first uses it. *)
-let common_prefix_len a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-  go 0
-
 let string_id w s =
   match Hashtbl.find_opt w.ids s with
   | Some id -> id
@@ -170,14 +176,26 @@ let string_id w s =
     Hashtbl.add w.ids s id;
     (* Borrow the longest prefix any defined string offers ("profile.
        advance" after "profile.advance.ns" is pure suffix); lowest id
-       wins ties so the choice is deterministic. *)
-    let ref_id, shared =
-      List.fold_left
-        (fun (bi, bs) (i, d) ->
-          let p = common_prefix_len d s in
-          if p > bs || (p = bs && p > 0 && i < bi) then (i, p) else (bi, bs))
-        (0, 0) w.defs
+       wins ties so the choice is deterministic.  Walking [s] down the
+       trie as far as it matches finds both at once: the depth reached is
+       the longest shared prefix, and that node's [first] the lowest id
+       sharing it.  The unmatched tail then hangs below that node. *)
+    let n = String.length s in
+    let rec walk node d =
+      if d = n then (node, d)
+      else
+        match trie_kid s.[d] node.kids with
+        | Some k -> walk k (d + 1)
+        | None -> (node, d)
     in
+    let node, shared = walk w.defs 0 in
+    let ref_id = node.first in
+    let tip = ref node in
+    for d = shared to n - 1 do
+      let k = { first = id; kids = [] } in
+      !tip.kids <- (s.[d], k) :: !tip.kids;
+      tip := k
+    done;
     let b = Buffer.create (String.length s + 3) in
     Buffer.add_char b (Char.chr tag_strdef);
     if shared = 0 then put_uvarint b 0
@@ -185,8 +203,7 @@ let string_id w s =
       put_uvarint b (ref_id + 1);
       put_uvarint b shared
     end;
-    Buffer.add_substring b s shared (String.length s - shared);
-    w.defs <- (id, s) :: w.defs;
+    Buffer.add_substring b s shared (n - shared);
     emit_frame w b;
     id
 

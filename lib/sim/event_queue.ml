@@ -14,7 +14,8 @@
    horizon [base + (epoch + buckets) * width] go to an overflow heap and are
    promoted into the wheel as the current bucket (the epoch) advances.
    Occupied buckets are tracked in a bitmask so advancing skips empty
-   buckets a word at a time.
+   buckets a word at a time, and counted alongside it so [occupancy] is a
+   field read.
 
    Both backends pop in exactly the same order: (time, prio, seq), where seq
    is the insertion sequence number.  The wheel guarantees this because
@@ -72,7 +73,8 @@ type 'a wheel = {
      [dummy] (always empty), so creating a wheel costs one word per bucket
      rather than a record per bucket. *)
   wbuckets : 'a bucket array;
-  occ : int array; (* bitmask over physical bucket indices, 63 bits/word *)
+  occ : int array; (* bitmask over physical bucket indices, 32 bits/word *)
+  mutable occupied : int; (* set bits in [occ]: non-empty buckets *)
   overflow : 'a entry Heap.t;
   mutable base : float; (* real time at the start of logical bucket 0 *)
   mutable epoch : int; (* logical number of the current bucket *)
@@ -178,8 +180,12 @@ let bucket_insert w phys ~time ~key payload =
   Array.unsafe_set b.keys i key;
   Array.unsafe_set b.pays i payload;
   b.len <- i + 1;
-  if i > b.pos then b.dirty <- true;
-  set_bit w.occ phys;
+  if i > b.pos then b.dirty <- true
+  else begin
+    (* [i = pos]: the bucket was empty, so its mask bit is newly set. *)
+    set_bit w.occ phys;
+    w.occupied <- w.occupied + 1
+  end;
   w.wheel_count <- w.wheel_count + 1
 
 (* -- sorting the live slice of a bucket ----------------------------------- *)
@@ -330,20 +336,23 @@ let rec ensure_min w =
     ensure_min w
   end
 
-(* Drop the head of the current bucket (caller read it already).  Resetting
-   an emptied bucket eagerly keeps the occupancy mask exact and makes
-   re-anchoring on an empty queue O(1). *)
+(* Reset a bucket whose live slice just emptied.  Doing it eagerly keeps
+   the occupancy mask and count exact and makes re-anchoring on an empty
+   queue O(1). *)
+let reset_bucket w phys b =
+  b.len <- 0;
+  b.pos <- 0;
+  b.dirty <- false;
+  clear_bit w.occ phys;
+  w.occupied <- w.occupied - 1
+
+(* Drop the head of the current bucket (caller read it already). *)
 let drop_head w =
   let phys = w.epoch land w.mask in
   let b = w.wbuckets.(phys) in
   b.pos <- b.pos + 1;
   w.wheel_count <- w.wheel_count - 1;
-  if b.pos >= b.len then begin
-    b.len <- 0;
-    b.pos <- 0;
-    b.dirty <- false;
-    clear_bit w.occ phys
-  end
+  if b.pos >= b.len then reset_bucket w phys b
 
 (* -- construction --------------------------------------------------------- *)
 
@@ -390,6 +399,7 @@ let create ?backend ?(expected = 0) () =
         dummy;
         wbuckets = Array.make nbuckets dummy;
         occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
+        occupied = 0;
         overflow = Heap.create ~cmp:cmp_entry;
         base = 0.;
         epoch = 0;
@@ -412,14 +422,7 @@ let size q =
 
 let is_empty q = size q = 0
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
-let occupancy q =
-  match q.repr with
-  | Heap_q _ -> 0
-  | Wheel_q w -> Array.fold_left (fun acc word -> acc + popcount word) 0 w.occ
+let occupancy q = match q.repr with Heap_q _ -> 0 | Wheel_q w -> w.occupied
 
 let add q ~time ~prio payload =
   if not (Float.is_finite time) then
@@ -543,10 +546,7 @@ let iter_pop_until q ~until ~f =
             b.pos <- i + 1;
             w.wheel_count <- w.wheel_count - 1;
             if b.pos >= b.len then begin
-              b.len <- 0;
-              b.pos <- 0;
-              b.dirty <- false;
-              clear_bit w.occ phys;
+              reset_bucket w phys b;
               running := false
             end;
             incr count;

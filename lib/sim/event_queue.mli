@@ -59,8 +59,9 @@ val size : 'a t -> int
 val occupancy : 'a t -> int
 (** Occupied bucket count of the wheel backend's bitmask (how spread out
     the pending horizon is; telemetry reads it for the engine's
-    occupancy gauge).  Always 0 on the heap backend, which has no
-    buckets. *)
+    occupancy gauge on every schedule).  O(1): the wheel keeps the count
+    as buckets fill and empty.  Events in the overflow heap occupy no
+    bucket.  Always 0 on the heap backend, which has no buckets. *)
 
 val is_empty : 'a t -> bool
 

@@ -838,6 +838,24 @@ let read_all path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Encode records the way the fleet emitter does: the sink-based writer
+   producing one self-contained btrace segment (magic + whole frames). *)
+let segment records =
+  let b = Buffer.create 256 in
+  let w = Btrace.writer_fn (Buffer.add_string b) in
+  List.iter (Btrace.write w) records;
+  Btrace.close_writer w;
+  Buffer.contents b
+
+let drain_feed fd =
+  let rec go acc =
+    match Btrace.feed_next fd with
+    | `Record r -> go (r :: acc)
+    | `Await -> List.rev acc
+    | `Error e -> Alcotest.failf "unexpected feed error: %s" e
+  in
+  go []
+
 let btrace_tests =
   [
     qcheck ~count:100 ~name:"btrace encode/decode round-trips every record"
@@ -963,6 +981,161 @@ let btrace_tests =
         | other ->
           Alcotest.failf "unexpected canonical shape (%d records)"
             (List.length other));
+  ]
+
+(* ---------- string interning (STRDEF prefix references) ---------- *)
+
+(* The STRDEF frames of a segment in order, as a reader sees them:
+   (ref, shared, suffix) with ref = id + 1, or 0 for no reference. *)
+let strdefs bytes =
+  let pos = ref (String.length Btrace.magic) in
+  let uvarint () =
+    let rec go shift acc =
+      let c = Char.code bytes.[!pos] in
+      incr pos;
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c land 0x80 = 0 then acc else go (shift + 7) acc
+    in
+    go 0 0
+  in
+  let defs = ref [] in
+  while !pos < String.length bytes do
+    let len = uvarint () in
+    let stop = !pos + len in
+    if bytes.[!pos] = '\000' then begin
+      incr pos;
+      let r = uvarint () in
+      let shared = if r > 0 then uvarint () else 0 in
+      defs := (r, shared, String.sub bytes !pos (stop - !pos)) :: !defs
+    end;
+    pos := stop
+  done;
+  List.rev !defs
+
+(* The reference choice by a scan over every earlier string in id order:
+   the longest common prefix, the lowest id on ties, and no reference
+   when nothing is shared. *)
+let linear_ref defined s =
+  let common a b =
+    let n = min (String.length a) (String.length b) in
+    let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+    go 0
+  in
+  let best = ref (0, 0) in
+  List.iteri
+    (fun i d ->
+      let p = common d s in
+      if p > snd !best then best := (i + 1, p))
+    defined;
+  !best
+
+(* Strings in the order the writer first interns them: label, then base,
+   per record. *)
+let first_use names =
+  let seen = Hashtbl.create 16 in
+  List.concat_map
+    (fun name ->
+      let label, base = Record.split_name name in
+      List.filter
+        (fun s ->
+          let fresh = not (Hashtbl.mem seen s) in
+          Hashtbl.replace seen s ();
+          fresh)
+        [ label; base ])
+    names
+
+(* Prefix-heavy names: per-link delays, process and profile metrics,
+   labels with '/', the empty label and base, drawn from a small pool so
+   that names repeat. *)
+let intern_names_gen =
+  let open QCheck2.Gen in
+  let piece =
+    oneofl
+      [ "net.delay."; "proc."; "profile."; "E5/"; "E1/eps=0.0001/"; "/";
+        "0"; "1"; "12"; "->"; "3"; ".adj"; "advance"; "apply"; ".ns"; "" ]
+  in
+  let name = map (String.concat "") (list_size (int_range 0 5) piece) in
+  array_size (int_range 1 24) name >>= fun pool ->
+  list_size (int_range 0 60)
+    (map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)))
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let btrace_intern_tests =
+  [
+    qcheck ~count:300
+      ~name:"btrace interning borrows the longest prefix, lowest id on ties"
+      intern_names_gen
+      (fun names ->
+        let records = List.mapi (fun i n -> Record.Counter (n, i)) names in
+        let bytes = segment records in
+        let expected = first_use names in
+        let defs = strdefs bytes in
+        let defined = ref [] in
+        List.length defs = List.length expected
+        && List.for_all2
+             (fun s (r, shared, suffix) ->
+               let earlier = List.rev !defined in
+               defined := s :: !defined;
+               let prefix =
+                 if r = 0 then ""
+                 else String.sub (List.nth earlier (r - 1)) 0 shared
+               in
+               (r, shared) = linear_ref earlier s && prefix ^ suffix = s)
+             expected defs
+        &&
+        (* Label and base are stored apart, so a name whose label is
+           empty ("/x") reads back as its base. *)
+        let stored name =
+          match Record.split_name name with
+          | "", base -> base
+          | _ -> name
+        in
+        let fd = Btrace.feed () in
+        Btrace.feed_bytes fd bytes;
+        drain_feed fd
+        = List.map
+            (function
+              | Record.Counter (n, v) -> Record.Counter (stored n, v)
+              | r -> r)
+            records);
+    t "btrace encoding of a fixed record list is pinned" (fun () ->
+        (* Sibling delays (lowest id wins the 0->1 / 0->2 tie for 0->3),
+           a string that is a prefix of an earlier one, labels with '/',
+           the empty name and base, and a repeated name. *)
+        let records =
+          [
+            Record.Counter ("E5/net.delay.0->1", 1);
+            Record.Counter ("E5/net.delay.0->2", 2);
+            Record.Counter ("E5/net.delay.0->3", 3);
+            Record.Counter ("E5/net.delay.1->0", 4);
+            Record.Gauge ("E5/proc.3.adj", 0.5);
+            Record.Counter ("profile.advance.ns", 5);
+            Record.Counter ("profile.advance", 6);
+            Record.Counter ("profile.apply.ns", 7);
+            Record.Counter ("E1/eps=0.0001/net.delay.0->1", 8);
+            Record.Counter ("E1/eps=0.0001/proc.3.adj", 9);
+            Record.Counter ("", 10);
+            Record.Counter ("E5/", 11);
+            Record.Counter ("E5/net.delay.0->1", 12);
+          ]
+        in
+        let golden =
+          String.concat ""
+            [
+              "6373796e632d6274726163652f310a04000045351000006e65742e64";
+              "656c61792e302d3e3104020001020400020d3204020002040400020d";
+              "3304020003060700020a312d3e3004020004080c000070726f632e33";
+              "2e61646a0b030005000000000000e03f0200001200060366696c652e";
+              "616476616e63652e6e73040206070a0300080f040206080c0a000809";
+              "70706c792e6e73040206090e0f000101312f6570733d302e30303031";
+              "04020a011004020a0512040206061404020006160402000118";
+            ]
+        in
+        Alcotest.(check string) "bytes" golden (hex (segment records)));
   ]
 
 (* ---------- per-task children and the round-phase profiler ---------- *)
@@ -1442,15 +1615,6 @@ let top_tests =
 
 module Collect = Csync_obs.Collect
 
-(* Encode records the way the fleet emitter does: the sink-based writer
-   producing one self-contained btrace segment (magic + whole frames). *)
-let segment records =
-  let b = Buffer.create 256 in
-  let w = Btrace.writer_fn (Buffer.add_string b) in
-  List.iter (Btrace.write w) records;
-  Btrace.close_writer w;
-  Buffer.contents b
-
 (* Cut [s] into chunks of the given sizes (clamped to >= 1); leftover
    bytes become one final chunk. *)
 let rec chunks_of sizes s =
@@ -1461,15 +1625,6 @@ let rec chunks_of sizes s =
     | k :: rest ->
       let k = max 1 (min k (String.length s)) in
       String.sub s 0 k :: chunks_of rest (String.sub s k (String.length s - k))
-
-let drain_feed fd =
-  let rec go acc =
-    match Btrace.feed_next fd with
-    | `Record r -> go (r :: acc)
-    | `Await -> List.rev acc
-    | `Error e -> Alcotest.failf "unexpected feed error: %s" e
-  in
-  go []
 
 let collect_tests =
   [
@@ -1656,7 +1811,8 @@ let collect_tests =
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
-  @ determinism_tests @ btrace_tests @ child_profile_tests
+  @ determinism_tests @ btrace_tests @ btrace_intern_tests
+  @ child_profile_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
   @ top_tests

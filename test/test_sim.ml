@@ -463,6 +463,146 @@ let wheel_tests =
         check_true "same drain" (drain_both a b));
   ]
 
+(* [occupancy] counts non-empty wheel buckets; events parked in the
+   overflow heap occupy none. *)
+let occupancy_tests =
+  let occ = Event_queue.occupancy in
+  [
+    t "wheel occupancy follows buckets filling and emptying" (fun () ->
+        let q =
+          Event_queue.create ~backend:(Wheel { width = 1.; buckets = 8 }) ()
+        in
+        check_int "empty" 0 (occ q);
+        (* The first add anchors base = 0.5: logical bucket k covers
+           [0.5 + k, 1.5 + k), the horizon ends at 8.5. *)
+        Event_queue.add q ~time:0.5 ~prio:0 0;
+        check_int "bucket 0" 1 (occ q);
+        Event_queue.add q ~time:0.7 ~prio:0 1;
+        check_int "shared bucket 0" 1 (occ q);
+        Event_queue.add q ~time:2.5 ~prio:0 2;
+        check_int "bucket 2" 2 (occ q);
+        Event_queue.add q ~time:3.0 ~prio:0 3;
+        check_int "shared bucket 2" 2 (occ q);
+        Event_queue.add q ~time:7.9 ~prio:0 4;
+        check_int "bucket 7" 3 (occ q);
+        Event_queue.add q ~time:8.5 ~prio:0 5;
+        Event_queue.add q ~time:20. ~prio:0 6;
+        check_int "overflow is not counted" 3 (occ q);
+        check_int "size counts overflow" 7 (Event_queue.size q);
+        ignore (Event_queue.pop q);
+        check_int "bucket 0 still holds 0.7" 3 (occ q);
+        ignore (Event_queue.pop q);
+        check_int "pop empties bucket 0" 2 (occ q);
+        (* Advancing to bucket 2 moves the horizon to 10.5, promoting 8.5
+           into logical bucket 8 (physical 0); 20. stays in overflow. *)
+        check_true "pops 2.5" (Event_queue.pop q = Some (2.5, 2));
+        check_int "promotion fills physical bucket 0" 3 (occ q);
+        check_int "iter_pop_until stops at 7.9" 1
+          (Event_queue.iter_pop_until q ~until:3. ~f:(fun _ _ -> ()));
+        check_int "iter_pop_until empties bucket 2" 2 (occ q);
+        let seen = ref [] in
+        check_int "drain" 3
+          (Event_queue.iter_pop_until q ~until:100. ~f:(fun _ _ ->
+               seen := occ q :: !seen));
+        (* 7.9 leaves 8.5 behind; 20. restarts the wheel from overflow and
+           is popped at once. *)
+        check_true "occupancy seen by each callback"
+          (List.rev !seen = [ 1; 0; 0 ]);
+        check_int "drained" 0 (occ q);
+        (* An add to the empty queue re-anchors at base = 100. *)
+        Event_queue.add q ~time:100. ~prio:0 7;
+        Event_queue.add q ~time:100.5 ~prio:1 8;
+        check_int "re-anchored into bucket 0" 1 (occ q);
+        Event_queue.add q ~time:103.2 ~prio:0 9;
+        check_int "bucket 3" 2 (occ q);
+        Event_queue.add q ~time:108. ~prio:0 10;
+        check_int "beyond the new horizon" 2 (occ q);
+        while Event_queue.pop q <> None do () done;
+        check_int "empty again" 0 (occ q));
+    t "heap backend reports no occupancy" (fun () ->
+        let q = Event_queue.create ~backend:Heap () in
+        List.iter
+          (fun time -> Event_queue.add q ~time ~prio:0 ())
+          [ 1.; 5.; 9. ];
+        check_int "heap" 0 (occ q);
+        ignore (Event_queue.pop q);
+        check_int "heap after pop" 0 (occ q));
+    qcheck ~count:300
+      ~name:"wheel occupancy stays within min size buckets, 0 when empty"
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 1 120)
+             (frequency
+                [
+                  (4, map (fun tm -> `Add tm) (int_range 0 80));
+                  (2, pure `Pop);
+                  (1, map (fun u -> `Until u) (int_range 0 80));
+                ]))
+          (int_range 0 3))
+      (fun (ops, bi) ->
+        let buckets = [| 1; 2; 8; 16 |].(bi) in
+        let q =
+          Event_queue.create ~backend:(Wheel { width = 0.5; buckets }) ()
+        in
+        let holds () =
+          let o = occ q and n = Event_queue.size q in
+          o >= 0 && o <= min n buckets && (n > 0 || o = 0)
+        in
+        let ok = ref (holds ()) in
+        let base = ref 0. in
+        List.iter
+          (fun op ->
+            (match op with
+            | `Add tm ->
+              Event_queue.add q ~time:(!base +. (float_of_int tm *. 0.25))
+                ~prio:(tm land 1) tm
+            | `Pop -> (
+              match Event_queue.pop q with
+              | Some (time, _) -> base := time
+              | None -> ())
+            | `Until u ->
+              let until = !base +. (float_of_int u *. 0.25) in
+              ignore
+                (Event_queue.iter_pop_until q ~until ~f:(fun time _ ->
+                     base := time;
+                     if not (holds ()) then ok := false)));
+            if not (holds ()) then ok := false)
+          ops;
+        !ok);
+    t "E1 queue gauges are pinned" (fun () ->
+        (* Gauges are absent from canonical traces; these are the quick
+           cells' high-water marks. *)
+        let module Reg = Csync_obs.Registry in
+        let reg = Reg.create () in
+        let e1 =
+          match Csync_harness.Registry.find "E1" with
+          | Some e -> e
+          | None -> Alcotest.fail "E1 not registered"
+        in
+        Reg.install reg;
+        Fun.protect ~finally:Reg.clear_installed (fun () ->
+            ignore
+              (Format.asprintf "%a"
+                 (fun ppf () ->
+                   Csync_harness.Registry.render_list ~jobs:1 ppf ~quick:true
+                     [ e1 ])
+                 ()));
+        let gauges base =
+          List.filter_map
+            (fun j ->
+              match Csync_obs.Record.of_json j with
+              | Ok (Csync_obs.Record.Gauge (name, v))
+                when snd (Csync_obs.Record.split_name name) = base ->
+                Some v
+              | _ -> None)
+            (Reg.dump reg)
+        in
+        check_true "occupancy high-water marks"
+          (gauges "sim.queue_occupancy_hw" = [ 14.; 15. ]);
+        check_true "depth high-water marks"
+          (gauges "sim.queue_depth_hw" = [ 48.; 48. ]));
+  ]
+
 let delay_trace_tests =
   [
     t "delay provenance off by default" (fun () ->
@@ -508,4 +648,4 @@ let delay_trace_tests =
 
 let suite =
   rng_tests @ heap_tests @ queue_tests @ tie_break_tests @ wheel_tests
-  @ engine_tests @ trace_tests @ delay_trace_tests
+  @ occupancy_tests @ engine_tests @ trace_tests @ delay_trace_tests

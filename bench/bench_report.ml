@@ -282,6 +282,57 @@ let delay_name_records =
          Csync_obs.Record.Counter
            (Printf.sprintf "E5/net.delay.%d->%d" (k / 64) (k mod 64), k)))
 
+(* One monitored run of the standard Byzantine cast at n = 16, f = 5 over
+   10 rounds (the shape of the traced benchmark workload), kept as its
+   registry and monitor.  The capture kernel times what `csync trace`
+   pays after the run: dump, decode into records, a csync-btrace/1
+   encode and a decode of the bytes. *)
+let traced_capture =
+  lazy
+    (let module Scenario = Csync_harness.Scenario in
+     let params = Csync_harness.Defaults.base ~n:16 ~f:5 () in
+     let scenario =
+       {
+         (Scenario.with_standard_faults (Scenario.default ~seed:1 params)) with
+         Scenario.rounds = 10;
+         samples_per_round = 4;
+       }
+     in
+     let reg = Csync_obs.Registry.create () in
+     let mon = Csync_obs.Monitor.create () in
+     Csync_obs.Registry.install reg;
+     Csync_obs.Monitor.install mon;
+     Fun.protect
+       ~finally:(fun () ->
+         Csync_obs.Registry.clear_installed ();
+         Csync_obs.Monitor.clear_installed ())
+       (fun () -> ignore (Scenario.run scenario));
+     (reg, mon))
+
+let capture_traced () =
+  let reg, mon = Lazy.force traced_capture in
+  let records =
+    List.map
+      (fun j ->
+        match Csync_obs.Record.of_json j with
+        | Ok r -> r
+        | Error e -> failwith ("trace-capture-traced: " ^ e))
+      (Csync_obs.Registry.dump reg @ Csync_obs.Monitor.dump mon)
+  in
+  let b = Buffer.create (1 lsl 16) in
+  let w = Csync_obs.Btrace.writer_fn (Buffer.add_string b) in
+  List.iter (Csync_obs.Btrace.write w) records;
+  Csync_obs.Btrace.close_writer w;
+  let fd = Csync_obs.Btrace.feed () in
+  Csync_obs.Btrace.feed_bytes fd (Buffer.contents b);
+  let rec drain () =
+    match Csync_obs.Btrace.feed_next fd with
+    | `Record _ -> drain ()
+    | `Await -> ()
+    | `Error e -> failwith ("trace-capture-traced: " ^ e)
+  in
+  drain ()
+
 let bench_obs =
   (* The telemetry invariant in numbers: a counter increment through a
      handle minted from the disabled registry (what every untraced
@@ -329,6 +380,7 @@ let bench_obs =
              List.iter (Csync_obs.Btrace.write w)
                (Lazy.force delay_name_records);
              Csync_obs.Btrace.close_writer w));
+      Test.make ~name:"trace-capture-traced" (Staged.stage capture_traced);
       Test.make ~name:"collect-merge-10k"
         (Staged.stage (fun () ->
              let t = Csync_obs.Collect.create () in

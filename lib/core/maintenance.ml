@@ -213,8 +213,9 @@ let automaton ~self_hint cfg =
   (* One scratch buffer per automaton instance: the update sorts the same-
      size ARR array every exchange, so steady state allocates nothing.  The
      instance (and hence the buffer) belongs to a single cluster, which
-     processes events sequentially. *)
-  let scratch = Multiset.Scratch.create () in
+     processes events sequentially.  It is wrapped for [handle]'s optional
+     argument once, here, not on every event. *)
+  let scratch = Some (Multiset.Scratch.create ()) in
   (* Telemetry handles are captured here, once per automaton; with the
      ambient registry disabled they are no-ops and the wrapped handler
      costs two phase comparisons per event. *)
@@ -252,7 +253,7 @@ let automaton ~self_hint cfg =
         | Automaton.Message (src, _) when monitoring ->
           arr_prov.(src) <- Mon.Prov.current mon
         | _ -> ());
-        let ((s', _) as result) = handle ~scratch cfg ~self ~phys interrupt s in
+        let ((s', _) as result) = handle ?scratch cfg ~self ~phys interrupt s in
         (* An Update -> Bcast flag transition is exactly one completed
            round update (do_update); log ADJ and the running CORR against
            the round index at that boundary. *)
@@ -266,7 +267,7 @@ let automaton ~self_hint cfg =
           end;
           if monitoring then
             Mon.Adjustment.check mon_adj ~round:s.round ~time:phys ~adj
-              ~slots:(slots_of s)
+              ~slots:(fun () -> slots_of s)
         end;
         result);
     corr = (fun s -> s.corr);

@@ -73,7 +73,7 @@ let add t v =
         int_of_float (float_of_int bins *. (v -. t.lo) /. (t.hi -. t.lo))
       | Log pd -> int_of_float (float_of_int pd *. Float.log10 (v /. t.lo))
     in
-    let idx = min (max idx 0) (bins - 1) in
+    let idx = Int.min (Int.max idx 0) (bins - 1) in
     t.counts.(idx) <- t.counts.(idx) + 1
   end
 

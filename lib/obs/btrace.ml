@@ -76,6 +76,15 @@ let unzigzag n = (n lsr 1) lxor (-(n land 1))
    grow, so that is the id of the string that created it. *)
 type trie = { first : int; mutable kids : (char * trie) list }
 
+(* Interned ids by string, hashed and compared as strings: the generic
+   table's polymorphic compare is a C call on every probe. *)
+module Strtbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
+
 (* The writer is generalized over a sink so the same encoder serves both
    file output and the fleet emitter's socket stream.  The sink only
    ever receives *whole frames* (length prefix + payload as one string),
@@ -84,7 +93,7 @@ type trie = { first : int; mutable kids : (char * trie) list }
 type writer = {
   sink : string -> unit;
   flush_sink : unit -> unit;
-  ids : (string, int) Hashtbl.t;
+  ids : int Strtbl.t;
   mutable next_id : int;
   defs : trie;  (* root: the empty prefix *)
   buf : Buffer.t;  (* current record payload *)
@@ -121,6 +130,10 @@ let uvarint64_len n =
   in
   go n 1
 
+let uvarint_len n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
 let put_f64 buf v =
   let bits = Int64.bits_of_float v in
   for i = 0 to 7 do
@@ -133,7 +146,7 @@ let writer_fn ?(flush = fun () -> ()) sink =
   {
     sink;
     flush_sink = flush;
-    ids = Hashtbl.create 64;
+    ids = Strtbl.create 64;
     next_id = 0;
     defs = { first = 0; kids = [] };
     buf = Buffer.create 256;
@@ -145,10 +158,17 @@ let writer oc = writer_fn ~flush:(fun () -> flush oc) (output_string oc)
 (* Frame out a payload buffer.  Flushing every few records bounds how
    stale a tailing reader ([csync top --follow]) can observe the file. *)
 let emit_frame w buf =
-  let frame = Buffer.create (Buffer.length buf + 5) in
-  put_uvarint frame (Buffer.length buf);
-  Buffer.add_buffer frame buf;
-  w.sink (Buffer.contents frame);
+  let len = Buffer.length buf in
+  let head = uvarint_len len in
+  let frame = Bytes.create (head + len) in
+  let n = ref len in
+  for i = 0 to head - 2 do
+    Bytes.unsafe_set frame i (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Bytes.unsafe_set frame (head - 1) (Char.unsafe_chr !n);
+  Buffer.blit buf 0 frame head len;
+  w.sink (Bytes.unsafe_to_string frame);
   Buffer.clear buf;
   w.pending <- w.pending + 1;
   if w.pending >= flush_period then begin
@@ -168,12 +188,12 @@ let rec trie_kid c = function
    in-progress payload — it lands on the channel just before the record
    that first uses it. *)
 let string_id w s =
-  match Hashtbl.find_opt w.ids s with
+  match Strtbl.find_opt w.ids s with
   | Some id -> id
   | None ->
     let id = w.next_id in
     w.next_id <- id + 1;
-    Hashtbl.add w.ids s id;
+    Strtbl.add w.ids s id;
     (* Borrow the longest prefix any defined string offers ("profile.
        advance" after "profile.advance.ns" is pure suffix); lowest id
        wins ties so the choice is deterministic.  Walking [s] down the
@@ -220,10 +240,6 @@ let int_exact v =
   Float.is_integer v
   && Float.abs v <= 4.611686018427387e18 (* 2^62, headroom for deltas *)
   && not (v = 0. && 1. /. v < 0.)
-
-let uvarint_len n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -336,51 +352,44 @@ let put_array w a =
    (gap, value) pairs when most bins are empty — a log-bucketed skew
    hist concentrates its mass in a handful of bins. *)
 let put_counts w counts =
-  let nonzero = Array.fold_left (fun k c -> if c <> 0 then k + 1 else k) 0 counts in
-  let dense_cost =
-    let prev = ref 0 and acc = ref 0 in
-    Array.iter
-      (fun c ->
-        acc := !acc + varint_len (c - !prev);
-        prev := c)
-      counts;
-    !acc
-  in
-  let sparse_cost =
-    let acc = ref (uvarint_len nonzero) and gap = ref 0 in
-    Array.iter
-      (fun c ->
-        if c = 0 then incr gap
-        else begin
-          acc := !acc + uvarint_len !gap + uvarint_len c;
-          gap := 0
-        end)
-      counts;
-    !acc
-  in
-  if Array.for_all (fun c -> c >= 0) counts && sparse_cost < dense_cost
-  then begin
+  let n = Array.length counts in
+  let nonzero = ref 0 and nonneg = ref true in
+  let dense_cost = ref 0 and prev = ref 0 in
+  let sparse_cost = ref 0 and gap = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get counts i in
+    dense_cost := !dense_cost + varint_len (c - !prev);
+    prev := c;
+    if c < 0 then nonneg := false;
+    if c = 0 then incr gap
+    else begin
+      incr nonzero;
+      sparse_cost := !sparse_cost + uvarint_len !gap + uvarint_len c;
+      gap := 0
+    end
+  done;
+  if !nonneg && uvarint_len !nonzero + !sparse_cost < !dense_cost then begin
     Buffer.add_char w.buf (Char.chr cnt_sparse);
-    put_uvarint w.buf nonzero;
+    put_uvarint w.buf !nonzero;
     let gap = ref 0 in
-    Array.iter
-      (fun c ->
-        if c = 0 then incr gap
-        else begin
-          put_uvarint w.buf !gap;
-          put_uvarint w.buf c;
-          gap := 0
-        end)
-      counts
+    for i = 0 to n - 1 do
+      let c = Array.unsafe_get counts i in
+      if c = 0 then incr gap
+      else begin
+        put_uvarint w.buf !gap;
+        put_uvarint w.buf c;
+        gap := 0
+      end
+    done
   end
   else begin
     Buffer.add_char w.buf (Char.chr cnt_dense);
     let prev = ref 0 in
-    Array.iter
-      (fun c ->
-        put_varint w.buf (c - !prev);
-        prev := c)
-      counts
+    for i = 0 to n - 1 do
+      let c = Array.unsafe_get counts i in
+      put_varint w.buf (c - !prev);
+      prev := c
+    done
   end
 
 (* Paired floats (hist lo/hi, span total/max): one encoding byte covers
@@ -495,36 +504,51 @@ let get_string r id =
   if id < 0 || id >= r.nstrings then malformed "string id %d out of range" id;
   r.strings.(id)
 
-(* payload cursor *)
-type cur = { b : Bytes.t; mutable pos : int }
+(* Payload cursor.  The payload is read in place: it spans [stop - pos]
+   bytes of [b] from the starting [pos]. *)
+type cur = { b : Bytes.t; mutable pos : int; stop : int }
 
 let byte c =
-  if c.pos >= Bytes.length c.b then malformed "record payload overrun";
-  let v = Char.code (Bytes.get c.b c.pos) in
+  if c.pos >= c.stop then malformed "record payload overrun";
+  let v = Char.code (Bytes.unsafe_get c.b c.pos) in
   c.pos <- c.pos + 1;
   v
 
-let g_uvarint c =
-  let rec go shift acc =
-    if shift > 62 then malformed "varint too long";
+(* Varint loops keep their state in locals: a recursive inner function
+   would close over [c] and allocate on every call. *)
+let g_uvarint_long c =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then malformed "varint too long";
     let b = byte c in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
+
+(* Most varints in a trace (bin counts, ids, small deltas) are one byte. *)
+let g_uvarint c =
+  let p = c.pos in
+  if p < c.stop && Char.code (Bytes.unsafe_get c.b p) < 0x80 then begin
+    c.pos <- p + 1;
+    Char.code (Bytes.unsafe_get c.b p)
+  end
+  else g_uvarint_long c
 
 let g_varint c = unzigzag (g_uvarint c)
 
 let g_uvarint64 c =
-  let rec go shift acc =
-    if shift > 63 then malformed "varint too long";
+  let acc = ref 0L and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 63 then malformed "varint too long";
     let b = byte c in
-    let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7f)) shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0L
+    acc :=
+      Int64.logor !acc (Int64.shift_left (Int64.of_int (b land 0x7f)) !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
-let rest c = Bytes.sub_string c.b c.pos (Bytes.length c.b - c.pos)
+let rest c = Bytes.sub_string c.b c.pos (c.stop - c.pos)
 
 let g_f64 c =
   let bits = ref 0L in
@@ -536,32 +560,56 @@ let g_f64 c =
 let g_name r c =
   let label = get_string r (g_uvarint c) in
   let base = get_string r (g_uvarint c) in
-  if label = "" then base else label ^ "/" ^ base
+  let ll = String.length label in
+  if ll = 0 then base
+  else begin
+    let bl = String.length base in
+    let b = Bytes.create (ll + 1 + bl) in
+    Bytes.blit_string label 0 b 0 ll;
+    Bytes.unsafe_set b ll '/';
+    Bytes.blit_string base 0 b (ll + 1) bl;
+    Bytes.unsafe_to_string b
+  end
 
 let g_array c n =
-  match byte c with
-  | e when e = enc_raw64 -> Array.init n (fun _ -> g_f64 c)
-  | e when e = enc_int_delta ->
+  let e = byte c in
+  if e > enc_int_scaled then malformed "unknown series encoding %d" e;
+  let a = Array.make n 0. in
+  if e = enc_raw64 then
+    for i = 0 to n - 1 do
+      a.(i) <- g_f64 c
+    done
+  else if e = enc_int_delta then begin
     let prev = ref 0 in
-    Array.init n (fun _ ->
-        prev := !prev + g_varint c;
-        float_of_int !prev)
-  | e when e = enc_f64_xor ->
+    for i = 0 to n - 1 do
+      prev := !prev + g_varint c;
+      a.(i) <- float_of_int !prev
+    done
+  end
+  else if e = enc_f64_xor then begin
     let prev = ref 0L in
-    Array.init n (fun _ ->
-        prev := Int64.logxor !prev (g_uvarint64 c);
-        Int64.float_of_bits !prev)
-  | e when e = enc_range ->
+    for i = 0 to n - 1 do
+      prev := Int64.logxor !prev (g_uvarint64 c);
+      a.(i) <- Int64.float_of_bits !prev
+    done
+  end
+  else if e = enc_range then begin
     let start = g_varint c in
     let step = g_varint c in
-    Array.init n (fun i -> float_of_int (start + (i * step)))
-  | e when e = enc_int_scaled ->
+    for i = 0 to n - 1 do
+      a.(i) <- float_of_int (start + (i * step))
+    done
+  end
+  else begin
+    (* enc_int_scaled *)
     let scale = g_uvarint c in
     let prev = ref 0 in
-    Array.init n (fun _ ->
-        prev := !prev + g_varint c;
-        float_of_int (!prev * scale))
-  | e -> malformed "unknown series encoding %d" e
+    for i = 0 to n - 1 do
+      prev := !prev + g_varint c;
+      a.(i) <- float_of_int (!prev * scale)
+    done
+  end;
+  a
 
 let g_float_pair c =
   match byte c with
@@ -580,8 +628,8 @@ let g_float_pair c =
 (* Decode one framed payload against an intern table.  [`Again] means
    the frame carried bookkeeping (a STRDEF, or an unknown tag to skip)
    rather than a record.  Raises {!Malformed} on corrupt input. *)
-let decode_payload tab payload len =
-  let c = { b = payload; pos = 0 } in
+let decode_payload tab payload ~off len =
+  let c = { b = payload; pos = off; stop = off + len } in
   let tag = byte c in
   if tag = tag_strdef then begin
     let s =
@@ -592,13 +640,17 @@ let decode_payload tab payload len =
         let shared = g_uvarint c in
         if shared > String.length base then
           malformed "strdef prefix %d exceeds referenced string" shared;
-        String.sub base 0 shared ^ rest c
+        let tail = c.stop - c.pos in
+        let b = Bytes.create (shared + tail) in
+        Bytes.blit_string base 0 b 0 shared;
+        Bytes.blit c.b c.pos b shared tail;
+        Bytes.unsafe_to_string b
     in
     add_string tab s;
     `Again
   end
   else if tag = tag_jsonrec then begin
-    let text = Bytes.sub_string payload 1 (len - 1) in
+    let text = Bytes.sub_string payload (off + 1) (len - 1) in
     match Json.of_string text with
     | Error e -> malformed "embedded JSON: %s" e
     | Ok j -> (
@@ -629,11 +681,14 @@ let decode_payload tab payload len =
     let counts =
       match byte c with
       | e when e = cnt_dense ->
+        let counts = Array.make nbins 0 in
         let prev = ref 0 in
-        Array.init nbins (fun _ ->
-            prev := !prev + g_varint c;
-            if !prev < 0 then malformed "negative hist bin count";
-            !prev)
+        for i = 0 to nbins - 1 do
+          prev := !prev + g_varint c;
+          if !prev < 0 then malformed "negative hist bin count";
+          counts.(i) <- !prev
+        done;
+        counts
       | e when e = cnt_sparse ->
         let counts = Array.make nbins 0 in
         let nonzero = g_uvarint c in
@@ -724,7 +779,7 @@ let rec next r =
       match really_input r.ic payload 0 len with
       | exception End_of_file -> truncated ()
       | () -> (
-        match decode_payload r.tab payload len with
+        match decode_payload r.tab payload ~off:0 len with
         | `Again -> next r
         | `Record _ as res -> res
         | exception Malformed msg -> `Error msg))
@@ -780,6 +835,17 @@ let feed_consume f n =
   f.flen <- f.flen - n;
   if f.flen = 0 then f.fstart <- 0
 
+(* Parse a length prefix without consuming until the whole record is
+   available. *)
+let rec scan_len f i shift acc =
+  if i >= f.flen then `Await
+  else if shift > 62 then `Error "varint too long"
+  else
+    let b = Char.code (Bytes.get f.fb (f.fstart + i)) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then `Len (i + 1, acc)
+    else scan_len f (i + 1) (shift + 7) acc
+
 let rec feed_next f =
   if f.expect_magic then
     if f.flen < String.length magic then `Await
@@ -791,18 +857,7 @@ let rec feed_next f =
     end
     else `Error "stream does not start with csync-btrace/1 magic"
   else
-    (* Parse the length prefix without consuming until the whole record
-       is available. *)
-    let rec scan_len i shift acc =
-      if i >= f.flen then `Await
-      else if shift > 62 then `Error "varint too long"
-      else
-        let b = Char.code (Bytes.get f.fb (f.fstart + i)) in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then `Len (i + 1, acc)
-        else scan_len (i + 1) (shift + 7) acc
-    in
-    match scan_len 0 0 0 with
+    match scan_len f 0 0 0 with
     | `Await -> `Await
     | `Error _ as e -> e
     | `Len (head, len) ->
@@ -810,9 +865,11 @@ let rec feed_next f =
         `Error (Printf.sprintf "implausible record length %d" len)
       else if f.flen < head + len then `Await
       else begin
-        let payload = Bytes.sub f.fb (f.fstart + head) len in
+        (* Decoded in place: nothing writes to the buffer before the
+           next [feed_bytes]. *)
+        let off = f.fstart + head in
         feed_consume f (head + len);
-        match decode_payload f.ftab payload len with
+        match decode_payload f.ftab f.fb ~off len with
         | `Again -> feed_next f
         | `Record _ as res -> res
         | exception Malformed msg -> `Error msg

@@ -6,7 +6,15 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let num_of_int i = Num (float_of_int i)
+(* Json values are immutable, so the small non-negative ints that make up
+   most of a dump (hist bins, counts, ids) can share one node each. *)
+let num_cache = 1024
+
+let small_nums = Array.init num_cache (fun i -> Num (float_of_int i))
+
+let num_of_int i =
+  if i >= 0 && i < num_cache then Array.unsafe_get small_nums i
+  else Num (float_of_int i)
 
 (* ---------- writing ---------- *)
 
@@ -226,9 +234,13 @@ let of_string s =
 
 (* ---------- accessors ---------- *)
 
-let member k = function
-  | Obj l -> List.assoc_opt k l
-  | _ -> None
+(* First match wins, as in [List.assoc_opt], without its polymorphic
+   compare on every probe. *)
+let rec assoc_str k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc_str k rest
+
+let member k = function Obj l -> assoc_str k l | _ -> None
 
 let to_float = function Num f -> Some f | _ -> None
 
@@ -242,18 +254,28 @@ let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None
 
-let float_array v =
-  match v with
+let rec fill_floats a i = function
+  | [] -> true
+  | Num f :: rest ->
+    Array.unsafe_set a i f;
+    fill_floats a (i + 1) rest
+  | _ -> false
+
+let float_array = function
   | Arr l ->
     let a = Array.make (List.length l) 0. in
-    let ok = ref true in
-    List.iteri
-      (fun i x -> match to_float x with Some f -> a.(i) <- f | None -> ok := false)
-      l;
-    if !ok then Some a else None
+    if fill_floats a 0 l then Some a else None
   | _ -> None
 
-let int_array v =
-  match float_array v with
-  | Some a -> Some (Array.map int_of_float a)
-  | None -> None
+let rec fill_ints a i = function
+  | [] -> true
+  | Num f :: rest when Float.is_integer f ->
+    Array.unsafe_set a i (int_of_float f);
+    fill_ints a (i + 1) rest
+  | _ -> false
+
+let int_array = function
+  | Arr l ->
+    let a = Array.make (List.length l) 0 in
+    if fill_ints a 0 l then Some a else None
+  | _ -> None

@@ -15,6 +15,12 @@ type t =
   | Obj of (string * t) list
 
 val num_of_int : int -> t
+(** [Num (float_of_int i)].  Ints in [\[0, num_cache)] return one shared,
+    preallocated node each (values are immutable, so sharing is
+    invisible); others allocate. *)
+
+val num_cache : int
+(** How many small ints {!num_of_int} shares nodes for. *)
 
 val to_string : t -> string
 (** Single line, no trailing newline.  NaN/infinite numbers encode as
@@ -40,3 +46,6 @@ val to_list : t -> t list option
 val float_array : t -> float array option
 
 val int_array : t -> int array option
+(** Every element by {!to_int}'s rule: [None] if any element is not an
+    integral number ([1.5], [1e400] and [null] are rejected, not
+    truncated). *)

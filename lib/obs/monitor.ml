@@ -70,12 +70,58 @@ type cell = {
   mutable first : violation option;
 }
 
-(* Provenance ids count this monitor's mints from 0; the ring slot is
-   [id land (length - 1)], and a stored entry is only trusted when its own
-   id matches the probe, so eviction degrades to [find = None] instead of
-   misattribution.  The ring starts at one slot and doubles on demand up
-   to [ring_cap], so a short-lived per-task child stays small. *)
+(* Provenance ids count this monitor's mints from 0 ([merge] moves the
+   count past a child's ids).  Id [i] lives in slot [i land (ring_cap - 1)]
+   and a stored entry is only trusted when its own id matches the probe,
+   so eviction degrades to [find = None] instead of misattribution.
+   Slots are stored flat, one array per entry field ([-1] marks an id
+   never written), so a mint writes preallocated slots and leaves nothing
+   on the heap for each message.  The arrays come in chunks of
+   [chunk_len] slots that are added, never copied: a ring that doubles by
+   copying allocates twice its final size in the major heap, and a
+   monitored run paid for that in collector work.  Chunk 0 alone starts
+   at one slot and doubles, so a short-lived per-task child stays small. *)
 let ring_cap = 65536 (* power of two *)
+
+let chunk_bits = 9
+
+let chunk_len = 1 lsl chunk_bits
+
+type chunk = {
+  ids : int array;
+  srcs : int array;
+  dsts : int array;
+  sents : float array;
+  delays : float array;
+  kinds : string list array;
+}
+
+let chunk_make len =
+  {
+    ids = Array.make len (-1);
+    srcs = Array.make len 0;
+    dsts = Array.make len 0;
+    sents = Array.make len 0.;
+    delays = Array.make len 0.;
+    kinds = Array.make len [];
+  }
+
+(* Directory entries of chunks not made yet. *)
+let no_chunk = chunk_make 0
+
+let chunk_grow c =
+  let len = Array.length c.ids in
+  if len = 0 then chunk_make chunk_len
+  else begin
+    let d = chunk_make (2 * len) in
+    Array.blit c.ids 0 d.ids 0 len;
+    Array.blit c.srcs 0 d.srcs 0 len;
+    Array.blit c.dsts 0 d.dsts 0 len;
+    Array.blit c.sents 0 d.sents 0 len;
+    Array.blit c.delays 0 d.delays 0 len;
+    Array.blit c.kinds 0 d.kinds 0 len;
+    d
+  end
 
 type t = {
   enabled : bool;
@@ -84,7 +130,7 @@ type t = {
   cells : cell array;
   mutable first_overall : violation option;
   mutable prov_next : int;
-  mutable ring : prov_entry option array;
+  mutable chunks : chunk array;  (* chunk k holds slots from k * chunk_len *)
   (* Chaos fault kinds applied to the message currently passing through
      the injector, attached to every mint until [Prov.clear_staged]. *)
   mutable staged : string list;
@@ -103,7 +149,7 @@ let make_monitor ~enabled ~on ~tighten =
       Array.init n_checks (fun _ -> { evals = 0; viols = 0; first = None });
     first_overall = None;
     prov_next = 0;
-    ring = [| None |];
+    chunks = [| chunk_make 1 |];
     staged = [];
     current = -1;
   }
@@ -152,18 +198,41 @@ module Prov = struct
 
   let null = -1
 
-  (* Ids are dense from 0, so while the ring is below [ring_cap] every
-     minted id sits at its own index and doubling is a plain copy. *)
+  (* Make chunk [k] hold offset [j]: grow the directory, make the chunk,
+     or double chunk 0. *)
+  let make_room t ~k ~j =
+    let n = Array.length t.chunks in
+    if k >= n then begin
+      let m = ref n in
+      while k >= !m do
+        m := 2 * !m
+      done;
+      let dir = Array.make !m no_chunk in
+      Array.blit t.chunks 0 dir 0 n;
+      t.chunks <- dir
+    end;
+    let c = ref t.chunks.(k) in
+    while j >= Array.length !c.ids do
+      c := chunk_grow !c
+    done;
+    t.chunks.(k) <- !c
+
   let mint t ~src ~dst ~sent ~delay =
     if not t.enabled then null
     else begin
       let id = t.prov_next in
       t.prov_next <- id + 1;
-      let len = Array.length t.ring in
-      if id >= len && len < ring_cap then
-        t.ring <- Array.append t.ring (Array.make len None);
-      t.ring.(id land (Array.length t.ring - 1)) <-
-        Some { id; src; dst; sent; delay; faults = List.rev t.staged };
+      let slot = id land (ring_cap - 1) in
+      let k = slot lsr chunk_bits and j = slot land (chunk_len - 1) in
+      if k >= Array.length t.chunks || j >= Array.length t.chunks.(k).ids
+      then make_room t ~k ~j;
+      let c = t.chunks.(k) in
+      c.ids.(j) <- id;
+      c.srcs.(j) <- src;
+      c.dsts.(j) <- dst;
+      c.sents.(j) <- sent;
+      c.delays.(j) <- delay;
+      c.kinds.(j) <- List.rev t.staged;
       id
     end
 
@@ -186,10 +255,22 @@ module Prov = struct
 
   let find t id =
     if (not t.enabled) || id < 0 then None
-    else
-      match t.ring.(id land (Array.length t.ring - 1)) with
-      | Some e when e.id = id -> Some e
-      | _ -> None
+    else begin
+      let slot = id land (ring_cap - 1) in
+      let k = slot lsr chunk_bits and j = slot land (chunk_len - 1) in
+      let c = if k < Array.length t.chunks then t.chunks.(k) else no_chunk in
+      if j >= Array.length c.ids || c.ids.(j) <> id then None
+      else
+        Some
+          {
+            id;
+            src = c.srcs.(j);
+            dst = c.dsts.(j);
+            sent = c.sents.(j);
+            delay = c.delays.(j);
+            faults = c.kinds.(j);
+          }
+    end
 end
 
 (* Bound comparisons tolerate float noise the same way the offline
@@ -267,6 +348,7 @@ module Adjustment = struct
     | H { t; bound; pid } ->
       bump t Adjustment;
       if exceeds (Float.abs adj) bound then begin
+        let slots = slots () in
         let resolve fresh =
           Array.to_list slots
           |> List.filter_map (fun (s : slot) ->

@@ -100,10 +100,16 @@ val merge : into:t -> t -> unit
     Ids are per monitor: each counts its own mints from 0, and {!merge}
     renumbers a child's ids past the parent's, which reproduces the ids
     a one-worker run mints.  Entries live in a ring that starts at one
-    slot and doubles on demand up to 65536; the last 65536 ids a monitor
+    slot and grows on demand up to 65536; the last 65536 ids a monitor
     minted resolve through {!find} on that monitor (not on its parent).
     A violation resolves its ids immediately, so eviction only affects
-    post-hoc lookups. *)
+    post-hoc lookups.
+
+    The ring stores entries flat, one array per field (id, endpoints,
+    send time, delay, fault kinds), in chunks of 512 slots added as the
+    ring fills, not as entry records: a {!mint} overwrites preallocated
+    slots and allocates nothing once the ring has room, and {!find}
+    builds the {!entry} on demand. *)
 
 module Prov : sig
   type id = int
@@ -209,11 +215,17 @@ module Adjustment : sig
   (** [false] on no-op handles; guards the provenance shadow-array work. *)
 
   val check :
-    handle -> round:int -> time:float -> adj:float -> slots:slot array -> unit
-  (** Check [|adj| <= bound]; on the first violation the [slots] are
-      resolved into {!Prov.entry} values immediately.  [time] is the
-      process' physical-clock reading at the update (recorded for the
-      report; monitors never read wall clocks). *)
+    handle ->
+    round:int ->
+    time:float ->
+    adj:float ->
+    slots:(unit -> slot array) ->
+    unit
+  (** Check [|adj| <= bound].  [slots] is called only on a violation, and
+      then resolved into {!Prov.entry} values immediately, so a passing
+      update never builds its slot array.  [time] is the process'
+      physical-clock reading at the update (recorded for the report;
+      monitors never read wall clocks). *)
 end
 
 module Halving : sig

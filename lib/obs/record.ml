@@ -39,72 +39,74 @@ type t =
 
 (* ---------- JSON decoding ---------- *)
 
+(* A failed field lookup raises its message; fields are read in [let]
+   sequence, so the first bad field in source order is the one reported. *)
+exception Bad of string
+
 let field name conv j =
   match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed field %S" name)
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "missing or malformed field %S" name))
 
-let ( let* ) = Result.bind
-
-let of_json j =
-  let* kind = field "record" Json.to_str j in
-  match kind with
-  | "manifest" -> Ok (Manifest j)
+let decode j =
+  match field "record" Json.to_str j with
+  | "manifest" -> Manifest j
   | "counter" ->
-    let* name = field "name" Json.to_str j in
-    let* v = field "value" Json.to_int j in
-    Ok (Counter (name, v))
+    let name = field "name" Json.to_str j in
+    let v = field "value" Json.to_int j in
+    Counter (name, v)
   | "gauge" ->
-    let* name = field "name" Json.to_str j in
-    let* v = field "value" Json.to_float j in
-    Ok (Gauge (name, v))
+    let name = field "name" Json.to_str j in
+    let v = field "value" Json.to_float j in
+    Gauge (name, v)
   | "series" ->
-    let* name = field "name" Json.to_str j in
-    let* xs = field "xs" Json.float_array j in
-    let* ys = field "ys" Json.float_array j in
-    if Array.length xs <> Array.length ys then Error "series xs/ys length mismatch"
-    else Ok (Series (name, xs, ys))
+    let name = field "name" Json.to_str j in
+    let xs = field "xs" Json.float_array j in
+    let ys = field "ys" Json.float_array j in
+    if Array.length xs <> Array.length ys then
+      raise (Bad "series xs/ys length mismatch");
+    Series (name, xs, ys)
   | "hist" ->
-    let* name = field "name" Json.to_str j in
-    let* lo = field "lo" Json.to_float j in
-    let* hi = field "hi" Json.to_float j in
-    let* per_decade =
+    let name = field "name" Json.to_str j in
+    let lo = field "lo" Json.to_float j in
+    let hi = field "hi" Json.to_float j in
+    let per_decade =
       match Json.member "per_decade" j with
-      | None -> Ok None
+      | None -> None
       | Some pd -> (
         match Json.to_int pd with
-        | Some pd when pd > 0 -> Ok (Some pd)
-        | _ -> Error "malformed field \"per_decade\"")
+        | Some pd when pd > 0 -> Some pd
+        | _ -> raise (Bad "malformed field \"per_decade\""))
     in
-    let* counts = field "counts" Json.int_array j in
-    let* underflow = field "underflow" Json.to_int j in
-    let* overflow = field "overflow" Json.to_int j in
-    let* invalid = field "invalid" Json.to_int j in
-    let* total = field "total" Json.to_int j in
-    Ok
-      (Hist
-         (name, { lo; hi; per_decade; counts; underflow; overflow; invalid; total }))
+    let counts = field "counts" Json.int_array j in
+    let underflow = field "underflow" Json.to_int j in
+    let overflow = field "overflow" Json.to_int j in
+    let invalid = field "invalid" Json.to_int j in
+    let total = field "total" Json.to_int j in
+    Hist (name, { lo; hi; per_decade; counts; underflow; overflow; invalid; total })
   | "span" ->
-    let* name = field "name" Json.to_str j in
-    let* count = field "count" Json.to_int j in
-    let* total_s = field "total_s" Json.to_float j in
-    let* max_s = field "max_s" Json.to_float j in
-    Ok (Span (name, { count; total_s; max_s }))
+    let name = field "name" Json.to_str j in
+    let count = field "count" Json.to_int j in
+    let total_s = field "total_s" Json.to_float j in
+    let max_s = field "max_s" Json.to_float j in
+    Span (name, { count; total_s; max_s })
   | "event" ->
-    let* name = field "name" Json.to_str j in
+    let name = field "name" Json.to_str j in
     let fields = Option.value (Json.member "fields" j) ~default:(Json.Obj []) in
-    Ok (Event (name, fields))
+    Event (name, fields)
   | "monitor" ->
-    let* name = field "monitor" Json.to_str j in
-    let* checks = field "checks" Json.to_int j in
-    let* violations = field "violations" Json.to_int j in
+    let name = field "monitor" Json.to_str j in
+    let checks = field "checks" Json.to_int j in
+    let violations = field "violations" Json.to_int j in
     let first =
       match Json.member "first" j with
       | None | Some Json.Null -> None
       | Some f -> Some f
     in
-    Ok (Monitor (name, { checks; violations; first }))
-  | other -> Ok (Unknown (other, j))
+    Monitor (name, { checks; violations; first })
+  | other -> Unknown (other, j)
+
+let of_json j = match decode j with r -> Ok r | exception Bad e -> Error e
 
 (* ---------- JSON encoding ---------- *)
 

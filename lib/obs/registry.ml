@@ -312,7 +312,7 @@ let merge ~into c =
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let dump t =
   let counters =

@@ -6,6 +6,10 @@ type 'a t = {
   obs_events : Obs.Counter.handle;
   obs_depth_hw : Obs.Gauge.handle;
   obs_occ_hw : Obs.Gauge.handle;
+  (* Int shadows of the two high-water gauges: the gauges only see a new
+     maximum, so a steady-state schedule boxes no float. *)
+  mutable depth_hw : int;
+  mutable occ_hw : int;
 }
 
 (* The ambient registry is captured once, at creation; with telemetry
@@ -19,6 +23,8 @@ let create ?(start_time = 0.) ?backend ?expected () =
     obs_events = Obs.counter obs "sim.events";
     obs_depth_hw = Obs.gauge obs "sim.queue_depth_hw";
     obs_occ_hw = Obs.gauge obs "sim.queue_occupancy_hw";
+    depth_hw = -1;
+    occ_hw = -1;
   }
 
 let backend_kind t = Event_queue.backend_kind t.queue
@@ -31,10 +37,16 @@ let schedule t ~time ?(prio = Event_queue.prio_message) payload =
       (Printf.sprintf "Engine.schedule: time %g is before now %g" time t.now);
   Event_queue.add t.queue ~time ~prio payload;
   if Obs.Gauge.active t.obs_depth_hw then begin
-    Obs.Gauge.observe_max t.obs_depth_hw
-      (float_of_int (Event_queue.size t.queue));
-    Obs.Gauge.observe_max t.obs_occ_hw
-      (float_of_int (Event_queue.occupancy t.queue))
+    let depth = Event_queue.size t.queue in
+    if depth > t.depth_hw then begin
+      t.depth_hw <- depth;
+      Obs.Gauge.observe_max t.obs_depth_hw (float_of_int depth)
+    end;
+    let occ = Event_queue.occupancy t.queue in
+    if occ > t.occ_hw then begin
+      t.occ_hw <- occ;
+      Obs.Gauge.observe_max t.obs_occ_hw (float_of_int occ)
+    end
   end
 
 let pending t = Event_queue.size t.queue

@@ -390,6 +390,13 @@ let create ?backend ?(expected = 0) () =
     in
     let init_cap = min 4096 (max 16 (expected / nbuckets)) in
     let dummy = bucket_make () in
+    (* Filled by doubling appends, not [Array.make nbuckets dummy]: once
+       the table is too big for the minor heap, [Array.make] with a young
+       initial value forces a whole minor collection (and the major slice
+       after it) on every queue created. *)
+    let rec fill a =
+      if Array.length a >= nbuckets then a else fill (Array.append a a)
+    in
     let w =
       {
         width;
@@ -397,7 +404,7 @@ let create ?backend ?(expected = 0) () =
         mask = nbuckets - 1;
         init_cap;
         dummy;
-        wbuckets = Array.make nbuckets dummy;
+        wbuckets = fill [| dummy |];
         occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
         occupied = 0;
         overflow = Heap.create ~cmp:cmp_entry;

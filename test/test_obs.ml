@@ -65,6 +65,57 @@ let json_tests =
         check_true "trailing" (Result.is_error (Json.of_string "{} x"));
         check_true "unterminated" (Result.is_error (Json.of_string "[1,"));
         check_true "bad literal" (Result.is_error (Json.of_string "troo")));
+    qcheck ~count:300 ~name:"member is List.assoc_opt, duplicate keys included"
+      QCheck2.Gen.(
+        pair
+          (list_size (0 -- 12)
+             (pair (oneofl [ ""; "a"; "b"; "ab"; "name"; "names" ]) (0 -- 9)))
+          (oneofl [ ""; "a"; "b"; "ab"; "name"; "names"; "zz" ]))
+      (fun (fields, k) ->
+        let l = List.map (fun (k, v) -> (k, Json.num_of_int v)) fields in
+        Json.member k (Json.Obj l) = List.assoc_opt k l);
+    t "num_of_int is Num (float_of_int i), cached or not" (fun () ->
+        List.iter
+          (fun i ->
+            check_true (string_of_int i)
+              (Json.num_of_int i = Json.Num (float_of_int i)))
+          [ -1; 0; Json.num_cache - 1; Json.num_cache; max_int ];
+        check_true "cached nodes are shared"
+          (Json.num_of_int 3 == Json.num_of_int 3));
+    qcheck ~count:300
+      ~name:"int_array matches float-then-truncate on integral input"
+      QCheck2.Gen.(list_size (0 -- 20) (int_range (-1_000_000) 1_000_000))
+      (fun ints ->
+        let v = Json.Arr (List.map Json.num_of_int ints) in
+        let reference =
+          Option.map (Array.map int_of_float) (Json.float_array v)
+        in
+        Json.int_array v = reference
+        && Json.int_array v = Some (Array.of_list ints));
+    t "int_array applies to_int's rule to every element" (fun () ->
+        let arr l = Json.Arr l in
+        check_true "fraction" (Json.int_array (arr [ Json.Num 1.5 ]) = None);
+        check_true "after a good element"
+          (Json.int_array (arr [ Json.Num 2.; Json.Num (-0.5) ]) = None);
+        check_true "infinite"
+          (Json.int_array (arr [ Json.Num Float.infinity ]) = None);
+        check_true "null" (Json.int_array (arr [ Json.Null ]) = None);
+        check_true "integral"
+          (Json.int_array (arr [ Json.Num 2.; Json.Num 0. ]) = Some [| 2; 0 |]);
+        let line counts =
+          Printf.sprintf
+            {|{"record":"hist","name":"h","lo":0,"hi":1,"counts":%s,"underflow":0,"overflow":0,"invalid":0,"total":1}|}
+            counts
+        in
+        let hist counts =
+          Result.bind (Json.of_string (line counts)) Record.of_json
+        in
+        check_true "integral hist decodes" (Result.is_ok (hist "[1]"));
+        (match hist "[1.5]" with
+        | Ok _ -> Alcotest.fail "a fractional bin count must not decode"
+        | Error e -> check_true "names the field" (contains e "counts"));
+        check_true "report rejects it"
+          (Result.is_error (Report.of_lines [ line "[1.5]" ])));
   ]
 
 let registry_tests =
@@ -309,12 +360,26 @@ let monitor_tests =
           ~round:1 ~spread:99.;
         let adj_h = Mon.Adjustment.handle m ~bound:1e-9 ~pid:0 in
         check_bool "inactive" false (Mon.Adjustment.active adj_h);
-        Mon.Adjustment.check adj_h ~round:1 ~time:1. ~adj:99. ~slots:[||];
+        Mon.Adjustment.check adj_h ~round:1 ~time:1. ~adj:99.
+          ~slots:(fun () -> [||]);
         check_true "mint yields null"
           (Mon.Prov.mint m ~src:0 ~dst:1 ~sent:0. ~delay:1e-3 = Mon.Prov.null);
         check_true "null never resolves" (Mon.Prov.find m Mon.Prov.null = None);
         check_int "no evaluations" 0 (Mon.checks_performed m);
         check_int "no records" 0 (List.length (Mon.dump m)));
+    t "adjustment resolves its slots only on a violation" (fun () ->
+        let m = Mon.create () in
+        let h = Mon.Adjustment.handle m ~bound:1e-3 ~pid:0 in
+        let calls = ref 0 in
+        let slots () =
+          incr calls;
+          [||]
+        in
+        Mon.Adjustment.check h ~round:1 ~time:1. ~adj:5e-4 ~slots;
+        check_int "passing update" 0 !calls;
+        Mon.Adjustment.check h ~round:2 ~time:2. ~adj:(-2e-3) ~slots;
+        check_int "violation" 1 !calls;
+        check_int "both evaluated" 2 (Mon.checks_performed m));
     t "agreement records the first violation past the warmup" (fun () ->
         let m = Mon.create () in
         let h = Mon.Agreement.handle m ~gamma:1.0 ~from_time:10. in
@@ -384,7 +449,8 @@ let monitor_tests =
             { Mon.pid = 1; prov = p1; fresh = true };
           |]
         in
-        Mon.Adjustment.check h ~round:3 ~time:1.5 ~adj:(-2e-4) ~slots;
+        Mon.Adjustment.check h ~round:3 ~time:1.5 ~adj:(-2e-4)
+          ~slots:(fun () -> slots);
         match find_first m Mon.Adjustment with
         | None -> Alcotest.fail "expected an adjustment violation"
         | Some v ->
@@ -1138,6 +1204,113 @@ let btrace_intern_tests =
         Alcotest.(check string) "bytes" golden (hex (segment records)));
   ]
 
+(* ---------- pinned record bodies ---------- *)
+
+let hist ?per_decade ?(underflow = 0) ?(overflow = 0) ?(invalid = 0) ~lo ~hi
+    counts =
+  let total = Array.fold_left ( + ) (underflow + overflow + invalid) counts in
+  { Record.lo; hi; per_decade; counts; underflow; overflow; invalid; total }
+
+(* One record per body encoding, each in its own segment, pinned byte for
+   byte so that reworking the codec cannot silently change the format. *)
+let pinned_codec =
+  [
+    ( "dense counts, ns-exact bounds",
+      Record.Hist
+        ("E5/net.delay", hist ~lo:1e-3 ~hi:2e-3 ~underflow:1 [| 3; 7; 5; 5; 0; 2 |]),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a04000045350b00006e65742e64";
+          "656c6179180500010180897a8092f401000600060803000904010000";
+          "17";
+        ] );
+    ( "sparse counts, raw float bounds",
+      Record.Hist
+        ( "skew",
+          hist ~per_decade:8 ~overflow:2 ~invalid:1 ~lo:(0.1 +. 0.2) ~hi:Float.pi
+            [| 0; 0; 0; 9; 0; 0; 0; 0; 0; 0; 300; 0 |] ),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a020000060000736b6577230500";
+          "0100343333333333d33facbcdcbb86d984ed7f080c0102030906ac02";
+          "000201b802";
+        ] );
+    ( "RANGE xs, INT_DELTA ys",
+      Record.Series ("E1/proc.3.adj", [| 0.; 1.; 2.; 3. |], [| 5.; -3.; 12.; 7. |]),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a04000045310c000070726f632e";
+          "332e61646a0c04000104030002010a0f1e09";
+        ] );
+    ( "INT_SCALED xs, F64_XOR ys",
+      Record.Series
+        ( "E1/proc.3.corr",
+          [| 1000.; 3000.; 2000.; 7000.; 6000. |],
+          [| 0.1; 0.1; 0.1; 0.2; 0.2 |] ),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a04000045310d000070726f632e";
+          "332e636f7272210400010504e8070204010a01029ab3e6cc99b3e6dc";
+          "3f0000808080808080803800";
+        ] );
+    ( "RAW64 xs, constant RANGE ys",
+      Record.Series
+        ("run.skew", [| Float.pi; 1e-300; -2.5e10 +. 0.25 |], [| 4.; 4.; 4. |]),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a0200000a000072756e2e736b65";
+          "77200400010300182d4454fb21094059f3f8c21f6ea5010000ffe776";
+          "4817c2030800";
+        ] );
+    ( "ns-exact span",
+      Record.Span
+        ("E1/profile.fill", { Record.count = 3; total_s = 0.000123; max_s = 0.0001 }),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a04000045310e000070726f6669";
+          "6c652e66696c6c0b0600010301f0810fc09a0c";
+        ] );
+    ( "raw float span",
+      Record.Span
+        ("wall", { Record.count = 1; total_s = 0.1 +. 0.2; max_s = 0.1 +. 0.2 }),
+      String.concat ""
+        [
+          "6373796e632d6274726163652f310a02000006000077616c6c0e0600";
+          "010100343333333333d33f00";
+        ] );
+  ]
+
+(* A negative bin count forces the dense encoding, which the reader then
+   rejects: hist bins count observations. *)
+let pinned_negative_count =
+  ( Record.Hist ("neg", hist ~lo:0. ~hi:1. [| 4; -1; 2 |]),
+    String.concat ""
+      [
+        "6373796e632d6274726163652f310a0200000500006e656714050001";
+        "010080a8d6b90700030008090600000005";
+      ] )
+
+let btrace_codec_tests =
+  [
+    t "btrace record bodies are pinned and round-trip" (fun () ->
+        List.iter
+          (fun (what, r, golden) ->
+            let bytes = segment [ r ] in
+            Alcotest.(check string) what golden (hex bytes);
+            let fd = Btrace.feed () in
+            Btrace.feed_bytes fd bytes;
+            check_true (what ^ ": round-trips") (drain_feed fd = [ r ]))
+          pinned_codec;
+        let r, golden = pinned_negative_count in
+        let bytes = segment [ r ] in
+        Alcotest.(check string) "negative dense count" golden (hex bytes);
+        let fd = Btrace.feed () in
+        Btrace.feed_bytes fd bytes;
+        match Btrace.feed_next fd with
+        | `Error e -> check_true "names the count" (contains e "negative")
+        | _ -> Alcotest.fail "expected the reader to reject a negative count");
+  ]
+
 (* ---------- per-task children and the round-phase profiler ---------- *)
 
 module Profile = Csync_obs.Profile
@@ -1391,7 +1564,8 @@ let monitor_child_tests =
           let p = Array.init 3 (fun i -> mint m (src + i)) in
           let h = Mon.Adjustment.handle m ~bound:1e-6 ~pid:0 in
           Mon.Adjustment.check h ~round:1 ~time:1. ~adj:1.
-            ~slots:[| { Mon.pid = src; prov = p.(1); fresh = true } |];
+            ~slots:(fun () ->
+              [| { Mon.pid = src; prov = p.(1); fresh = true } |]);
           let s = Mon.Stabilization.handle m ~rounds:1 ~big_p:1. in
           Mon.Stabilization.corrupted s ~pid:src ~time:0.;
           Mon.Stabilization.observe s ~pid:src ~time:5. ~within_gamma:false
@@ -1808,11 +1982,131 @@ let collect_tests =
         check_true "pair row rendered" (contains out "p0"));
   ]
 
+(* ---------- allocation on the traced path ---------- *)
+
+module Cluster = Csync_process.Cluster
+module Params = Csync_core.Params
+module Maintenance = Csync_core.Maintenance
+module Adversary = Csync_core.Adversary
+module Env = Csync_harness.Env
+module Sampling = Csync_harness.Sampling
+module Histogram = Csync_metrics.Histogram
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The benchmark's traced cast: n = 16, f = 5 - one silent, one two-faced,
+   three pulling by beta on seeded pids - with drifting clocks and uniform
+   delays over 10 rounds, the online agreement and validity monitors fed
+   every sample.  Built with whatever registry and monitor are installed;
+   returns the minor words the simulation alone allocated and the number
+   of messages it sent. *)
+let traced_cast_words ~seed =
+  let n = 16 and f = 5 and rounds = 10 in
+  let params = Csync_harness.Defaults.base ~n ~f () in
+  let beta = params.Params.beta in
+  let rng = Csync_sim.Rng.create seed in
+  let pids = Array.init n Fun.id in
+  Csync_sim.Rng.shuffle rng pids;
+  let role pid =
+    let rec find i =
+      if i >= f then None else if pids.(i) = pid then Some i else find (i + 1)
+    in
+    find 0
+  in
+  let env =
+    Env.make ~params ~seed ~clock_kind:Env.Drifting
+      ~delay_kind:Env.Uniform_delay
+      ~is_faulty:(fun p -> role p <> None)
+      ~offset_spread:(0.9 *. beta) ~rounds
+  in
+  let cfg = Maintenance.config params in
+  let procs =
+    Array.init n (fun pid ->
+        match role pid with
+        | Some 0 -> Adversary.silent ()
+        | Some 1 -> Adversary.two_faced ~params ~spread:beta ~split:(n / 2)
+        | Some _ -> Adversary.pull ~params ~offset:beta
+        | None -> Maintenance.create ~self:pid cfg |> fst)
+  in
+  let cluster =
+    Cluster.create ~clocks:env.Env.clocks ~delay:env.Env.delay ~procs ()
+  in
+  Cluster.schedule_starts_at_logical cluster ~t0:params.Params.t0
+    ~corrs:(Array.make n 0.);
+  let tmin0 = Env.tmin0 env and tmax0 = Env.tmax0 env in
+  let times =
+    Sampling.grid ~from_time:tmax0 ~to_time:(env.Env.horizon -. 1.)
+      ~count:(rounds * 4)
+  in
+  let mon = Mon.installed () in
+  let agree =
+    Mon.Agreement.handle mon ~gamma:(Params.gamma params) ~from_time:tmax0
+  in
+  let alpha1, alpha2, alpha3 = Params.validity params in
+  let valid =
+    Mon.Validity.handle mon ~alpha1 ~alpha2 ~alpha3 ~t0:params.Params.t0
+      ~tmin0 ~tmax0
+  in
+  let on_sample (s : Sampling.sample) =
+    Mon.Agreement.check agree ~time:s.time ~skew:s.skew;
+    Mon.Validity.check valid ~time:s.time ~min_local:s.min_local
+      ~max_local:s.max_local
+  in
+  let words =
+    minor_words (fun () ->
+        ignore
+          (Sampling.run ~on_sample ~cluster ~observe:env.Env.nonfaulty ~times ()))
+  in
+  (words, Cluster.messages_sent cluster)
+
+let alloc_tests =
+  [
+    t "traced cast adds <= 4 words/msg" (fun () ->
+        let plain, messages = traced_cast_words ~seed:7 in
+        let reg = Obs.create () and mon = Mon.create () in
+        let traced, messages' =
+          with_installed reg (fun () ->
+              with_monitor mon (fun () -> traced_cast_words ~seed:7))
+        in
+        check_int "same run" messages messages';
+        check_true "monitors checked" (Mon.checks_performed mon > 0);
+        check_int "no violations" 0 (Mon.violations_total mon);
+        let extra = (traced -. plain) /. float_of_int messages in
+        if not (extra <= 4.) then
+          Alcotest.failf "%.2f extra minor words per message over %d messages"
+            extra messages);
+    t "prov mint, hist add allocate 0" (fun () ->
+        let mon = Mon.create () in
+        let mint () =
+          for i = 1 to 70_000 do
+            ignore
+              (Mon.Prov.mint mon ~src:(i land 15) ~dst:3 ~sent:1.5 ~delay:0.25)
+          done
+        in
+        (* Fill the ring to its cap, so that no measured mint grows it. *)
+        mint ();
+        Alcotest.(check (float 0.)) "mint" 0. (minor_words mint);
+        let lin = Histogram.create ~lo:0. ~hi:1. ~bins:20 in
+        let log = Histogram.log ~lo:1e-6 ~hi:1. ~per_decade:8 in
+        let add () =
+          for _ = 1 to 1000 do
+            Histogram.add lin 0.375;
+            Histogram.add lin 7.;
+            Histogram.add log 0.002;
+            Histogram.add log Float.nan
+          done
+        in
+        Alcotest.(check (float 0.)) "add" 0. (minor_words add));
+  ]
+
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
-  @ determinism_tests @ btrace_tests @ btrace_intern_tests
+  @ determinism_tests @ btrace_tests @ btrace_intern_tests @ btrace_codec_tests
   @ child_profile_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
-  @ top_tests
+  @ top_tests @ alloc_tests

@@ -33,17 +33,26 @@ let mid_row slab ~off ~count ~f =
   sort_row slab ~off ~len:count;
   mid_sorted slab ~off ~count ~g:(g_of ~f ~count)
 
-let sweep ~slab ~width ~counts ~f ~out =
-  let rows = Array.length counts in
-  if Array.length out < rows then invalid_arg "Sweep.sweep: out too short";
-  if f < 0 then invalid_arg "Sweep.sweep: negative f";
-  for row = 0 to rows - 1 do
+let sweep_rows ~slab ~width ~counts ~f ~lo ~hi ~out =
+  if lo < 0 || hi > Array.length counts || lo > hi then
+    invalid_arg "Sweep.sweep_rows: bad row range";
+  if Array.length out < hi - lo then
+    invalid_arg "Sweep.sweep_rows: out too short";
+  if Array.length slab < hi * width then
+    invalid_arg "Sweep.sweep_rows: slab too short";
+  if f < 0 then invalid_arg "Sweep.sweep_rows: negative f";
+  for row = lo to hi - 1 do
     let count = Array.unsafe_get counts row in
-    if count < 0 || count > width then invalid_arg "Sweep.sweep: bad row count";
-    if count = 0 then Array.unsafe_set out row Float.nan
+    if count < 0 || count > width then
+      invalid_arg "Sweep.sweep_rows: bad row count";
+    if count = 0 then Array.unsafe_set out (row - lo) Float.nan
     else begin
       let off = row * width in
       sort_row slab ~off ~len:count;
-      Array.unsafe_set out row (mid_sorted slab ~off ~count ~g:(g_of ~f ~count))
+      Array.unsafe_set out (row - lo)
+        (mid_sorted slab ~off ~count ~g:(g_of ~f ~count))
     end
   done
+
+let sweep ~slab ~width ~counts ~f ~out =
+  sweep_rows ~slab ~width ~counts ~f ~lo:0 ~hi:(Array.length counts) ~out

@@ -31,13 +31,20 @@ val mid_row : float array -> off:int -> count:int -> f:int -> float
     Agrees with [Csync_multiset.mid_reduced ~f:g] on the same values.
     @raise Invalid_argument if [count <= 0]. *)
 
+val sweep_rows :
+  slab:float array -> width:int -> counts:int array -> f:int -> lo:int ->
+  hi:int -> out:float array -> unit
+(** Row [i] of the slab is [slab.(i*width .. i*width + counts.(i) - 1)].
+    Sorts rows [lo .. hi - 1] in place and writes row [i]'s reduced
+    midpoint to [out.(i - lo)]; empty rows ([counts.(i) = 0]) write
+    [nan].  Other rows are not touched, so disjoint ranges of one slab
+    may be swept concurrently.  Allocation-free: the test suite sweeps a
+    10^4-row slab and checks that it allocates zero words.
+    @raise Invalid_argument unless [0 <= lo <= hi <= Array.length counts],
+    [out] holds [hi - lo] entries, the slab holds [hi * width], [f >= 0],
+    and every count in the range is in [0, width]. *)
+
 val sweep :
   slab:float array -> width:int -> counts:int array -> f:int ->
   out:float array -> unit
-(** Row [i] of the slab is [slab.(i*width .. i*width + counts.(i) - 1)].
-    Sorts every row in place and writes its reduced midpoint to [out.(i)];
-    empty rows ([counts.(i) = 0]) write [nan].  Allocation-free: the
-    test suite sweeps a 10^4-row slab and checks that it allocates zero
-    minor-heap words.
-    @raise Invalid_argument if [f < 0], [out] is shorter than [counts],
-    or any count is negative or exceeds [width]. *)
+(** {!sweep_rows} over every row: [lo = 0], [hi = Array.length counts]. *)

@@ -71,15 +71,16 @@ let observe_shard t obs (shard : Soa.shard) =
    wrap-around addition, so a row contributes the same wherever the shard
    cuts fall. *)
 let rows_checksum ~width (shard : Soa.shard) =
+  let slab = shard.Soa.slab and counts = shard.Soa.counts in
   let sum = ref 0 in
-  Array.iteri
-    (fun row c ->
-      let h = ref (mix_int (shard.Soa.lo + row) c) in
-      for k = row * width to (row * width) + c - 1 do
-        h := mix_float !h shard.Soa.slab.(k)
-      done;
-      sum := !sum + !h)
-    shard.Soa.counts;
+  for row = shard.Soa.lo to shard.Soa.hi - 1 do
+    let c = counts.(row) in
+    let h = ref (mix_int row c) in
+    for k = row * width to (row * width) + c - 1 do
+      h := mix_float !h slab.(k)
+    done;
+    sum := !sum + !h
+  done;
   !sum
 
 let round ?jobs t =
@@ -89,6 +90,9 @@ let round ?jobs t =
   let width = Soa.width t in
   let obs = Obs.installed () in
   let prof = Profile.create obs in
+  (* The shards only read the report-time table: fill it here, once,
+     before they fan out. *)
+  Soa.prepare t;
   let results =
     Pool.init ~jobs shards (fun s ->
         let lo, hi = shard_bounds ~n ~shards s in
@@ -100,8 +104,8 @@ let round ?jobs t =
         in
         let mids = Array.make (hi - lo) Float.nan in
         Obs.Span.time (Obs.span obs "profile.sweep") (fun () ->
-            Sweep.sweep ~slab:shard.Soa.slab ~width ~counts:shard.Soa.counts
-              ~f:(Soa.f t) ~out:mids);
+            Sweep.sweep_rows ~slab:shard.Soa.slab ~width
+              ~counts:shard.Soa.counts ~f:(Soa.f t) ~lo ~hi ~out:mids);
         observe_shard t obs shard;
         (shard, mids, rows_checksum ~width shard))
   in

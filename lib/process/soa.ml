@@ -8,6 +8,9 @@
    times, hashed per-link delays and arrival estimates are all recomputed
    from (seed, src, dst, round) rather than stored, so a shard of the
    process space can be simulated with nothing but its own estimate rows.
+   The one cache is [prepare]'s per-round table of report times - one
+   division per process instead of one per edge - refilled whenever a
+   mutator has touched the state it is computed from.
 
    Who hears whom is a Topo.Graph - the default is the same directed
    predecessor ring the model hardcoded before topologies existed (and
@@ -49,6 +52,12 @@ type t = {
   status : int array;  (* 0 ok, 1 crashed, 2 pull-faulty *)
   pull : float array;  (* broadcast-time skew of pull-faulty processes *)
   mutable round : int;
+  (* Round scratch, allocated by the first [prepare]: [create] stays as
+     cheap as the four arrays above. *)
+  mutable rows : float array;  (* n * width estimates, row dst at dst * width *)
+  mutable row_counts : int array;  (* estimates in each row *)
+  mutable rt : float array;  (* [report_time] of every process *)
+  mutable stale : bool;  (* a mutator ran since [rt] was filled *)
 }
 
 let st_ok = 0
@@ -118,6 +127,10 @@ let create ?graph ?(degree = 8) ?(f = 2) ?(seed = 1) ?(rho = 1e-5)
     status = Array.make n st_ok;
     pull = Array.make n 0.;
     round = 0;
+    rows = [||];
+    row_counts = [||];
+    rt = [||];
+    stale = true;
   }
 
 let n t = t.n
@@ -133,12 +146,14 @@ let check_pid t pid name =
 
 let crash t pid =
   check_pid t pid "crash";
-  t.status.(pid) <- st_crashed
+  t.status.(pid) <- st_crashed;
+  t.stale <- true
 
 let set_pull t pid skew =
   check_pid t pid "set_pull";
   t.status.(pid) <- st_pull;
-  t.pull.(pid) <- skew
+  t.pull.(pid) <- skew;
+  t.stale <- true
 
 let is_ok t pid = t.status.(pid) = st_ok
 
@@ -204,6 +219,25 @@ let link_delay t ~src ~dst =
     invalid_arg "Soa.link_delay";
   delay t ~hdst:(mix (dst + hround t)) ~src
 
+(* Every edge of a round reads its sender's report time, so the table
+   turns ~width divisions per process into one.  The stale flag is set by
+   every mutator of the state [report_time] reads (status, pull, corr,
+   round); the storage is allocated on first use and kept for the
+   model's lifetime, so a warm round allocates no rows. *)
+let prepare t =
+  if t.stale then begin
+    if Array.length t.rt = 0 then begin
+      t.rows <- Array.make (t.n * t.width) 0.;
+      t.row_counts <- Array.make t.n 0;
+      t.rt <- Array.make t.n 0.
+    end;
+    let rt = t.rt in
+    for p = 0 to t.n - 1 do
+      rt.(p) <- report_time t p
+    done;
+    t.stale <- false
+  end
+
 type shard = {
   lo : int;
   hi : int;
@@ -212,47 +246,54 @@ type shard = {
   counts : int array;
 }
 
+(* Adjacency is read straight from the graph's CSR arrays: a call per
+   edge into [Graph] (out of line wherever the build passes [-opaque],
+   as dune's dev profile does) costs over a third of the fill. *)
 let run_shard t ~lo ~hi =
   if lo < 0 || hi > t.n || lo >= hi then invalid_arg "Soa.run_shard: bad range";
+  prepare t;
   let width = t.width in
   let hround = hround t in
-  let slab = Array.make ((hi - lo) * width) 0. in
-  let counts = Array.make (hi - lo) 0 in
+  let off, adj = Graph.in_csr t.graph in
+  let status = t.status and rt = t.rt in
+  let rows = t.rows and counts = t.row_counts in
   let count = ref 0 in
   for dst = lo to hi - 1 do
-    if t.status.(dst) = st_ok then begin
-      let row = dst - lo in
-      let off = row * width in
-      (* A process hears its own broadcast exactly. *)
-      slab.(off) <- broadcast_time t dst;
+    if status.(dst) = st_ok then begin
+      let base = dst * width in
+      (* A process hears its own broadcast exactly (a nonfaulty
+         process's report time is its broadcast time). *)
+      rows.(base) <- rt.(dst);
       let hdst = mix (dst + hround) in
       let c = ref 1 in
-      for j = 0 to in_degree t dst - 1 do
-        let src = in_neighbor t ~dst j in
-        if t.status.(src) <> st_crashed then begin
+      for k = off.(dst) to off.(dst + 1) - 1 do
+        let src = adj.(k) in
+        if status.(src) <> st_crashed then begin
           (* The estimate of the sender's round start is the arrival time
              minus the nominal delay (Section 4's ARR - delta), off by at
              most eps. *)
-          let a = report_time t src +. delay t ~hdst ~src in
-          slab.(off + !c) <- a -. t.delta;
+          let a = rt.(src) +. delay t ~hdst ~src in
+          rows.(base + !c) <- a -. t.delta;
           incr c
         end
       done;
-      counts.(row) <- !c;
+      counts.(dst) <- !c;
       (* The row's arrivals plus its round close: [c] again. *)
       count := !count + !c
     end
+    else counts.(dst) <- 0
   done;
-  { lo; hi; count = !count; slab; counts }
+  { lo; hi; count = !count; slab = rows; counts }
 
 (* Retarget each surviving row's broadcast toward its correction target:
    the row's reduced midpoint under [Midpoint] (the Welch-Lynch jump), or
    [gain] of the way there under [Gradient_avg] (the neighbor-averaging
    rule whose fixed point bounds neighbor skew).  b' = m requires
    corr' = corr - (m - b)(1 + rate), since db/dcorr = -1/(1 + rate).
-   Faulty processes never adjust.  The gradient step is
-   [Gradient.target] written out: a call into another library would box
-   its float arguments and result once per process. *)
+   Faulty processes never adjust.  [b] is computed here rather than read
+   from [prepare]'s table: apply needs no prepared model.  The gradient
+   step is [Gradient.target] written out: a call into another library
+   would box its float arguments and result once per process. *)
 let apply t ~lo mids =
   for i = 0 to Array.length mids - 1 do
     let p = lo + i in
@@ -266,9 +307,12 @@ let apply t ~lo mids =
       in
       t.corr.(p) <- t.corr.(p) -. ((m -. b) *. (1. +. t.rate.(p)))
     end
-  done
+  done;
+  t.stale <- true
 
-let advance t = t.round <- t.round + 1
+let advance t =
+  t.round <- t.round + 1;
+  t.stale <- true
 
 let corr t p =
   check_pid t p "corr";

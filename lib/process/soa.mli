@@ -7,9 +7,13 @@
     is four flat arrays (drift rate, hardware offset, correction, status)
     plus two pure functions of [(seed, src, dst, round)]: the topology
     and the per-link delay, drawn deterministically from the paper's
-    [delta - eps, delta + eps] window by an integer hash.  Nothing else is
-    stored, so any contiguous range of destinations can be simulated
-    independently - the basis of {!Csync_harness}'s sharded driver.
+    [delta - eps, delta + eps] window by an integer hash.  The only other
+    state is round scratch that {!prepare} allocates on first use: the
+    estimate rows, their counts, and a table of this round's
+    {!report_time}s - a cache of the four arrays, refilled after any
+    mutation.  A row depends only on the round, so any contiguous range
+    of destinations can be simulated independently - the basis of
+    {!Csync_harness}'s sharded driver.
 
     Topology is any {!Csync_topo.Graph} - by default the directed
     predecessor ring the model originally hardcoded (process [p] hears
@@ -72,11 +76,12 @@ val width : t -> int
 
 val crash : t -> int -> unit
 (** Crash fault: the process stops broadcasting (and, being dead, its own
-    row is no longer simulated). *)
+    row is no longer simulated).  Marks the report-time table stale. *)
 
 val set_pull : t -> int -> float -> unit
 (** Pull fault: the process broadcasts [skew] later than its clock says,
-    dragging naive averages; it never applies corrections itself. *)
+    dragging naive averages; it never applies corrections itself.  Marks
+    the report-time table stale. *)
 
 val is_ok : t -> int -> bool
 
@@ -116,12 +121,25 @@ val link_delay : t -> src:int -> dst:int -> float
     {!run_shard} fills rows with, exposed so telemetry can histogram the
     delay distribution without replaying the round. *)
 
+val prepare : t -> unit
+(** Make the model ready for {!run_shard}: allocate its row store
+    ([n * width] floats, [n] counts) and report-time table on first use,
+    and refill the table ([n] divisions) if {!crash}, {!set_pull},
+    {!apply} or {!advance} ran since the last fill.  Idempotent: on a
+    prepared model it only reads a flag.  {!create} allocates none of
+    this, so models that never run a round never pay for it. *)
+
 type shard = {
   lo : int;
   hi : int;
   count : int;  (** events: arrivals plus one round close per live row *)
-  slab : float array;  (** [(hi-lo) * width] row estimates, unsorted *)
-  counts : int array;  (** per-row estimate counts *)
+  slab : float array;
+      (** The model's whole row store, [n * width] floats: destination
+          [dst]'s estimates start at [dst * width], unsorted; only rows
+          [lo .. hi - 1] are this shard's. *)
+  counts : int array;
+      (** The model's per-destination estimate counts ([n] entries,
+          indexed by destination; 0 for a faulty row). *)
 }
 
 val run_shard : t -> lo:int -> hi:int -> shard
@@ -129,9 +147,15 @@ val run_shard : t -> lo:int -> hi:int -> shard
     nonfaulty destination's row gets its own exact {!broadcast_time} in
     slot 0, then one estimate [report_time src + delay - delta] per
     non-crashed in-neighbour, in adjacency order.  Faulty rows (crashed
-    or pull) stay empty.  Row contents depend only on the round, never on the shard
-    cut.  Read-only on [t]: shards of the same round may run
-    concurrently.
+    or pull) get count 0.  Row contents depend only on the round, never
+    on the shard cut.
+
+    The rows are written in place into the model's store (calls
+    {!prepare} first), so they stay valid until the next [run_shard]
+    over the same destinations; the model's simulated state is not
+    touched.  Concurrent calls on disjoint ranges of one round write
+    disjoint cells and are safe once the model is prepared - call
+    {!prepare} before fanning shards out to other domains.
     @raise Invalid_argument unless [0 <= lo < hi <= n]. *)
 
 val apply : t -> lo:int -> float array -> unit
@@ -140,10 +164,12 @@ val apply : t -> lo:int -> float array -> unit
     correction variable - all the way under {!Midpoint}, a [gain]
     fraction of the way under {!Gradient_avg} ([nan] entries - empty
     rows - are skipped).  Call after every shard of the round has been
-    swept, then {!advance}. *)
+    swept, then {!advance}.  Needs no {!prepare}; marks the report-time
+    table stale. *)
 
 val advance : t -> unit
-(** Move to the next round (later round targets, fresh hashed delays). *)
+(** Move to the next round (later round targets, fresh hashed delays).
+    Marks the report-time table stale. *)
 
 val corr : t -> int -> float
 (** Current correction variable (for state checksums and tests). *)

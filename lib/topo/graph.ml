@@ -50,6 +50,8 @@ let iter_in t ~dst f =
     f (Array.unsafe_get t.adj i)
   done
 
+let in_csr t = (t.off, t.adj)
+
 let fold_degrees t g init =
   let acc = ref init in
   for p = 0 to t.n - 1 do

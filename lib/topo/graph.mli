@@ -71,6 +71,13 @@ val in_neighbor : t -> dst:int -> int -> int
 
 val iter_in : t -> dst:int -> (int -> unit) -> unit
 
+val in_csr : t -> int array * int array
+(** [(off, adj)]: the graph's own compressed in-adjacency, not a copy.
+    [dst]'s in-neighbours are [adj.(off.(dst)) .. adj.(off.(dst + 1) - 1)],
+    in {!in_neighbor} order; [off] has [n + 1] entries.  For hot loops
+    that cannot afford a call per edge.  Read-only: the arrays are shared
+    with every user of the graph, and writing to them corrupts it. *)
+
 val out_degree : t -> int -> int
 val iter_out : t -> src:int -> (int -> unit) -> unit
 (** Out-neighbors (who hears [src]), ascending. *)

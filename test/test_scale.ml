@@ -19,13 +19,20 @@ let check_float msg a b = Alcotest.(check (float 1e-12)) msg a b
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* Minor-heap words [f] allocates, counted the way the bench's allocation
-   audit counts them.  Slabs at these sizes live in the major heap, so
-   what shows is per-event churn such as boxed floats. *)
-let minor_words f =
-  let w0 = Gc.minor_words () in
+(* Words [f] allocates in either heap, counted the way the bench's
+   allocation audit counts them: minor words plus the major heap's direct
+   allocations (major minus promoted words, so nothing counts twice).
+   Arrays of a round's size skip the minor heap, so [Gc.minor_words]
+   alone would miss them.  The minor count comes from the allocation-free
+   [Gc.minor_words], read after the first [Gc.counters] result exists and
+   before the second, so the probe counts none of its own words. *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   f ();
-  Gc.minor_words () -. w0
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
 
 (* Row values that stress the order: duplicates, both zeros and both
    infinities alongside ordinary finite floats. *)
@@ -105,9 +112,9 @@ let sweep_tests =
         in
         sweep ();
         Array.blit unsorted 0 slab 0 (Array.length slab);
-        let words = minor_words sweep in
+        let words = allocated_words sweep in
         check_true "the measured pass sorted something" (unsorted <> slab);
-        Alcotest.(check (float 0.)) "minor words" 0. words);
+        Alcotest.(check (float 0.)) "words" 0. words);
     t "sweep handles offsets, empty rows and slack width" (fun () ->
         (* width 4, three rows: full, partial, empty. *)
         let slab = [| 3.; 1.; 2.; 9.; 5.; 4.; 0.; 0.; 0.; 0.; 0.; 0. |] in
@@ -121,7 +128,15 @@ let sweep_tests =
         check_true "empty row is nan" (Float.is_nan out.(2));
         (* The sort happened in place and stayed inside the row. *)
         check_float "row 0 sorted" 1. slab.(0);
-        check_float "row 1 untouched tail" 0. slab.(6));
+        check_float "row 1 untouched tail" 0. slab.(6);
+        (* A row range writes [out] from index 0 and leaves the rows
+           outside it unsorted. *)
+        let slab = [| 3.; 1.; 2.; 9.; 5.; 4.; 0.; 0.; 0.; 0.; 0.; 0. |] in
+        let out = Array.make 2 0. in
+        Sweep.sweep_rows ~slab ~width:4 ~counts ~f:1 ~lo:1 ~hi:3 ~out;
+        check_float "range row 1" 4.5 out.(0);
+        check_true "range empty row is nan" (Float.is_nan out.(1));
+        check_float "row 0 outside the range" 3. slab.(0));
     t "sweep rejects bad shapes" (fun () ->
         let reject msg f =
           match f () with
@@ -137,6 +152,19 @@ let sweep_tests =
         reject "short out" (fun () ->
             Sweep.sweep ~slab:[| 1.; 2. |] ~width:1 ~counts:[| 1; 1 |] ~f:0
               ~out:[| 0. |]);
+        let rows ~lo ~hi ~out =
+          Sweep.sweep_rows ~slab:[| 1.; 2. |] ~width:1 ~counts:[| 1; 1 |] ~f:0
+            ~lo ~hi ~out
+        in
+        reject "negative lo" (fun () -> rows ~lo:(-1) ~hi:1 ~out:[| 0.; 0. |]);
+        reject "hi past the rows" (fun () ->
+            rows ~lo:0 ~hi:3 ~out:[| 0.; 0.; 0. |]);
+        reject "lo after hi" (fun () -> rows ~lo:2 ~hi:1 ~out:[| 0.; 0. |]);
+        reject "out shorter than the range" (fun () ->
+            rows ~lo:0 ~hi:2 ~out:[| 0. |]);
+        reject "slab shorter than the rows" (fun () ->
+            Sweep.sweep ~slab:[| 1. |] ~width:1 ~counts:[| 1; 1 |] ~f:0
+              ~out:[| 0.; 0. |]);
         reject "empty mid_row" (fun () ->
             ignore (Sweep.mid_row [| 1. |] ~off:0 ~count:0 ~f:0)));
     t "degradation rule" (fun () ->
@@ -196,6 +224,10 @@ let bits_equal a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
+(* [run_shard] fills rows [lo, hi) of the model's own store, indexed by
+   destination; the reference fills a fresh [(hi - lo)]-row slab.  The
+   comparison reads the shard's range of the store, slack slots
+   included. *)
 let check_against_queue name m ~delta ~crashed =
   let width = Soa.width m and f = Soa.f m in
   let swept slab counts =
@@ -207,7 +239,11 @@ let check_against_queue name m ~delta ~crashed =
   List.iter
     (fun (lo, hi) ->
       let s = Soa.run_shard m ~lo ~hi in
-      let mids = swept s.Soa.slab s.Soa.counts in
+      let mids = Array.make (hi - lo) Float.nan in
+      Sweep.sweep_rows ~slab:s.Soa.slab ~width ~counts:s.Soa.counts ~f ~lo ~hi
+        ~out:mids;
+      let rows = Array.sub s.Soa.slab (lo * width) ((hi - lo) * width) in
+      let row_counts = Array.sub s.Soa.counts lo (hi - lo) in
       List.iter
         (fun (tag, backend) ->
           let events, slab, counts =
@@ -216,8 +252,8 @@ let check_against_queue name m ~delta ~crashed =
           let ref_mids = swept slab counts in
           let what = Printf.sprintf "%s [%d, %d) %s" name lo hi tag in
           check_int (what ^ " events") events s.Soa.count;
-          check_true (what ^ " counts") (counts = s.Soa.counts);
-          check_true (what ^ " sorted rows") (bits_equal slab s.Soa.slab);
+          check_true (what ^ " counts") (counts = row_counts);
+          check_true (what ^ " sorted rows") (bits_equal slab rows);
           check_true (what ^ " midpoints") (bits_equal ref_mids mids))
         [
           ("heap", Event_queue.Heap);
@@ -225,8 +261,66 @@ let check_against_queue name m ~delta ~crashed =
         ])
     [ (0, n); (n / 3, (2 * n) / 3) ]
 
+let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Rows [lo, hi) as [run_shard] fills them, checked bit for bit against
+   the exported per-process functions: slot 0 is the destination's
+   [broadcast_time], then one [report_time src + link_delay - delta] per
+   non-crashed in-neighbour, in adjacency order.  This pins the model's
+   cached report-time table to what the functions compute now. *)
+let check_rows_exact what m ~delta ~crashed ~lo ~hi =
+  let width = Soa.width m in
+  let s = Soa.run_shard m ~lo ~hi in
+  for dst = lo to hi - 1 do
+    let base = dst * width in
+    if Soa.is_ok m dst then begin
+      if not (bits_eq s.Soa.slab.(base) (Soa.broadcast_time m dst)) then
+        Alcotest.failf "%s: row %d slot 0 is not broadcast_time" what dst;
+      let c = ref 1 in
+      for j = 0 to Soa.in_degree m dst - 1 do
+        let src = Soa.in_neighbor m ~dst j in
+        if not (List.mem src crashed) then begin
+          let want =
+            Soa.report_time m src +. Soa.link_delay m ~src ~dst -. delta
+          in
+          if not (bits_eq s.Soa.slab.(base + !c) want) then
+            Alcotest.failf "%s: row %d estimate from %d differs" what dst src;
+          incr c
+        end
+      done;
+      check_int (what ^ " count") !c s.Soa.counts.(dst)
+    end
+    else check_int (what ^ " faulty row empty") 0 s.Soa.counts.(dst)
+  done
+
 let soa_tests =
   [
+    t "report-time table follows every mutator" (fun () ->
+        let delta = 0.01 and n = 60 in
+        let m = Soa.create ~n ~degree:5 ~seed:7 ~delta ~dispersion:0.5 () in
+        let check what ~crashed =
+          check_rows_exact what m ~delta ~crashed ~lo:0 ~hi:n
+        in
+        check "round 0" ~crashed:[];
+        Soa.crash m 7;
+        check "after crash" ~crashed:[ 7 ];
+        Soa.set_pull m 13 0.25;
+        check "after set_pull" ~crashed:[ 7 ];
+        let s = Soa.run_shard m ~lo:0 ~hi:n in
+        let mids = Array.make n Float.nan in
+        Sweep.sweep ~slab:s.Soa.slab ~width:(Soa.width m) ~counts:s.Soa.counts
+          ~f:(Soa.f m) ~out:mids;
+        Soa.apply m ~lo:0 mids;
+        check "after apply" ~crashed:[ 7 ];
+        Soa.advance m;
+        check "after advance" ~crashed:[ 7 ];
+        (* A fault injected between two shards of one round: the second
+           shard must see it.  29 sits in the first half; the processes
+           that hear it, 30 .. 34, in the second. *)
+        check_rows_exact "first half" m ~delta ~crashed:[ 7 ] ~lo:0 ~hi:(n / 2);
+        Soa.set_pull m 29 (-0.1);
+        check_rows_exact "second half after set_pull" m ~delta ~crashed:[ 7 ]
+          ~lo:(n / 2) ~hi:n);
     t "ring neighbours wrap and are distinct" (fun () ->
         let m = Soa.create ~n:10 ~degree:3 () in
         check_int "j=0" 4 (Soa.in_neighbor m ~dst:5 0);
@@ -295,6 +389,73 @@ let soa_tests =
         Soa.set_pull m 42 0.3;
         Soa.set_pull m 499 (-0.2);
         check "crash + pull" m ~crashed:[ 17 ]);
+    t "shards in reverse order fill the same rows" (fun () ->
+        let n = 300 in
+        let make () =
+          let graph = Graph.expander ~n ~degree:8 ~seed:4 in
+          let m =
+            Soa.create ~graph ~seed:4 ~dispersion:0.02
+              ~mode:(Soa.Gradient_avg 0.5) ~n ()
+          in
+          Soa.crash m 17;
+          Soa.set_pull m 42 0.3;
+          m
+        in
+        let whole = make () and pieces = make () in
+        let width = Soa.width whole and f = Soa.f whole in
+        let s = Soa.run_shard whole ~lo:0 ~hi:n in
+        let mids = Array.make n Float.nan in
+        Sweep.sweep ~slab:s.Soa.slab ~width ~counts:s.Soa.counts ~f ~out:mids;
+        let piece_mids = Array.make n Float.nan in
+        let shards =
+          List.map
+            (fun (lo, hi) ->
+              let p = Soa.run_shard pieces ~lo ~hi in
+              let out = Array.make (hi - lo) Float.nan in
+              Sweep.sweep_rows ~slab:p.Soa.slab ~width ~counts:p.Soa.counts ~f
+                ~lo ~hi ~out;
+              Array.blit out 0 piece_mids lo (hi - lo);
+              p)
+            [ (200, n); (100, 200); (0, 100) ]
+        in
+        let p = List.hd shards in
+        check_int "events" s.Soa.count
+          (List.fold_left (fun acc p -> acc + p.Soa.count) 0 shards);
+        check_true "counts" (s.Soa.counts = p.Soa.counts);
+        check_true "sorted rows" (bits_equal s.Soa.slab p.Soa.slab);
+        check_true "midpoints" (bits_equal mids piece_mids);
+        (* Scale cuts three shards at the same boundaries. *)
+        let events1, sum1 = Scale.round ~jobs:1 whole in
+        let events3, sum3 = Scale.round ~jobs:3 pieces in
+        check_int "round events" events1 events3;
+        check_true "round checksum" (sum1 = sum3);
+        check_true "state"
+          (Scale.state_checksum whole = Scale.state_checksum pieces));
+    t "run_shard leaves other rows' counts untouched" (fun () ->
+        let n = 90 and lo = 30 and hi = 60 in
+        let m = Soa.create ~n ~degree:6 ~seed:3 ~dispersion:0.5 () in
+        let s = Soa.run_shard m ~lo:0 ~hi:n in
+        let counts0 = Array.copy s.Soa.counts in
+        let slab0 = Array.copy s.Soa.slab in
+        let width = Soa.width m in
+        (* Crashes below, inside and above the range: every row they
+           touch would change if it were refilled. *)
+        List.iter (Soa.crash m) [ 10; 45; 80 ];
+        let s = Soa.run_shard m ~lo ~hi in
+        for dst = 0 to n - 1 do
+          if dst < lo || dst >= hi then begin
+            check_int (Printf.sprintf "count %d" dst) counts0.(dst)
+              s.Soa.counts.(dst);
+            check_true
+              (Printf.sprintf "row %d" dst)
+              (bits_equal
+                 (Array.sub slab0 (dst * width) width)
+                 (Array.sub s.Soa.slab (dst * width) width))
+          end
+        done;
+        check_int "crashed row in range emptied" 0 s.Soa.counts.(45);
+        check_int "row hearing the crash shrinks" (counts0.(46) - 1)
+          s.Soa.counts.(46));
     t "gradient apply is Gradient.target, bit for bit" (fun () ->
         (* [apply] writes the gradient step out by hand; a Midpoint twin
            fed [Gradient.target]'s values must land on the same
@@ -347,11 +508,11 @@ let scale_tests =
         ignore (Scale.round ~jobs:1 m);
         let events = ref 0 in
         let words =
-          minor_words (fun () -> events := fst (Scale.round ~jobs:1 m))
+          allocated_words (fun () -> events := fst (Scale.round ~jobs:1 m))
         in
         let per_event = words /. float_of_int !events in
         if not (per_event <= 1.0) then
-          Alcotest.failf "%.2f minor words per event over %d events" per_event
+          Alcotest.failf "%.2f words per event over %d events" per_event
             !events);
     t "trajectory and merge checksum are worker-count invariant" (fun () ->
         let run jobs =

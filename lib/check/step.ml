@@ -90,6 +90,14 @@ let fresh_rejoiner ~scope ~garbage =
   (Reintegration.automaton ~self_hint:scope.Scope.n_correct cfg)
     .Csync_process.Automaton.initial
 
+(* A joined rejoiner runs [Maintenance.handle], which consumes its state
+   (ARR is written in place), while the explorer expands every delay column
+   from the same rejoiner state.  Each mini-simulation therefore starts from
+   a private deep copy; the state holds only floats, arrays, lists and
+   variants, so the copy is exact. *)
+let private_copy (s : Reintegration.state) : Reintegration.state =
+  Marshal.from_string (Marshal.to_string s []) 0
+
 let run_reintegration_round ~scope ~round ~corrs ~rejoiner ~delay_to_rejoiner =
   let n_c = scope.Scope.n_correct in
   let n = n_c + 1 in
@@ -117,7 +125,9 @@ let run_reintegration_round ~scope ~round ~corrs ~rejoiner ~delay_to_rejoiner =
         end
         else begin
           let auto = Reintegration.automaton ~self_hint:pid rcfg in
-          let auto = { auto with Csync_process.Automaton.initial = rejoiner } in
+          let auto =
+            { auto with Csync_process.Automaton.initial = private_copy rejoiner }
+          in
           let proc, reader = Cluster.make_proc auto in
           r_reader := Some reader;
           proc

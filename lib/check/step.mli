@@ -64,4 +64,6 @@ val run_reintegration_round :
   reint_outcome
 (** One round of steady maintainers plus the rejoiner.  Only the delays of
     maintainer-to-rejoiner messages vary (the choice points); maintainer
-    traffic runs at delta, covered separately by the agreement scopes. *)
+    traffic runs at delta, covered separately by the agreement scopes.
+    [rejoiner] is not consumed: the round runs on a private copy, so the
+    explorer may expand several delay columns from one state. *)

@@ -94,13 +94,14 @@ let initial_state cfg ~self =
     history = [];
   }
 
-let record_arrival cfg ~src ~local s =
-  (* ARR[q] := local-time(), compensated by the sender's known stagger
-     offset so that averaging is unaffected (Section 9.3). *)
-  let arr = Array.copy s.arr and fresh = Array.copy s.fresh in
-  arr.(src) <- local -. (float_of_int src *. cfg.stagger);
-  fresh.(src) <- true;
-  { s with arr; fresh }
+(* ARR[q] := local-time(), compensated by the sender's known stagger
+   offset so that averaging is unaffected (Section 9.3).  Written in place:
+   [handle] consumes its state, so the arrival path allocates nothing and
+   returns the same record. *)
+let[@inline] record_arrival cfg ~src ~local s =
+  s.arr.(src) <- local -. (float_of_int src *. cfg.stagger);
+  s.fresh.(src) <- true;
+  s
 
 let do_broadcast cfg ~phys s =
   let fresh = Array.make (Array.length s.fresh) false in

@@ -84,7 +84,8 @@ val initial_state : config -> self:int -> state
 val automaton : self_hint:int -> config -> (state, float) Csync_process.Automaton.t
 (** The automaton for one process.  [self_hint] must equal the process id
     the automaton will run as (it determines the stagger offset and is
-    checked at the first interrupt). *)
+    checked at the first interrupt).  Its [initial] state is built once and
+    {!handle} consumes it, so run each automaton value as one process. *)
 
 val create : self:int -> config -> float Csync_process.Cluster.proc * (unit -> state)
 (** Instantiate for process [self]; the reader exposes the live state. *)
@@ -105,11 +106,12 @@ val history : state -> round_record list
 
 val arr : state -> float array
 (** Copy of the ARR array (local arrival times; huge-negative sentinel for
-    never-heard-from senders). *)
+    never-heard-from senders).  A snapshot: later messages handled on the
+    state do not change it. *)
 
 val fresh : state -> bool array
 (** Copy of the per-sender freshness flags: true iff that sender was heard
-    since this round's broadcast. *)
+    since this round's broadcast.  A snapshot, like {!arr}. *)
 
 val arr_sentinel : float
 (** The "initially arbitrary" value entries start at. *)
@@ -143,4 +145,11 @@ val handle :
 (** The raw transition function (exposed so {!Reintegration} can delegate to
     it after joining).  [scratch], when given, is reused for the per-update
     sort of the arrival array ({!Csync_multiset.Scratch}); results are
-    identical with or without it. *)
+    identical with or without it.
+
+    [handle] consumes the state it is given: a message writes ARR and the
+    freshness flag in place and returns the same state, so the arrival path
+    allocates only the result pair.  Thread states linearly and do not
+    handle an earlier state again; take {!arr}/{!fresh} copies to keep a
+    snapshot.  {!initial_state} and {!state_for_rejoin} build fresh arrays
+    on every call, and {!corrupt} copies. *)

@@ -189,7 +189,11 @@ let handle_with ~mhandle cfg ~self ~phys interrupt s =
         ~rounds:(Maintenance.rounds_completed m) interrupt s
     else begin
       (* Snapshot the evidence only when this interrupt can complete an
-         update (a timer in the Update phase); messages never flip it. *)
+         update (a timer in the Update phase); messages never flip it.
+         [mhandle] consumes [m] (ARR is written in place), so the snapshot
+         copies ARR and the freshness flags before it runs; the rollback
+         below reads only [m]'s correction and round count, which no
+         transition changes in place. *)
       let check_update =
         cfg.detect && phase_before = Maintenance.Update
         &&

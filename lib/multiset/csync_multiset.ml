@@ -4,9 +4,89 @@ type t = float array
 
 let empty = [||]
 
+(* [Array.sort Float.compare], specialised to [float array]: the stdlib's
+   ternary heap sort with the same comparisons and moves, so it yields the
+   same permutation bit for bit, including where NaN and +-0 land.  The
+   polymorphic original boxes every element it reads and calls the
+   comparison through a closure.  Here the helpers take and return ints,
+   the element in flight is a local, and [maxson] returns -1 where the
+   stdlib raises [Bottom], so a sort allocates nothing. *)
+
+(* The index of the largest of [i]'s (up to three) children in the heap
+   [a.(0 .. l-1)], or -1 if [i] has none. *)
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+(* Sift [a.(i)] down the heap of size [l]. *)
+let trickle (a : float array) l i =
+  let e = a.(i) in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let j = maxson a l !i in
+    if j >= 0 && Float.compare a.(j) e > 0 then begin
+      a.(!i) <- a.(j);
+      i := j
+    end
+    else begin
+      a.(!i) <- e;
+      continue := false
+    end
+  done
+
+(* Move the larger child up into the hole at [i] until the hole reaches a
+   leaf; return the leaf. *)
+let bubble (a : float array) l i =
+  let i = ref i and j = ref (maxson a l i) in
+  while !j >= 0 do
+    a.(!i) <- a.(!j);
+    i := !j;
+    j := maxson a l !j
+  done;
+  !i
+
+let sort_floats (a : float array) =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle a l i
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    (* Sift [e] up from the hole [bubble] leaves (the stdlib's trickleup,
+       inlined so that [e] stays unboxed). *)
+    let j = ref (bubble a i 0) and continue = ref true in
+    while !continue do
+      let father = (!j - 1) / 3 in
+      if Float.compare a.(father) e < 0 then begin
+        a.(!j) <- a.(father);
+        if father > 0 then j := father
+        else begin
+          a.(0) <- e;
+          continue := false
+        end
+      end
+      else begin
+        a.(!j) <- e;
+        continue := false
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let of_array a =
   let b = Array.copy a in
-  Array.sort Float.compare b;
+  sort_floats b;
   b
 
 let of_list l = of_array (Array.of_list l)
@@ -196,7 +276,7 @@ module Scratch = struct
     let n = Array.length a in
     let out = obtain buf n in
     if out != a then Array.blit a 0 out 0 n;
-    Array.sort Float.compare out;
+    sort_floats out;
     out
 
   let add_scalar buf u r =

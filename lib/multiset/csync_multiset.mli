@@ -18,7 +18,9 @@ val empty : t
 val of_list : float list -> t
 
 val of_array : float array -> t
-(** The input array is copied; the argument is not mutated. *)
+(** The input array is copied; the argument is not mutated.  The sort
+    orders like [Array.sort Float.compare] (the same permutation, bit for
+    bit) and allocates only its result. *)
 
 val singleton : float -> t
 
@@ -149,9 +151,10 @@ module Scratch : sig
   val create : unit -> buf
 
   val sorted_of_array : buf -> float array -> t
-  (** Like {!of_array}, sorting into the buffer instead of a fresh copy.
-      The input array is not mutated (unless it is itself the buffer's
-      backing store from a previous call). *)
+  (** Like {!of_array}, sorting into the buffer instead of a fresh copy;
+      once the buffer has the input's size, it allocates nothing.  The
+      input array is not mutated (unless it is itself the buffer's backing
+      store from a previous call). *)
 
   val add_scalar : buf -> t -> float -> t
   (** Like {!add_scalar}, writing into the buffer.  The input may alias the

@@ -35,7 +35,9 @@ type ('s, 'm) t = {
   initial : 's;
   handle : self:int -> phys:float -> 'm interrupt -> 's -> 's * 'm action list;
       (** The transition function.  [phys] is the physical-clock reading at
-          the moment of receipt. *)
+          the moment of receipt.  It may update the state it is given in
+          place (the maintenance automaton's ARR does), so callers thread
+          states linearly and never handle an earlier state again. *)
   corr : 's -> float;
       (** The process' current CORR variable: the simulator uses it to
           resolve logical-clock timers and to sample local times.  Automata

@@ -1,27 +1,38 @@
-(* Splitmix64: fast, high-quality, and trivially seedable. *)
+(* Splitmix64: fast, high-quality, and trivially seedable.  The 64-bit
+   state lives unboxed in an 8-byte buffer, read and written with the
+   bytes primitives, so a draw allocates no Int64 box; [mix], [int64] and
+   [float] inline into the other draws for the same reason. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let of_int64 s = { state = s }
+let of_int64 s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
 let create seed = of_int64 (Int64.of_int seed)
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix s
 
 let split t = of_int64 (mix (Int64.logxor (int64 t) 0x5851F42D4C957F2DL))
 
-let float t =
+let[@inline] float t =
   (* 53 random bits mapped to [0, 1). *)
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. 0x1p-53

@@ -1,12 +1,15 @@
 type delay_choice = { sent : float; src : int; dst : int; delay : float }
 
+(* Each ring is allocated on the first switch that turns it on: a cluster
+   creates a trace whether or not anyone reads it, and most never do.
+   Until then it is the empty array, and nothing is recorded into it. *)
 type t = {
   capacity : int;
-  entries : (float * string) option array;
+  mutable entries : (float * string) option array;
   mutable next : int;
   mutable total : int;
   mutable enabled : bool;
-  delay_entries : delay_choice option array;
+  mutable delay_entries : delay_choice option array;
   mutable delay_next : int;
   mutable delay_total : int;
   mutable delays_enabled : bool;
@@ -16,11 +19,11 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: nonpositive capacity";
   {
     capacity;
-    entries = Array.make capacity None;
+    entries = [||];
     next = 0;
     total = 0;
     enabled = false;
-    delay_entries = Array.make capacity None;
+    delay_entries = [||];
     delay_next = 0;
     delay_total = 0;
     delays_enabled = false;
@@ -28,7 +31,10 @@ let create ?(capacity = 4096) () =
 
 let enabled t = t.enabled
 
-let set_enabled t flag = t.enabled <- flag
+let set_enabled t flag =
+  if flag && Array.length t.entries = 0 then
+    t.entries <- Array.make t.capacity None;
+  t.enabled <- flag
 
 let record t ~time msg =
   if t.enabled then begin
@@ -43,7 +49,10 @@ let recordf t ~time fmt =
 
 let delays_enabled t = t.delays_enabled
 
-let set_delays_enabled t flag = t.delays_enabled <- flag
+let set_delays_enabled t flag =
+  if flag && Array.length t.delay_entries = 0 then
+    t.delay_entries <- Array.make t.capacity None;
+  t.delays_enabled <- flag
 
 let record_delay t ~sent ~src ~dst ~delay =
   if t.delays_enabled then begin
@@ -75,10 +84,10 @@ let to_list t =
       | None -> assert false)
 
 let clear t =
-  Array.fill t.entries 0 t.capacity None;
+  Array.fill t.entries 0 (Array.length t.entries) None;
   t.next <- 0;
   t.total <- 0;
-  Array.fill t.delay_entries 0 t.capacity None;
+  Array.fill t.delay_entries 0 (Array.length t.delay_entries) None;
   t.delay_next <- 0;
   t.delay_total <- 0
 

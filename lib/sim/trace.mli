@@ -13,7 +13,9 @@ type delay_choice = { sent : float; src : int; dst : int; delay : float }
     counterexample and a simulator replay can be diffed choice-by-choice. *)
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity: 4096 entries (text and delay rings each). *)
+(** Default capacity: 4096 entries (text and delay rings each).  Each ring
+    is allocated when its switch is first turned on, so a trace that never
+    records costs only its header. *)
 
 val enabled : t -> bool
 

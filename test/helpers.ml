@@ -15,6 +15,21 @@ let check_raises_invalid msg f =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
 
+(* Words [f] allocates in either heap, counted the way the bench's
+   allocation audit counts them: minor words plus the major heap's direct
+   allocations (major minus promoted words, so nothing counts twice).
+   Large arrays skip the minor heap, so [Gc.minor_words] alone would miss
+   them.  The minor count comes from the allocation-free [Gc.minor_words],
+   read after the first [Gc.counters] result exists and before the second,
+   so the probe counts none of its own words. *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+
 let qcheck ?(count = 200) ~name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

@@ -292,6 +292,43 @@ let explorer_tests =
         check_int "all joined" r.Explorer.paths r.Explorer.joined;
         check_int "all within gamma" r.Explorer.paths r.Explorer.within_gamma;
         check_true "no failures" (r.Explorer.failures = []));
+    t "reintegration round leaves its rejoiner state unchanged" (fun () ->
+        (* The explorer expands every delay column from one rejoiner state;
+           a joined rejoiner's ARR is written in place, so each round must
+           run on a private copy for the columns to stay independent. *)
+        let module Reint = Csync_core.Reintegration in
+        let module Maint = Csync_core.Maintenance in
+        let scope = Scope.preset_exn "reintegration-n3" in
+        let values = Scope.delay_values scope in
+        let corrs0 = List.hd (Scope.init_corrs scope) in
+        let round r ~corrs ~rejoiner v =
+          Step.run_reintegration_round ~scope ~round:r ~corrs ~rejoiner
+            ~delay_to_rejoiner:(fun ~src:_ -> v)
+        in
+        let rec join r corrs rejoiner =
+          if r > 8 then Alcotest.fail "rejoiner never joined"
+          else if Reint.mode rejoiner = Reint.Joined then (r, corrs, rejoiner)
+          else
+            let o = round r ~corrs ~rejoiner values.(0) in
+            join (r + 1) o.Step.m_corrs o.Step.rejoiner
+        in
+        let r, corrs, joined =
+          join 0 corrs0
+            (Step.fresh_rejoiner ~scope ~garbage:(List.hd scope.Scope.garbage))
+        in
+        let inner s = Option.get (Reint.maintenance_state s) in
+        let arr_before = Maint.arr (inner joined) in
+        let run v = round r ~corrs ~rejoiner:joined v in
+        let first = run values.(0) in
+        ignore (run values.(Array.length values - 1));
+        let again = run values.(0) in
+        check_true "rejoiner ARR untouched"
+          (Array.for_all2 Float.equal arr_before (Maint.arr (inner joined)));
+        check_exact "r_corr" first.Step.r_corr again.Step.r_corr;
+        check_true "ARR after the round"
+          (Array.for_all2 Float.equal
+             (Maint.arr (inner first.Step.rejoiner))
+             (Maint.arr (inner again.Step.rejoiner))));
   ]
 
 let cex_tests =

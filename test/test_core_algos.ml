@@ -124,6 +124,18 @@ let maintenance_unit_tests =
         in
         check_float "arr[3]" 1.5 (Maintenance.arr s).(3);
         check_float "others untouched" Maintenance.arr_sentinel (Maintenance.arr s).(0));
+    t "arr snapshot survives later messages" (fun () ->
+        (* [handle] writes ARR in place; the accessors hand out copies. *)
+        let deliver ~phys src s =
+          fst (Maintenance.handle cfg ~self:0 ~phys (Automaton.Message (src, 0.)) s)
+        in
+        let s1 = deliver ~phys:1.5 3 (Maintenance.initial_state cfg ~self:0) in
+        let arr = Maintenance.arr s1 and fresh = Maintenance.fresh s1 in
+        let s2 = deliver ~phys:2.5 4 s1 in
+        check_float "snapshot arr[4]" Maintenance.arr_sentinel arr.(4);
+        check_true "snapshot fresh[4]" (not fresh.(4));
+        check_float "snapshot arr[3]" 1.5 arr.(3);
+        check_float "live arr[4]" 2.5 (Maintenance.arr s2).(4));
     t "update computes ADJ = T + delta - mid(reduce(ARR))" (fun () ->
         let auto = Maintenance.automaton ~self_hint:0 cfg in
         let s = auto.Automaton.initial in

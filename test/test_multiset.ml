@@ -283,4 +283,63 @@ let scratch_tests =
         Alcotest.(check (list (float 0.))) "right" [ 2.; 5. ] (M.to_list w));
   ]
 
-let suite = unit_tests @ prop_tests @ lemma_tests @ fused_tests @ scratch_tests
+(* The multiset sort must reproduce [Array.sort Float.compare] bit for bit,
+   including where NaNs (of either sign), signed zeros, infinities and
+   duplicates land, so elements are compared as their bit patterns. *)
+let specials =
+  [| Float.nan; Float.neg Float.nan; 0.; -0.; infinity; neg_infinity; 1.; -1.; 2.5 |]
+
+let reference_sort a =
+  let b = Array.copy a in
+  Array.sort Float.compare b;
+  b
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let sorts_like_stdlib a =
+  let want = reference_sort a in
+  same_bits (M.to_array (M.of_array a)) want
+  && same_bits (M.to_array (M.Scratch.sorted_of_array (M.Scratch.create ()) a)) want
+
+let gen_tricky =
+  QCheck2.Gen.(
+    map Array.of_list
+      (list_size (int_range 0 64)
+         (frequency
+            [ (3, oneofa specials); (1, float_range (-4.) 4.); (1, float) ])))
+
+(* A 10^4-element input with the same mix, drawn from a seeded stream. *)
+let tricky_array n =
+  let rng = Csync_sim.Rng.create 11 in
+  Array.init n (fun _ ->
+      match Csync_sim.Rng.int rng 5 with
+      | 0 | 1 | 2 -> specials.(Csync_sim.Rng.int rng (Array.length specials))
+      | 3 -> Csync_sim.Rng.uniform rng ~lo:(-4.) ~hi:4.
+      | _ -> Int64.float_of_bits (Csync_sim.Rng.int64 rng))
+
+let sort_tests =
+  [
+    qcheck ~count:500 ~name:"sort bit-identical, n <= 64" gen_tricky
+      sorts_like_stdlib;
+    t "sort bit-identical, n = 10^4" (fun () ->
+        check_true "same bits" (sorts_like_stdlib (tricky_array 10_000)));
+    t "multiset sort allocates 0 words" (fun () ->
+        List.iter
+          (fun n ->
+            let a = tricky_array n in
+            let buf = M.Scratch.create () in
+            (* The first call sizes the buffer; the measured one reuses it. *)
+            ignore (M.Scratch.sorted_of_array buf a);
+            let words =
+              allocated_words (fun () -> ignore (M.Scratch.sorted_of_array buf a))
+            in
+            Alcotest.(check (float 0.)) (Printf.sprintf "n = %d" n) 0. words)
+          [ 16; 10_000 ]);
+  ]
+
+let suite =
+  unit_tests @ prop_tests @ lemma_tests @ fused_tests @ scratch_tests @ sort_tests

@@ -2078,6 +2078,34 @@ let alloc_tests =
         if not (extra <= 4.) then
           Alcotest.failf "%.2f extra minor words per message over %d messages"
             extra messages);
+    t "traced cast allocates <= 60 words/msg" (fun () ->
+        (* The simulation alone, telemetry off: delivery, engine, delay
+           draws and the automaton (in-place ARR, allocation-free sort). *)
+        let words, messages = traced_cast_words ~seed:7 in
+        let per_msg = words /. float_of_int messages in
+        if not (per_msg <= 60.) then
+          Alcotest.failf "%.2f minor words per message over %d messages"
+            per_msg messages);
+    t "maintenance arrival allocates <= 3 words" (fun () ->
+        (* [handle] writes ARR in place and returns the same state: a
+           message costs only the (state, []) result pair. *)
+        let params = Csync_harness.Defaults.base ~n:16 ~f:5 () in
+        let cfg = Maintenance.config params in
+        let msgs =
+          Array.init 16 (fun src -> Csync_process.Automaton.Message (src, 1.))
+        in
+        let phys = 2.5 in
+        let s = ref (Maintenance.initial_state cfg ~self:0) in
+        let deliver () =
+          for k = 0 to 9_999 do
+            s := fst (Maintenance.handle cfg ~self:0 ~phys msgs.(k land 15) !s)
+          done
+        in
+        deliver ();
+        let per_msg = minor_words deliver /. 10_000. in
+        if not (per_msg <= 3.) then
+          Alcotest.failf "%.2f minor words per message" per_msg;
+        check_true "recorded" (Array.for_all Fun.id (Maintenance.fresh !s)));
     t "prov mint, hist add allocate 0" (fun () ->
         let mon = Mon.create () in
         let mint () =

@@ -19,21 +19,6 @@ let check_float msg a b = Alcotest.(check (float 1e-12)) msg a b
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* Words [f] allocates in either heap, counted the way the bench's
-   allocation audit counts them: minor words plus the major heap's direct
-   allocations (major minus promoted words, so nothing counts twice).
-   Arrays of a round's size skip the minor heap, so [Gc.minor_words]
-   alone would miss them.  The minor count comes from the allocation-free
-   [Gc.minor_words], read after the first [Gc.counters] result exists and
-   before the second, so the probe counts none of its own words. *)
-let allocated_words f =
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  f ();
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
-
 (* Row values that stress the order: duplicates, both zeros and both
    infinities alongside ordinary finite floats. *)
 let gen_row =
@@ -112,7 +97,7 @@ let sweep_tests =
         in
         sweep ();
         Array.blit unsorted 0 slab 0 (Array.length slab);
-        let words = allocated_words sweep in
+        let words = Helpers.allocated_words sweep in
         check_true "the measured pass sorted something" (unsorted <> slab);
         Alcotest.(check (float 0.)) "words" 0. words);
     t "sweep handles offsets, empty rows and slack width" (fun () ->
@@ -508,7 +493,7 @@ let scale_tests =
         ignore (Scale.round ~jobs:1 m);
         let events = ref 0 in
         let words =
-          allocated_words (fun () -> events := fst (Scale.round ~jobs:1 m))
+          Helpers.allocated_words (fun () -> events := fst (Scale.round ~jobs:1 m))
         in
         let per_event = words /. float_of_int !events in
         if not (per_event <= 1.0) then

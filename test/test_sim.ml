@@ -10,6 +10,90 @@ open Helpers
 
 let t name f = Alcotest.test_case name `Quick f
 
+(* The first draws of seeds 0, 1 and 42, pinned: every simulation is a
+   pure function of its seed, so a change to the stream would silently
+   change every result.  [child] is the stream of [split] on a fresh
+   generator. *)
+type pinned_stream = {
+  seed : int;
+  int64s : int64 array;
+  floats : float array;
+  ints : int array;  (* [int r 1000] *)
+  child : int64 array;
+}
+
+let pinned_streams =
+  [
+    {
+      seed = 0;
+      int64s =
+        [|
+          0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+          0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+          0x2c829abe1f4532e1L; 0xc584133ac916ab3cL
+        |];
+      floats =
+        [|
+          0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+          0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+          0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1
+        |];
+      ints = [| 767; 850; 839; 222; 373; 45; 456; 470 |];
+      child =
+        [|
+          0xf6930d4bd1b6531dL; 0xbf2a551f3640526fL; 0xbbcc96003624aa63L;
+          0xf3dc2cddfa6dd350L; 0x5894ef4ed20a4469L; 0xcbe705671c4d8a36L;
+          0x15de63ed7ac2b58dL; 0xa216492f33396d05L
+        |];
+    };
+    {
+      seed = 1;
+      int64s =
+        [|
+          0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL;
+          0x71c18690ee42c90bL; 0x71bb54d8d101b5b9L; 0xc34d0bff90150280L;
+          0xe099ec6cd7363ca5L; 0x85e7bb0f12278575L
+        |];
+      floats =
+        [|
+          0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+          0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1;
+          0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1
+        |];
+      ints = [| 232; 259; 295; 117; 380; 24; 522; 266 |];
+      child =
+        [|
+          0x04e28e23cc1fafc4L; 0xdd9d68f2aaf0a5f3L; 0x7fda014a0d403517L;
+          0x7cdcfa8a26f79153L; 0x93a032cac824f064L; 0x08e0617e2520a7aeL;
+          0x103b525249e07890L; 0x4889f97d30578120L
+        |];
+    };
+    {
+      seed = 42;
+      int64s =
+        [|
+          0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+          0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L;
+          0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L
+        |];
+      floats =
+        [|
+          0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+          0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+          0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1
+        |];
+      ints = [| 706; 145; 929; 882; 625; 531; 462; 954 |];
+      child =
+        [|
+          0x46b66b3cdce67ac8L; 0x82c9d1b30287f7c0L; 0x7f2f72486cf12742L;
+          0x8b8699020ceacf64L; 0x74f62bb3925ed33aL; 0xfd10286413473accL;
+          0xc7bed5d03be2b62fL; 0x9671f4570a2b15b4L
+        |];
+    }
+  ]
+
+let draws n f = Array.init n (fun _ -> f ())
+
 let rng_tests =
   [
     t "rng deterministic" (fun () ->
@@ -72,6 +156,35 @@ let rng_tests =
         let sorted = Array.copy a in
         Array.sort Int.compare sorted;
         Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted);
+    t "Rng stream is pinned" (fun () ->
+        List.iter
+          (fun p ->
+            let fresh () = Rng.create p.seed in
+            let r = fresh () in
+            Alcotest.(check (array int64)) "int64" p.int64s (draws 8 (fun () -> Rng.int64 r));
+            let r = fresh () in
+            Alcotest.(check (array (float 0.))) "float" p.floats
+              (draws 8 (fun () -> Rng.float r));
+            let r = fresh () in
+            Alcotest.(check (array int)) "int 1000" p.ints
+              (draws 8 (fun () -> Rng.int r 1000));
+            let r = fresh () in
+            let c = Rng.split r in
+            Alcotest.(check (array int64)) "split child" p.child
+              (draws 8 (fun () -> Rng.int64 c));
+            Alcotest.(check int64) "split advances the parent once" p.int64s.(1)
+              (Rng.int64 r))
+          pinned_streams);
+    t "Rng.int allocates 0 words" (fun () ->
+        let r = Rng.create 3 in
+        let acc = ref 0 in
+        let draw () =
+          for _ = 1 to 10_000 do
+            acc := !acc + Rng.int r 1000
+          done
+        in
+        draw ();
+        Alcotest.(check (float 0.)) "words" 0. (allocated_words draw));
   ]
 
 let heap_tests =
@@ -242,6 +355,32 @@ let trace_tests =
         check_int "empty" 0 (Trace.length tr));
     t "capacity must be positive" (fun () ->
         check_raises_invalid "cap" (fun () -> ignore (Trace.create ~capacity:0 ())));
+    t "Trace.create allocates <= 16 words" (fun () ->
+        (* The rings wait for their first switch-on; a trace nobody enables
+           costs its header only. *)
+        let tr = ref (Trace.create ()) in
+        let words = allocated_words (fun () -> tr := Trace.create ()) in
+        if words > 16. then Alcotest.failf "%.0f words" words;
+        check_int "nothing retained" 0 (Trace.length !tr));
+    t "lazy rings keep the last 4096 in order" (fun () ->
+        let tr = Trace.create () in
+        Trace.set_enabled tr true;
+        Trace.set_delays_enabled tr true;
+        for i = 1 to 5000 do
+          let x = float_of_int i in
+          Trace.record tr ~time:x (string_of_int i);
+          Trace.record_delay tr ~sent:x ~src:(i mod 7) ~dst:(i mod 5) ~delay:x
+        done;
+        check_int "retained" 4096 (Trace.length tr);
+        check_int "total" 5000 (Trace.total tr);
+        check_int "delays total" 5000 (Trace.delays_total tr);
+        let expect = List.init 4096 (fun k -> float_of_int (905 + k)) in
+        Alcotest.(check (list (float 0.)))
+          "text ring" expect
+          (List.map fst (Trace.to_list tr));
+        Alcotest.(check (list (float 0.)))
+          "delay ring" expect
+          (List.map (fun (d : Trace.delay_choice) -> d.sent) (Trace.delays tr)));
     qcheck ~count:300 ~name:"ring semantics for arbitrary capacity and load"
       QCheck2.Gen.(pair (int_range 1 10) (pair (int_range 0 40) (int_range 0 40)))
       (fun (capacity, (texts, delays)) ->

@@ -36,7 +36,7 @@ let mid_row slab ~off ~count ~f =
 let sweep_rows ~slab ~width ~counts ~f ~lo ~hi ~out =
   if lo < 0 || hi > Array.length counts || lo > hi then
     invalid_arg "Sweep.sweep_rows: bad row range";
-  if Array.length out < hi - lo then
+  if Array.length out < hi then
     invalid_arg "Sweep.sweep_rows: out too short";
   if Array.length slab < hi * width then
     invalid_arg "Sweep.sweep_rows: slab too short";
@@ -45,11 +45,11 @@ let sweep_rows ~slab ~width ~counts ~f ~lo ~hi ~out =
     let count = Array.unsafe_get counts row in
     if count < 0 || count > width then
       invalid_arg "Sweep.sweep_rows: bad row count";
-    if count = 0 then Array.unsafe_set out (row - lo) Float.nan
+    if count = 0 then Array.unsafe_set out row Float.nan
     else begin
       let off = row * width in
       sort_row slab ~off ~len:count;
-      Array.unsafe_set out (row - lo)
+      Array.unsafe_set out row
         (mid_sorted slab ~off ~count ~g:(g_of ~f ~count))
     end
   done

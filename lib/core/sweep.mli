@@ -36,13 +36,14 @@ val sweep_rows :
   hi:int -> out:float array -> unit
 (** Row [i] of the slab is [slab.(i*width .. i*width + counts.(i) - 1)].
     Sorts rows [lo .. hi - 1] in place and writes row [i]'s reduced
-    midpoint to [out.(i - lo)]; empty rows ([counts.(i) = 0]) write
-    [nan].  Other rows are not touched, so disjoint ranges of one slab
-    may be swept concurrently.  Allocation-free: the test suite sweeps a
-    10^4-row slab and checks that it allocates zero words.
+    midpoint to [out.(i)], indexed like [counts]; empty rows
+    ([counts.(i) = 0]) write [nan].  Other rows and other [out] cells
+    are not touched, so disjoint ranges of one slab may be swept
+    concurrently into one [out].  Allocation-free: the test suite sweeps
+    a 10^4-row slab and checks that it allocates zero words.
     @raise Invalid_argument unless [0 <= lo <= hi <= Array.length counts],
-    [out] holds [hi - lo] entries, the slab holds [hi * width], [f >= 0],
-    and every count in the range is in [0, width]. *)
+    [out] holds at least [hi] entries, the slab holds [hi * width],
+    [f >= 0], and every count in the range is in [0, width]. *)
 
 val sweep :
   slab:float array -> width:int -> counts:int array -> f:int ->

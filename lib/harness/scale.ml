@@ -21,8 +21,9 @@ module Obs = Csync_obs.Registry
 module Profile = Csync_obs.Profile
 
 (* Same 62-bit mixer family as Soa's hash: allocation-free, deterministic
-   across 64-bit platforms.  [@inline] keeps [mix_float]'s argument
-   unboxed in [rows_checksum], which hashes every estimate of a round. *)
+   across 64-bit platforms.  [@inline] keeps the chains of
+   [rows_checksum], which hashes every estimate of a round, in
+   registers, and [mix_float]'s argument unboxed. *)
 let[@inline] mix x =
   let x = x lxor (x lsr 31) in
   let x = x * 0x2545F4914F6CDD1D in
@@ -66,18 +67,76 @@ let observe_shard t obs (shard : Soa.shard) =
     done
   end
 
+(* [Int64.bits_of_float slab.(k)] as an int, read straight from the flat
+   float array.  [Int64.bits_of_float] is a C call, and on OCaml 5 every
+   C call switches stacks: at one per estimate that cost hid all the gain
+   of the interleaved chains below.  A [float array] stores its elements
+   as raw IEEE doubles, so the bytes primitive, which compiles to one
+   load, reads the same 64 bits.  Unchecked: [rows_checksum] bounds every
+   row first, and checks that the slab really is flat (a compiler built
+   with -no-flat-float-array boxes each element). *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let[@inline] bits_at (slab : float array) k =
+  Int64.to_int (get64u (Obj.magic slab : Bytes.t) (k * 8))
+
+(* Row [r]'s count, checked so that its estimates lie inside the slab. *)
+let[@inline] row_count counts ~width r =
+  let c = counts.(r) in
+  if c < 0 || c > width then invalid_arg "Scale: bad row count";
+  c
+
 (* Order-independent digest of a swept shard: each row hashes its
    destination id, count and sorted estimates, and rows combine by
    wrap-around addition, so a row contributes the same wherever the shard
-   cuts fall. *)
+   cuts fall.
+
+   A row's hash is a serial chain - every [mix] waits on the previous
+   one's two multiplies - so hashing one row at a time runs at multiply
+   latency.  Four rows are hashed in lockstep instead: four independent
+   chains over the shared prefix of their counts, then each row's own
+   tail, then the last [(hi - lo) mod 4] rows one at a time.  Each row
+   still folds exactly its own [mix_int row count] seed and estimates in
+   order, so every row's hash is unchanged, and wrap-around addition is
+   associative and commutative, so the sum is too. *)
 let rows_checksum ~width (shard : Soa.shard) =
   let slab = shard.Soa.slab and counts = shard.Soa.counts in
-  let sum = ref 0 in
-  for row = shard.Soa.lo to shard.Soa.hi - 1 do
-    let c = counts.(row) in
-    let h = ref (mix_int row c) in
-    for k = row * width to (row * width) + c - 1 do
-      h := mix_float !h slab.(k)
+  let hi = shard.Soa.hi in
+  if Obj.tag (Obj.repr slab) <> Obj.double_array_tag then
+    invalid_arg "Scale: estimate slab is not a flat float array";
+  if Array.length slab < hi * width then invalid_arg "Scale: short slab";
+  let sum = ref 0 and row = ref shard.Soa.lo in
+  while !row + 4 <= hi do
+    let r = !row in
+    let c0 = row_count counts ~width r in
+    let c1 = row_count counts ~width (r + 1) in
+    let c2 = row_count counts ~width (r + 2) in
+    let c3 = row_count counts ~width (r + 3) in
+    let b0 = r * width in
+    let b1 = b0 + width in
+    let b2 = b1 + width in
+    let b3 = b2 + width in
+    let h0 = ref (mix_int r c0) and h1 = ref (mix_int (r + 1) c1) in
+    let h2 = ref (mix_int (r + 2) c2) and h3 = ref (mix_int (r + 3) c3) in
+    let common = Int.min (Int.min c0 c1) (Int.min c2 c3) in
+    for k = 0 to common - 1 do
+      h0 := mix_int !h0 (bits_at slab (b0 + k));
+      h1 := mix_int !h1 (bits_at slab (b1 + k));
+      h2 := mix_int !h2 (bits_at slab (b2 + k));
+      h3 := mix_int !h3 (bits_at slab (b3 + k))
+    done;
+    for k = common to c0 - 1 do h0 := mix_int !h0 (bits_at slab (b0 + k)) done;
+    for k = common to c1 - 1 do h1 := mix_int !h1 (bits_at slab (b1 + k)) done;
+    for k = common to c2 - 1 do h2 := mix_int !h2 (bits_at slab (b2 + k)) done;
+    for k = common to c3 - 1 do h3 := mix_int !h3 (bits_at slab (b3 + k)) done;
+    sum := !sum + !h0 + !h1 + !h2 + !h3;
+    row := r + 4
+  done;
+  for r = !row to hi - 1 do
+    let c = row_count counts ~width r in
+    let h = ref (mix_int r c) in
+    for k = r * width to (r * width) + c - 1 do
+      h := mix_int !h (bits_at slab k)
     done;
     sum := !sum + !h
   done;
@@ -102,23 +161,25 @@ let round ?jobs t =
           Obs.Span.time (Obs.span obs "profile.fill") (fun () ->
               Soa.run_shard t ~lo ~hi)
         in
-        let mids = Array.make (hi - lo) Float.nan in
+        (* Each shard sweeps its rows into its own cells of the model's
+           midpoint store. *)
         Obs.Span.time (Obs.span obs "profile.sweep") (fun () ->
             Sweep.sweep_rows ~slab:shard.Soa.slab ~width
-              ~counts:shard.Soa.counts ~f:(Soa.f t) ~lo ~hi ~out:mids);
+              ~counts:shard.Soa.counts ~f:(Soa.f t) ~lo ~hi
+              ~out:shard.Soa.mids);
         observe_shard t obs shard;
-        (shard, mids, rows_checksum ~width shard))
+        (shard, rows_checksum ~width shard))
   in
   let events = ref 0 and checksum = ref 0 in
   Array.iter
-    (fun (shard, _, sum) ->
+    (fun (shard, sum) ->
       events := !events + shard.Soa.count;
       checksum := !checksum + sum)
     results;
-  Profile.time prof Profile.Apply (fun () ->
-      Array.iter
-        (fun (shard, mids, _) -> Soa.apply t ~lo:shard.Soa.lo mids)
-        results);
+  (* The shards cover every destination, so the store holds this round's
+     midpoint for each of them: one [apply] over all of it. *)
+  let mids = (fst results.(0)).Soa.mids in
+  Profile.time prof Profile.Apply (fun () -> Soa.apply t ~lo:0 mids);
   Profile.time prof Profile.Advance (fun () -> Soa.advance t);
   (* Per-round convergence series (an O(n)/O(edges) observation pass,
      only when telemetry is on).  Pushed here rather than in [run] so

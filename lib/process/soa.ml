@@ -56,6 +56,7 @@ type t = {
      cheap as the four arrays above. *)
   mutable rows : float array;  (* n * width estimates, row dst at dst * width *)
   mutable row_counts : int array;  (* estimates in each row *)
+  mutable mids : float array;  (* n midpoints, the round driver's sweep output *)
   mutable rt : float array;  (* [report_time] of every process *)
   mutable stale : bool;  (* a mutator ran since [rt] was filled *)
 }
@@ -129,6 +130,7 @@ let create ?graph ?(degree = 8) ?(f = 2) ?(seed = 1) ?(rho = 1e-5)
     round = 0;
     rows = [||];
     row_counts = [||];
+    mids = [||];
     rt = [||];
     stale = true;
   }
@@ -175,11 +177,12 @@ let[@inline] report_time t p =
 let hround t = mix (t.round + mix (3 + t.hseed))
 
 (* The delay on link src -> dst, given the destination's hash
-   [hdst = mix (dst + hround t)]: [run_shard] computes [hdst] once per
-   row rather than once per sender. *)
-let[@inline] delay t ~hdst ~src =
-  let u = u01 (mix (src + hdst)) in
-  t.delta -. t.eps +. (2. *. t.eps *. u)
+   [hdst = mix (dst + hround t)] and the window's floor [dlo = delta - eps]
+   and [span = 2 eps]: [run_shard] computes [hdst] once per row and the
+   window once per shard, not once per sender.  The float operations stay
+   in the order (delta - eps) + (2 eps) u: re-associating changes bits. *)
+let[@inline] delay_in ~dlo ~span ~hdst ~src =
+  dlo +. (span *. u01 (mix (src + hdst)))
 
 let spread t =
   let lo = ref infinity and hi = ref neg_infinity in
@@ -217,18 +220,20 @@ let local_skew_at t p =
 let link_delay t ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Soa.link_delay";
-  delay t ~hdst:(mix (dst + hround t)) ~src
+  delay_in ~dlo:(t.delta -. t.eps) ~span:(2. *. t.eps)
+    ~hdst:(mix (dst + hround t)) ~src
 
 (* Every edge of a round reads its sender's report time, so the table
    turns ~width divisions per process into one.  The stale flag is set by
    every mutator of the state [report_time] reads (status, pull, corr,
    round); the storage is allocated on first use and kept for the
-   model's lifetime, so a warm round allocates no rows. *)
+   model's lifetime, so a warm round allocates no rows or midpoints. *)
 let prepare t =
   if t.stale then begin
     if Array.length t.rt = 0 then begin
       t.rows <- Array.make (t.n * t.width) 0.;
       t.row_counts <- Array.make t.n 0;
+      t.mids <- Array.make t.n Float.nan;
       t.rt <- Array.make t.n 0.
     end;
     let rt = t.rt in
@@ -244,6 +249,7 @@ type shard = {
   count : int;
   slab : float array;
   counts : int array;
+  mids : float array;
 }
 
 (* Adjacency is read straight from the graph's CSR arrays: a call per
@@ -254,6 +260,8 @@ let run_shard t ~lo ~hi =
   prepare t;
   let width = t.width in
   let hround = hround t in
+  let delta = t.delta in
+  let dlo = delta -. t.eps and span = 2. *. t.eps in
   let off, adj = Graph.in_csr t.graph in
   let status = t.status and rt = t.rt in
   let rows = t.rows and counts = t.row_counts in
@@ -272,8 +280,8 @@ let run_shard t ~lo ~hi =
           (* The estimate of the sender's round start is the arrival time
              minus the nominal delay (Section 4's ARR - delta), off by at
              most eps. *)
-          let a = rt.(src) +. delay t ~hdst ~src in
-          rows.(base + !c) <- a -. t.delta;
+          let a = rt.(src) +. delay_in ~dlo ~span ~hdst ~src in
+          rows.(base + !c) <- a -. delta;
           incr c
         end
       done;
@@ -283,7 +291,7 @@ let run_shard t ~lo ~hi =
     end
     else counts.(dst) <- 0
   done;
-  { lo; hi; count = !count; slab = rows; counts }
+  { lo; hi; count = !count; slab = rows; counts; mids = t.mids }
 
 (* Retarget each surviving row's broadcast toward its correction target:
    the row's reduced midpoint under [Midpoint] (the Welch-Lynch jump), or

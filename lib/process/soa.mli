@@ -9,11 +9,11 @@
     and the per-link delay, drawn deterministically from the paper's
     [delta - eps, delta + eps] window by an integer hash.  The only other
     state is round scratch that {!prepare} allocates on first use: the
-    estimate rows, their counts, and a table of this round's
-    {!report_time}s - a cache of the four arrays, refilled after any
-    mutation.  A row depends only on the round, so any contiguous range
-    of destinations can be simulated independently - the basis of
-    {!Csync_harness}'s sharded driver.
+    estimate rows, their counts, a midpoint store for the round driver's
+    sweep, and a table of this round's {!report_time}s - a cache of the
+    four arrays, refilled after any mutation.  A row depends only on the
+    round, so any contiguous range of destinations can be simulated
+    independently - the basis of {!Csync_harness}'s sharded driver.
 
     Topology is any {!Csync_topo.Graph} - by default the directed
     predecessor ring the model originally hardcoded (process [p] hears
@@ -123,9 +123,10 @@ val link_delay : t -> src:int -> dst:int -> float
 
 val prepare : t -> unit
 (** Make the model ready for {!run_shard}: allocate its row store
-    ([n * width] floats, [n] counts) and report-time table on first use,
-    and refill the table ([n] divisions) if {!crash}, {!set_pull},
-    {!apply} or {!advance} ran since the last fill.  Idempotent: on a
+    ([n * width] floats, [n] counts), midpoint store ([n] floats) and
+    report-time table on first use, and refill the table ([n] divisions)
+    if {!crash}, {!set_pull}, {!apply} or {!advance} ran since the last
+    fill.  Idempotent: on a
     prepared model it only reads a flag.  {!create} allocates none of
     this, so models that never run a round never pay for it. *)
 
@@ -140,6 +141,15 @@ type shard = {
   counts : int array;
       (** The model's per-destination estimate counts ([n] entries,
           indexed by destination; 0 for a faulty row). *)
+  mids : float array;
+      (** The model's midpoint store, [n] floats indexed by destination,
+          all [nan] when {!prepare} allocates it.  The model never reads
+          or writes it after that: it is scratch lent to the round driver,
+          which sweeps rows [lo .. hi - 1] into cells [lo .. hi - 1]
+          ({!Csync_core.Sweep.sweep_rows}) and hands the whole store to
+          {!apply}.  A cell stays valid until the next sweep over the
+          same destination, and is the same array for the model's
+          lifetime, so a warm round allocates no midpoints. *)
 }
 
 val run_shard : t -> lo:int -> hi:int -> shard

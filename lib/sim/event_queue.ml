@@ -190,13 +190,21 @@ let bucket_insert w phys ~time ~key payload =
 
 (* -- sorting the live slice of a bucket ----------------------------------- *)
 
-(* Compare slot [i] against (t, k).  Callers only pass indices inside the
-   live slice, so accesses are unchecked. *)
-let cmp_slot b i t k =
-  let c = Float.compare (Array.unsafe_get b.times i) t in
-  if c <> 0 then c else Int.compare (Array.unsafe_get b.keys i) k
+(* Whether slot [i] sorts before / after (t, k) in (time, key) order.
+   Callers only pass indices inside the live slice, so accesses are
+   unchecked.  Times are finite ([add] rejects the rest), so the plain
+   float comparisons order them exactly as [Float.compare] would, -0.
+   and 0. included.  All three are [@inline]: out of line, [t] is a float
+   argument, so the sorts would box the pivot time on every comparison. *)
+let[@inline] slot_before b i t k =
+  let ti = Array.unsafe_get b.times i in
+  ti < t || (ti = t && Array.unsafe_get b.keys i < k)
 
-let cmp_slot_ij b i j = cmp_slot b i b.times.(j) b.keys.(j)
+let[@inline] slot_after b i t k =
+  let ti = Array.unsafe_get b.times i in
+  ti > t || (ti = t && Array.unsafe_get b.keys i > k)
+
+let[@inline] slot_before_slot b i j = slot_before b i b.times.(j) b.keys.(j)
 
 let swap_slots b i j =
   let t = b.times.(i) in
@@ -217,7 +225,7 @@ let insertion_sort b lo hi =
     let k = Array.unsafe_get b.keys i in
     let v = Array.unsafe_get b.pays i in
     let j = ref (i - 1) in
-    while !j >= lo && cmp_slot b !j t k > 0 do
+    while !j >= lo && slot_after b !j t k do
       let m = !j in
       Array.unsafe_set b.times (m + 1) (Array.unsafe_get b.times m);
       Array.unsafe_set b.keys (m + 1) (Array.unsafe_get b.keys m);
@@ -236,9 +244,9 @@ let rec qsort b lo hi =
   if hi - lo < 32 then insertion_sort b lo hi
   else begin
     let mid = lo + ((hi - lo) / 2) in
-    if cmp_slot_ij b mid lo < 0 then swap_slots b mid lo;
-    if cmp_slot_ij b (hi - 1) lo < 0 then swap_slots b (hi - 1) lo;
-    if cmp_slot_ij b (hi - 1) mid < 0 then swap_slots b (hi - 1) mid;
+    if slot_before_slot b mid lo then swap_slots b mid lo;
+    if slot_before_slot b (hi - 1) lo then swap_slots b (hi - 1) lo;
+    if slot_before_slot b (hi - 1) mid then swap_slots b (hi - 1) mid;
     let pt = b.times.(mid) in
     let pk = b.keys.(mid) in
     let i = ref (lo - 1) in
@@ -247,11 +255,11 @@ let rec qsort b lo hi =
     let looping = ref true in
     while !looping do
       incr i;
-      while cmp_slot b !i pt pk < 0 do
+      while slot_before b !i pt pk do
         incr i
       done;
       decr j;
-      while cmp_slot b !j pt pk > 0 do
+      while slot_after b !j pt pk do
         decr j
       done;
       if !i >= !j then begin

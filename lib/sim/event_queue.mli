@@ -87,4 +87,6 @@ val iter_pop_until : 'a t -> until:float -> f:(float -> 'a -> unit) -> int
     each, and return how many were delivered.  [f] may add further events,
     including inside the window — they are delivered in order within the
     same call.  Allocation-free per event apart from the float boxing at
-    the callback boundary. *)
+    the callback boundary: the [time] passed to [f], 2 words (the test
+    suite holds a warm add+pop, [add]'s own [~time] box included, to
+    4.5 words per event). *)

@@ -114,13 +114,14 @@ let sweep_tests =
         (* The sort happened in place and stayed inside the row. *)
         check_float "row 0 sorted" 1. slab.(0);
         check_float "row 1 untouched tail" 0. slab.(6);
-        (* A row range writes [out] from index 0 and leaves the rows
-           outside it unsorted. *)
+        (* A row range writes [out] at its rows' own indices and leaves
+           the rows and [out] cells outside it untouched. *)
         let slab = [| 3.; 1.; 2.; 9.; 5.; 4.; 0.; 0.; 0.; 0.; 0.; 0. |] in
-        let out = Array.make 2 0. in
+        let out = Array.make 3 0. in
         Sweep.sweep_rows ~slab ~width:4 ~counts ~f:1 ~lo:1 ~hi:3 ~out;
-        check_float "range row 1" 4.5 out.(0);
-        check_true "range empty row is nan" (Float.is_nan out.(1));
+        check_float "range row 1" 4.5 out.(1);
+        check_true "range empty row is nan" (Float.is_nan out.(2));
+        check_float "out cell outside the range" 0. out.(0);
         check_float "row 0 outside the range" 3. slab.(0));
     t "sweep rejects bad shapes" (fun () ->
         let reject msg f =
@@ -147,6 +148,7 @@ let sweep_tests =
         reject "lo after hi" (fun () -> rows ~lo:2 ~hi:1 ~out:[| 0.; 0. |]);
         reject "out shorter than the range" (fun () ->
             rows ~lo:0 ~hi:2 ~out:[| 0. |]);
+        reject "out shorter than hi" (fun () -> rows ~lo:1 ~hi:2 ~out:[| 0. |]);
         reject "slab shorter than the rows" (fun () ->
             Sweep.sweep ~slab:[| 1. |] ~width:1 ~counts:[| 1; 1 |] ~f:0
               ~out:[| 0.; 0. |]);
@@ -224,9 +226,10 @@ let check_against_queue name m ~delta ~crashed =
   List.iter
     (fun (lo, hi) ->
       let s = Soa.run_shard m ~lo ~hi in
-      let mids = Array.make (hi - lo) Float.nan in
+      let out = Array.make hi Float.nan in
       Sweep.sweep_rows ~slab:s.Soa.slab ~width ~counts:s.Soa.counts ~f ~lo ~hi
-        ~out:mids;
+        ~out;
+      let mids = Array.sub out lo (hi - lo) in
       let rows = Array.sub s.Soa.slab (lo * width) ((hi - lo) * width) in
       let row_counts = Array.sub s.Soa.counts lo (hi - lo) in
       List.iter
@@ -396,10 +399,8 @@ let soa_tests =
           List.map
             (fun (lo, hi) ->
               let p = Soa.run_shard pieces ~lo ~hi in
-              let out = Array.make (hi - lo) Float.nan in
               Sweep.sweep_rows ~slab:p.Soa.slab ~width ~counts:p.Soa.counts ~f
-                ~lo ~hi ~out;
-              Array.blit out 0 piece_mids lo (hi - lo);
+                ~lo ~hi ~out:piece_mids;
               p)
             [ (200, n); (100, 200); (0, 100) ]
         in
@@ -486,19 +487,116 @@ let scale_model () =
   Soa.set_pull m 499 (-0.2);
   m
 
+(* The round checksum's definition, one row at a time: each row's chain
+   starts from [mix (row lxor count)] and folds its sorted estimates'
+   bits in order; rows combine by wrap-around addition.  [Scale] hashes
+   four rows in lockstep and must agree with this bit for bit. *)
+let reference_digest ~width (s : Soa.shard) =
+  let mix x =
+    let x = x lxor (x lsr 31) in
+    let x = x * 0x2545F4914F6CDD1D in
+    let x = x lxor (x lsr 29) in
+    let x = x * 0x1F123BB5159A55E5 in
+    x lxor (x lsr 32)
+  in
+  let sum = ref 0 in
+  for row = s.Soa.lo to s.Soa.hi - 1 do
+    let c = s.Soa.counts.(row) in
+    let h = ref (mix (row lxor c)) in
+    for k = row * width to (row * width) + c - 1 do
+      h := mix (!h lxor Int64.to_int (Int64.bits_of_float s.Soa.slab.(k)))
+    done;
+    sum := !sum + !h
+  done;
+  !sum
+
+(* The model's midpoint store: [run_shard] lends it and never writes it,
+   and it is the same array for the model's lifetime. *)
+let mids_store m = (Soa.run_shard m ~lo:0 ~hi:1).Soa.mids
+
+(* Ring models of width 2..17 with crashed rows (empty) and crashed
+   neighbours (short rows), at sizes that leave shards of every length
+   mod 4. *)
+let gen_digest_case =
+  QCheck.Gen.(
+    let* n = int_range 18 70 in
+    let* degree = int_range 1 16 in
+    let* seed = int_bound 10_000 in
+    let* crashed = list_size (int_bound 8) (int_bound (n - 1)) in
+    let* pulled = list_size (int_bound 3) (int_bound (n - 1)) in
+    return (n, degree, seed, crashed, pulled))
+
+let print_digest_case (n, degree, seed, crashed, pulled) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "n=%d degree=%d seed=%d crashed=[%s] pulled=[%s]" n degree
+    seed (ints crashed) (ints pulled)
+
+let digest_matches_reference (n, degree, seed, crashed, pulled) =
+  let make () =
+    let m = Soa.create ~n ~degree ~f:2 ~seed ~dispersion:0.3 () in
+    List.iter (Soa.crash m) crashed;
+    List.iter (fun p -> if Soa.is_ok m p then Soa.set_pull m p 0.2) pulled;
+    m
+  in
+  let reference = make () in
+  let width = Soa.width reference in
+  let ref_mids = Array.make n Float.nan in
+  let runs = List.map (fun jobs -> (jobs, make ())) [ 1; 3 ] in
+  let stores = List.map (fun (_, m) -> mids_store m) runs in
+  List.for_all
+    (fun _round ->
+      let s = Soa.run_shard reference ~lo:0 ~hi:n in
+      Sweep.sweep ~slab:s.Soa.slab ~width ~counts:s.Soa.counts
+        ~f:(Soa.f reference) ~out:ref_mids;
+      let want = reference_digest ~width s in
+      Soa.apply reference ~lo:0 ref_mids;
+      Soa.advance reference;
+      List.for_all2
+        (fun (jobs, m) store ->
+          let _, got = Scale.round ~jobs m in
+          got = want && bits_equal store ref_mids)
+        runs stores)
+    [ 1; 2 ]
+
+(* Words per event of a warm [jobs:1] round on the benchmark's shape. *)
+let check_warm_round_words ~bound =
+  let m = expander_model () in
+  ignore (Scale.round ~jobs:1 m);
+  let events = ref 0 in
+  let words =
+    Helpers.allocated_words (fun () -> events := fst (Scale.round ~jobs:1 m))
+  in
+  let per_event = words /. float_of_int !events in
+  if not (per_event <= bound) then
+    Alcotest.failf "%.4f words per event over %d events" per_event !events
+
 let scale_tests =
   [
     t "scale round stays under one word per event" (fun () ->
-        let m = expander_model () in
-        ignore (Scale.round ~jobs:1 m);
-        let events = ref 0 in
-        let words =
-          Helpers.allocated_words (fun () -> events := fst (Scale.round ~jobs:1 m))
+        check_warm_round_words ~bound:1.0);
+    t "warm scale round allocates <= 0.01 words/event" (fun () ->
+        (* No per-round midpoint array: at n = 10^4 one was 10k words. *)
+        check_warm_round_words ~bound:0.01);
+    qcheck
+      (QCheck.Test.make ~count:300
+         ~name:"interleaved row digest matches the one-row reference"
+         (QCheck.make ~print:print_digest_case gen_digest_case)
+         digest_matches_reference);
+    t "jobs 3 sweeps the jobs-1 midpoints into the shared store" (fun () ->
+        let run jobs =
+          let m = scale_model () in
+          let store = mids_store m in
+          let _, sum = Scale.round ~jobs m in
+          (m, Array.copy store, sum)
         in
-        let per_event = words /. float_of_int !events in
-        if not (per_event <= 1.0) then
-          Alcotest.failf "%.2f words per event over %d events" per_event
-            !events);
+        let m1, mids1, sum1 = run 1 in
+        let m3, mids3, sum3 = run 3 in
+        check_true "some row was swept"
+          (Array.exists Float.is_finite mids1);
+        check_true "midpoints" (bits_equal mids1 mids3);
+        check_true "round checksum" (sum1 = sum3);
+        check_true "state"
+          (Scale.state_checksum m1 = Scale.state_checksum m3));
     t "trajectory and merge checksum are worker-count invariant" (fun () ->
         let run jobs =
           let m = scale_model () in

@@ -545,38 +545,6 @@ let wheel_tests =
         go ();
         check_true "sorted"
           (List.rev !popped = List.sort compare times));
-    t "engine add+pop allocates <= 4.5 words/event" (fun () ->
-        (* The bench's engine kernel: batches of 1024 adds drained through
-           the fused iterator, once with ascending times (the insertion
-           sort) and once shuffled within each batch (the quicksort).  The
-           floor is the two float boxes at the API boundary, the caller's
-           [~time] and the callback's [time]: 4 words. *)
-        let batch = 1024 and batches = 16 in
-        let per_event offsets =
-          let q = Event_queue.create ~expected:batch () in
-          let run () =
-            for b = 0 to batches - 1 do
-              let base = float_of_int b in
-              for i = 0 to batch - 1 do
-                Event_queue.add q ~time:(base +. offsets.(i)) ~prio:0 i
-              done;
-              ignore
-                (Event_queue.iter_pop_until q ~until:Float.infinity
-                   ~f:(fun _ _ -> ()))
-            done
-          in
-          run ();
-          allocated_words run /. float_of_int (batch * batches)
-        in
-        let ascending = Array.init batch (fun i -> float_of_int i /. 1024.) in
-        let shuffled = Array.copy ascending in
-        Rng.shuffle (Rng.create 5) shuffled;
-        List.iter
-          (fun (what, offsets) ->
-            let w = per_event offsets in
-            if not (w <= 4.5) then
-              Alcotest.failf "%s: %.2f words per event" what w)
-          [ ("ascending", ascending); ("shuffled", shuffled) ]);
     t "iter_pop_until delivers in-window adds made by the callback" (fun () ->
         let q =
           Event_queue.create ~backend:(Wheel { width = 0.5; buckets = 8 }) ()
@@ -817,6 +785,43 @@ let delay_trace_tests =
         | l -> Alcotest.failf "expected 3 records, got %d" (List.length l));
   ]
 
+let alloc_tests =
+  [
+    t "engine add+pop allocates <= 4.5 words/event" (fun () ->
+        (* The bench's engine kernel: batches of 1024 adds drained through
+           the fused iterator, once with ascending times (the insertion
+           sort) and once shuffled within each batch (the quicksort).  The
+           floor is the two float boxes at the API boundary, the caller's
+           [~time] and the callback's [time]: 4 words. *)
+        let batch = 1024 and batches = 16 in
+        let per_event offsets =
+          let q = Event_queue.create ~expected:batch () in
+          let run () =
+            for b = 0 to batches - 1 do
+              let base = float_of_int b in
+              for i = 0 to batch - 1 do
+                Event_queue.add q ~time:(base +. offsets.(i)) ~prio:0 i
+              done;
+              ignore
+                (Event_queue.iter_pop_until q ~until:Float.infinity
+                   ~f:(fun _ _ -> ()))
+            done
+          in
+          run ();
+          allocated_words run /. float_of_int (batch * batches)
+        in
+        let ascending = Array.init batch (fun i -> float_of_int i /. 1024.) in
+        let shuffled = Array.copy ascending in
+        Rng.shuffle (Rng.create 5) shuffled;
+        List.iter
+          (fun (what, offsets) ->
+            let w = per_event offsets in
+            if not (w <= 4.5) then
+              Alcotest.failf "%s: %.2f words per event" what w)
+          [ ("ascending", ascending); ("shuffled", shuffled) ]);
+  ]
+
 let suite =
   rng_tests @ heap_tests @ queue_tests @ tie_break_tests @ wheel_tests
   @ occupancy_tests @ engine_tests @ trace_tests @ delay_trace_tests
+  @ alloc_tests

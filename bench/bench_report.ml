@@ -333,6 +333,61 @@ let capture_traced () =
   in
   drain ()
 
+(* The traced workload's set-up: [Cluster.create] for the n = 16, f = 5
+   Byzantine cast (one silent, one two-faced, three pulling by beta on
+   seeded pids) with a fresh enabled registry and monitor installed, as
+   every traced run has - so the op pays each instrument the cluster
+   mints, its per-link delay grid included.  Clocks, delays and automata
+   are built once. *)
+let traced_cast =
+  lazy
+    (let module Env = Csync_harness.Env in
+     let module Adversary = Csync_core.Adversary in
+     let module Maintenance = Csync_core.Maintenance in
+     let n = 16 and f = 5 and seed = 1 and rounds = 10 in
+     let params = Csync_harness.Defaults.base ~n ~f () in
+     let beta = params.Csync_core.Params.beta in
+     let rng = Csync_sim.Rng.create seed in
+     let pids = Array.init n Fun.id in
+     Csync_sim.Rng.shuffle rng pids;
+     let role pid =
+       let rec find i =
+         if i >= f then None
+         else if pids.(i) = pid then Some i
+         else find (i + 1)
+       in
+       find 0
+     in
+     let env =
+       Env.make ~params ~seed ~clock_kind:Env.Drifting
+         ~delay_kind:Env.Uniform_delay
+         ~is_faulty:(fun p -> role p <> None)
+         ~offset_spread:(0.9 *. beta) ~rounds
+     in
+     let cfg = Maintenance.config params in
+     let procs =
+       Array.init n (fun pid ->
+           match role pid with
+           | Some 0 -> Adversary.silent ()
+           | Some 1 -> Adversary.two_faced ~params ~spread:beta ~split:(n / 2)
+           | Some _ -> Adversary.pull ~params ~offset:beta
+           | None -> fst (Maintenance.create ~self:pid cfg))
+     in
+     (env, procs))
+
+let create_traced_cluster () =
+  let env, procs = Lazy.force traced_cast in
+  Csync_obs.Registry.install (Csync_obs.Registry.create ());
+  Csync_obs.Monitor.install (Csync_obs.Monitor.create ());
+  Fun.protect
+    ~finally:(fun () ->
+      Csync_obs.Registry.clear_installed ();
+      Csync_obs.Monitor.clear_installed ())
+    (fun () ->
+      ignore
+        (Csync_process.Cluster.create ~clocks:env.Csync_harness.Env.clocks
+           ~delay:env.Csync_harness.Env.delay ~procs ()))
+
 let bench_obs =
   (* The telemetry invariant in numbers: a counter increment through a
      handle minted from the disabled registry (what every untraced
@@ -381,6 +436,8 @@ let bench_obs =
                (Lazy.force delay_name_records);
              Csync_obs.Btrace.close_writer w));
       Test.make ~name:"trace-capture-traced" (Staged.stage capture_traced);
+      Test.make ~name:"cluster-create-n16-registry"
+        (Staged.stage create_traced_cluster);
       Test.make ~name:"collect-merge-10k"
         (Staged.stage (fun () ->
              let t = Csync_obs.Collect.create () in

@@ -58,6 +58,14 @@ let scheme t = t.scheme
 
 let per_decade t = match t.scheme with Linear -> None | Log pd -> Some pd
 
+let[@inline] clamp_bin idx bins = Int.min (Int.max idx 0) (bins - 1)
+
+(* The one copy of the linear binning arithmetic, shared by [add] and
+   [Grid.add]: a value in [lo, hi] lands in bin
+   [bins * (v - lo) / (hi - lo)], clamped so [hi] itself is the last bin. *)
+let[@inline] linear_bin ~lo ~hi ~bins v =
+  clamp_bin (int_of_float (float_of_int bins *. (v -. lo) /. (hi -. lo))) bins
+
 let add t v =
   t.total <- t.total + 1;
   (* NaN compares false against both bounds, so without this check
@@ -69,13 +77,123 @@ let add t v =
     let bins = Array.length t.counts in
     let idx =
       match t.scheme with
-      | Linear ->
-        int_of_float (float_of_int bins *. (v -. t.lo) /. (t.hi -. t.lo))
-      | Log pd -> int_of_float (float_of_int pd *. Float.log10 (v /. t.lo))
+      | Linear -> linear_bin ~lo:t.lo ~hi:t.hi ~bins v
+      | Log pd ->
+        clamp_bin
+          (int_of_float (float_of_int pd *. Float.log10 (v /. t.lo)))
+          bins
     in
-    let idx = Int.min (Int.max idx 0) (bins - 1) in
     t.counts.(idx) <- t.counts.(idx) + 1
   end
+
+module Grid = struct
+  (* Link [l = src * n + dst] owns [counts.(l * bins .. l * bins + bins - 1)]
+     and the four tallies [tallies.(l * 4 + k)]: underflow, overflow,
+     invalid, total.  Growing [n] moves every link to its new index. *)
+  type t = {
+    lo : float;
+    hi : float;
+    bins : int;
+    mutable n : int;
+    mutable counts : int array;
+    mutable tallies : int array;
+  }
+
+  let underflow_k = 0
+
+  let overflow_k = 1
+
+  let invalid_k = 2
+
+  let total_k = 3
+
+  let create ~lo ~hi ~bins ~n =
+    if lo >= hi then invalid_arg "Histogram.Grid.create: lo >= hi";
+    if bins <= 0 then invalid_arg "Histogram.Grid.create: nonpositive bins";
+    if n <= 0 then invalid_arg "Histogram.Grid.create: nonpositive n";
+    {
+      lo;
+      hi;
+      bins;
+      n;
+      counts = Array.make (n * n * bins) 0;
+      tallies = Array.make (n * n * 4) 0;
+    }
+
+  let n g = g.n
+
+  let bins g = g.bins
+
+  let range g = (g.lo, g.hi)
+
+  let same_window g ~lo ~hi ~bins = g.lo = lo && g.hi = hi && g.bins = bins
+
+  let grow g n =
+    if n > g.n then begin
+      let counts = Array.make (n * n * g.bins) 0 in
+      let tallies = Array.make (n * n * 4) 0 in
+      (* Source row [src] is contiguous in both layouts. *)
+      for src = 0 to g.n - 1 do
+        Array.blit g.counts (src * g.n * g.bins) counts (src * n * g.bins)
+          (g.n * g.bins);
+        Array.blit g.tallies (src * g.n * 4) tallies (src * n * 4) (g.n * 4)
+      done;
+      g.n <- n;
+      g.counts <- counts;
+      g.tallies <- tallies
+    end
+
+  let link g ~src ~dst =
+    if src < 0 || src >= g.n || dst < 0 || dst >= g.n then
+      invalid_arg "Histogram.Grid: link out of range";
+    (src * g.n) + dst
+
+  let bump a i = Array.unsafe_set a i (Array.unsafe_get a i + 1)
+
+  let add g ~src ~dst v =
+    let l = link g ~src ~dst in
+    let tl = l * 4 in
+    bump g.tallies (tl + total_k);
+    if Float.is_nan v then bump g.tallies (tl + invalid_k)
+    else if v < g.lo then bump g.tallies (tl + underflow_k)
+    else if v > g.hi then bump g.tallies (tl + overflow_k)
+    else
+      bump g.counts ((l * g.bins) + linear_bin ~lo:g.lo ~hi:g.hi ~bins:g.bins v)
+
+  let map_bins g ~src ~dst f =
+    let base = link g ~src ~dst * g.bins in
+    let rec go i acc =
+      if i < base then acc else go (i - 1) (f g.counts.(i) :: acc)
+    in
+    go (base + g.bins - 1) []
+
+  let tally g ~src ~dst k = g.tallies.((link g ~src ~dst * 4) + k)
+
+  let underflow g ~src ~dst = tally g ~src ~dst underflow_k
+
+  let overflow g ~src ~dst = tally g ~src ~dst overflow_k
+
+  let invalid g ~src ~dst = tally g ~src ~dst invalid_k
+
+  let count g ~src ~dst = tally g ~src ~dst total_k
+
+  let add_into a a0 b b0 len =
+    for i = 0 to len - 1 do
+      b.(b0 + i) <- b.(b0 + i) + a.(a0 + i)
+    done
+
+  let merge dst src =
+    if not (same_window dst ~lo:src.lo ~hi:src.hi ~bins:src.bins) then
+      invalid_arg "Histogram.Grid.merge: window mismatch";
+    grow dst src.n;
+    (* Source row [s] of [src] is the head of row [s] of [dst], as in [grow]. *)
+    for s = 0 to src.n - 1 do
+      add_into src.counts (s * src.n * src.bins) dst.counts
+        (s * dst.n * dst.bins) (src.n * src.bins);
+      add_into src.tallies (s * src.n * 4) dst.tallies (s * dst.n * 4)
+        (src.n * 4)
+    done
+end
 
 let of_array ?(bins = 20) a =
   if Array.length a = 0 then invalid_arg "Histogram.of_array: empty";

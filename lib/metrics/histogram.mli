@@ -90,3 +90,49 @@ val render : ?width:int -> Format.formatter -> t -> unit
 (** Horizontal ASCII bars, one line per bin; any nonzero bin renders at
     least one mark.  Under/overflow and invalid counters are appended when
     nonzero. *)
+
+(** A family of linear histograms, one per link [(src, dst)] of an
+    [n]-process system, all over one window ([lo], [hi], [bins]).  The
+    bins are two flat int arrays, so recording a value costs what
+    {!add} costs, and minting the family costs two allocations, not
+    [n * n] histograms.  A link bins exactly as {!add} on a
+    [create ~lo ~hi ~bins] histogram would. *)
+module Grid : sig
+  type t
+
+  val create : lo:float -> hi:float -> bins:int -> n:int -> t
+  (** @raise Invalid_argument if [lo >= hi], [bins <= 0] or [n <= 0]. *)
+
+  val n : t -> int
+
+  val bins : t -> int
+
+  val range : t -> float * float
+
+  val same_window : t -> lo:float -> hi:float -> bins:int -> bool
+
+  val grow : t -> int -> unit
+  (** [grow g n] widens [g] to [n] processes, keeping every link's
+      counts; no-op unless [n] exceeds {!n}. *)
+
+  val add : t -> src:int -> dst:int -> float -> unit
+  (** {!add} on link [(src, dst)].
+      @raise Invalid_argument unless both are in [0, n). *)
+
+  val map_bins : t -> src:int -> dst:int -> (int -> 'a) -> 'a list
+  (** [f] of each of the link's bin counts, in bin order. *)
+
+  val underflow : t -> src:int -> dst:int -> int
+
+  val overflow : t -> src:int -> dst:int -> int
+
+  val invalid : t -> src:int -> dst:int -> int
+
+  val count : t -> src:int -> dst:int -> int
+  (** Values offered to the link, under/overflow and invalid included. *)
+
+  val merge : t -> t -> unit
+  (** [merge dst src] adds every link of [src] into the same link of
+      [dst], first growing [dst] to [src]'s [n].
+      @raise Invalid_argument unless the windows are equal. *)
+end

@@ -38,7 +38,7 @@ type 'm t = {
   obs_tamper_copies : Obs.Counter.handle;
   obs_collisions : Obs.Counter.handle;
   obs_delay : Obs.Hist.handle;
-  obs_link_delay : Obs.Hist.handle array; (* src * n + dst; [||] when disabled *)
+  obs_link_delay : Obs.Grid.handle;
 }
 
 let create ~n ?graph ~delay ?(collision = Collision.none) ?trace ~engine () =
@@ -50,13 +50,6 @@ let create ~n ?graph ~delay ?(collision = Collision.none) ?trace ~engine () =
   let obs = Obs.installed () in
   let lo, hi = Delay.bounds delay in
   let hi = if hi > lo then hi else lo +. 1e-9 in
-  let obs_link_delay =
-    if not (Obs.enabled obs) then [||]
-    else
-      Array.init (n * n) (fun i ->
-          Obs.hist obs ~lo ~hi ~bins:20
-            (Printf.sprintf "net.delay.%d->%d" (i / n) (i mod n)))
-  in
   {
     n;
     graph;
@@ -74,13 +67,12 @@ let create ~n ?graph ~delay ?(collision = Collision.none) ?trace ~engine () =
     obs_tamper_copies = Obs.counter obs "net.tamper.copies";
     obs_collisions = Obs.counter obs "net.collision_dropped";
     obs_delay = Obs.hist obs ~lo ~hi ~bins:20 "net.delay";
-    obs_link_delay;
+    obs_link_delay = Obs.hist_grid obs ~lo ~hi ~bins:20 ~n "net.delay";
   }
 
 let observe_delay t ~src ~dst d =
   Obs.Hist.add t.obs_delay d;
-  if Array.length t.obs_link_delay > 0 then
-    Obs.Hist.add t.obs_link_delay.((src * t.n) + dst) d
+  Obs.Grid.add t.obs_link_delay ~src ~dst d
 
 (* Reuse a released record when one is available; the fresh-allocation path
    only runs while the in-flight high-water mark is still rising. *)

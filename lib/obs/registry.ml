@@ -40,6 +40,7 @@ type t = {
   gauges : (string, gauge_cell) Hashtbl.t;
   series_tbl : (string, series_cell) Hashtbl.t;
   hists : (string, Histogram.t) Hashtbl.t;
+  grids : (string, Histogram.Grid.t) Hashtbl.t;
   spans : (string, span_cell) Hashtbl.t;
   mutable events : event list; (* newest first *)
   mutable events_n : int;
@@ -57,6 +58,7 @@ let make_registry enabled label =
     gauges = Hashtbl.create size;
     series_tbl = Hashtbl.create size;
     hists = Hashtbl.create size;
+    grids = Hashtbl.create size;
     spans = Hashtbl.create size;
     events = [];
     events_n = 0;
@@ -208,6 +210,41 @@ let hist_log t ~lo ~hi ~per_decade name =
       (intern t.hists (full_name t name) (fun () ->
            Histogram.log ~lo ~hi ~per_decade))
 
+module Grid = struct
+  type handle = Noop | G of Histogram.Grid.t
+
+  let active = function Noop -> false | G _ -> true
+
+  let add h ~src ~dst v =
+    match h with Noop -> () | G g -> Histogram.Grid.add g ~src ~dst v
+
+  let count h ~src ~dst =
+    match h with Noop -> 0 | G g -> Histogram.Grid.count g ~src ~dst
+end
+
+(* One table entry per family.  Re-minting keeps the first window, as
+   [hist] does for each name, and grows [n], so every link minted under
+   the name stays a link of the grid.  Links new to a growing grid would
+   take the new window as named histograms; one grid holds one window,
+   so that case raises instead. *)
+let grid_cell t ~lo ~hi ~bins ~n name =
+  match Hashtbl.find_opt t.grids name with
+  | None ->
+    let g = Histogram.Grid.create ~lo ~hi ~bins ~n in
+    Hashtbl.replace t.grids name g;
+    g
+  | Some g ->
+    if n > Histogram.Grid.n g && not (Histogram.Grid.same_window g ~lo ~hi ~bins)
+    then
+      invalid_arg
+        ("Registry.hist_grid: " ^ name ^ " grown with another window");
+    Histogram.Grid.grow g n;
+    g
+
+let hist_grid t ~lo ~hi ~bins ~n name =
+  if not t.enabled then Grid.Noop
+  else Grid.G (grid_cell t ~lo ~hi ~bins ~n (full_name t name))
+
 module Span = struct
   type handle = Noop | P of span_cell
 
@@ -295,6 +332,15 @@ let merge ~into c =
         Histogram.merge p h)
       c.hists;
     Hashtbl.iter
+      (fun name g ->
+        let lo, hi = Histogram.Grid.range g in
+        let p =
+          grid_cell into ~lo ~hi ~bins:(Histogram.Grid.bins g)
+            ~n:(Histogram.Grid.n g) name
+        in
+        Histogram.Grid.merge p g)
+      c.grids;
+    Hashtbl.iter
       (fun name (s : span_cell) ->
         let p = span_cell into name in
         p.pcount <- p.pcount + s.pcount;
@@ -313,6 +359,104 @@ let merge ~into c =
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let hist_tag = ("record", Json.Str "hist")
+
+let hist_json name h =
+  let lo, hi = Histogram.range h in
+  let counts =
+    List.init (Histogram.bins h) (fun i ->
+        Json.num_of_int (Histogram.bin_count h i))
+  in
+  let scheme =
+    match Histogram.per_decade h with
+    | None -> []
+    | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
+  in
+  Json.Obj
+    ([
+       hist_tag;
+       ("name", Json.Str name);
+       ("lo", Json.Num lo);
+       ("hi", Json.Num hi);
+     ]
+    @ scheme
+    @ [
+        ("counts", Json.Arr counts);
+        ("underflow", Json.num_of_int (Histogram.underflow h));
+        ("overflow", Json.num_of_int (Histogram.overflow h));
+        ("invalid", Json.num_of_int (Histogram.invalid h));
+        ("total", Json.num_of_int (Histogram.count h));
+      ])
+
+(* [0 .. n-1] in the order of their decimal strings: 0, 1, 10, 11, .., 2. *)
+let decimal_order n =
+  let order = Array.make n 0 and k = ref 1 in
+  let rec visit x =
+    order.(!k) <- x;
+    incr k;
+    for c = 0 to 9 do
+      let y = (x * 10) + c in
+      if y < n then visit y
+    done
+  in
+  for d = 1 to min 9 (n - 1) do
+    visit d
+  done;
+  order
+
+(* Hands [emit] one linear [hist] record per link, named
+   [prefix ^ "<src>-><dst>"], in name order: '-' sorts before every
+   digit, so that is decimal-string order of src, then of dst.  Records
+   are built straight from the flat arrays and share their constant
+   fields. *)
+let grid_records prefix g emit =
+  let module G = Histogram.Grid in
+  let lo, hi = G.range g in
+  let lo = ("lo", Json.Num lo) and hi = ("hi", Json.Num hi) in
+  let n = G.n g in
+  let order = decimal_order n in
+  let digits = Array.init n string_of_int in
+  Array.iter
+    (fun src ->
+      let head = prefix ^ digits.(src) ^ "->" in
+      Array.iter
+        (fun dst ->
+          let name = head ^ digits.(dst) in
+          emit name
+            (Json.Obj
+               [
+                 hist_tag;
+                 ("name", Json.Str name);
+                 lo;
+                 hi;
+                 ("counts", Json.Arr (G.map_bins g ~src ~dst Json.num_of_int));
+                 ("underflow", Json.num_of_int (G.underflow g ~src ~dst));
+                 ("overflow", Json.num_of_int (G.overflow g ~src ~dst));
+                 ("invalid", Json.num_of_int (G.invalid g ~src ~dst));
+                 ("total", Json.num_of_int (G.count g ~src ~dst));
+               ]))
+        order)
+    order
+
+(* Histograms and every grid link, in one name order.  Grids go in order
+   of their link-name prefix; each one's links are merged with the named
+   histograms as they are generated. *)
+let hist_records t =
+  let named = ref (sorted_bindings t.hists) and out = ref [] in
+  let rec emit_named_below link = function
+    | (name, h) :: rest when String.compare name link < 0 ->
+      out := hist_json name h :: !out;
+      emit_named_below link rest
+    | rest -> rest
+  in
+  Hashtbl.fold (fun name g acc -> (name ^ ".", g) :: acc) t.grids []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (prefix, g) ->
+         grid_records prefix g (fun link j ->
+             named := emit_named_below link !named;
+             out := j :: !out));
+  List.rev_append !out (List.map (fun (name, h) -> hist_json name h) !named)
 
 let dump t =
   let counters =
@@ -350,35 +494,7 @@ let dump t =
                ("ys", Json.Arr (take c.sy));
              ])
   in
-  let hists =
-    sorted_bindings t.hists
-    |> List.map (fun (name, h) ->
-           let lo, hi = Histogram.range h in
-           let counts =
-             List.init (Histogram.bins h) (fun i ->
-                 Json.num_of_int (Histogram.bin_count h i))
-           in
-           let scheme =
-             match Histogram.per_decade h with
-             | None -> []
-             | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
-           in
-           Json.Obj
-             ([
-                ("record", Json.Str "hist");
-                ("name", Json.Str name);
-                ("lo", Json.Num lo);
-                ("hi", Json.Num hi);
-              ]
-             @ scheme
-             @ [
-                 ("counts", Json.Arr counts);
-                 ("underflow", Json.num_of_int (Histogram.underflow h));
-                 ("overflow", Json.num_of_int (Histogram.overflow h));
-                 ("invalid", Json.num_of_int (Histogram.invalid h));
-                 ("total", Json.num_of_int (Histogram.count h));
-               ]))
-  in
+  let hists = hist_records t in
   let spans =
     sorted_bindings t.spans
     |> List.map (fun (name, c) ->

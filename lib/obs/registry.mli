@@ -67,10 +67,12 @@ val merge : into:t -> t -> unit
 (** Fold a child's records into [into], as if they had been recorded
     there directly after everything [into] already holds: counters add;
     histograms fold ([Invalid_argument] if [into] holds the name with
-    another shape); spans fold; series points and events append in the
-    child's order, under [into]'s event cap; a gauge replays its last
-    operation ({!Gauge.set}: the child's value wins; {!Gauge.observe_max}:
-    the max is kept).  No-op if either registry is {!none}. *)
+    another shape); grids fold link by link (growing to the child's [n];
+    [Invalid_argument] on another window); spans fold; series points and
+    events append in the child's order, under [into]'s event cap; a gauge
+    replays its last operation ({!Gauge.set}: the child's value wins;
+    {!Gauge.observe_max}: the max is kept).  No-op if either registry is
+    {!none}. *)
 
 val now_s : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]), for span timing. *)
@@ -133,6 +135,20 @@ module Hist : sig
   val count : handle -> int
 end
 
+(** Per-link histograms of an [n]-process system, as one instrument
+    ({!hist_grid}). *)
+module Grid : sig
+  type handle
+
+  val active : handle -> bool
+
+  val add : handle -> src:int -> dst:int -> float -> unit
+  (** Record a value on link [(src, dst)].
+      @raise Invalid_argument unless both are below the grid's [n]. *)
+
+  val count : handle -> src:int -> dst:int -> int
+end
+
 module Span : sig
   type handle
 
@@ -164,6 +180,28 @@ val hist_log : t -> lo:float -> hi:float -> per_decade:int -> string -> Hist.han
     [lo, hi] ({!Csync_metrics.Histogram.log}) — for skew/delay
     distributions spanning decades.  Interned by name like {!hist}. *)
 
+val hist_grid :
+  t -> lo:float -> hi:float -> bins:int -> n:int -> string -> Grid.handle
+(** One linear histogram per link [(src, dst)], [src, dst < n], all over
+    one window, stored flat ({!Csync_metrics.Histogram.Grid}) and named
+    only by {!dump}: link [(src, dst)] of grid [name] dumps as the
+    {!hist} [name ^ "." ^ src ^ "->" ^ dst] would (decimal pids, label
+    prefix included), with the same fields and bins.  Every one of the
+    [n * n] links is dumped, empty ones too, in name order among all
+    histograms.
+
+    Interned by name like {!hist}: the window ([lo], [hi], [bins]) is
+    the first minting's.  Re-minting with a larger [n] grows the grid,
+    keeping every link's counts, so the dumped names are the union of
+    all mintings; handles minted earlier stay valid.  {!merge} folds a
+    child's grid link by link, growing [into]'s likewise, and raises
+    [Invalid_argument] on another window, as it does on histogram
+    shapes.  Link names of two grids must not interleave (no grid name
+    is another's followed by ["."] and a digit).
+    @raise Invalid_argument if a re-minting both grows [n] and names
+    another window: as named histograms its new links would take the
+    new window, and a grid has one. *)
+
 val span : t -> string -> Span.handle
 
 val event : t -> string -> (string * Json.t) list -> unit
@@ -172,5 +210,5 @@ val event : t -> string -> (string * Json.t) list -> unit
 
 val dump : t -> Json.t list
 (** One JSON object per record, deterministically ordered: counters,
-    gauges, series, histograms, spans (each sorted by name), then events
-    in emission order. *)
+    gauges, series, histograms (every grid link included), spans (each
+    sorted by name), then events in emission order. *)

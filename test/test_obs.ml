@@ -2128,6 +2128,189 @@ let alloc_tests =
           done
         in
         Alcotest.(check (float 0.)) "add" 0. (minor_words add));
+    t "per-link grid add allocates 0" (fun () ->
+        let g = Histogram.Grid.create ~lo:0. ~hi:1. ~bins:20 ~n:16 in
+        let h =
+          Obs.hist_grid (Obs.create ()) ~lo:0. ~hi:1. ~bins:20 ~n:16 "d"
+        in
+        let add () =
+          for i = 1 to 1000 do
+            Histogram.Grid.add g ~src:(i land 15) ~dst:3 0.375;
+            Histogram.Grid.add g ~src:2 ~dst:(i land 15) Float.nan;
+            Obs.Grid.add h ~src:(i land 15) ~dst:(8 + (i land 7)) 0.875;
+            Obs.Grid.add h ~src:5 ~dst:5 (-1.)
+          done
+        in
+        Alcotest.(check (float 0.)) "add" 0. (minor_words add);
+        check_int "recorded" 1000 (Obs.Grid.count h ~src:5 ~dst:5));
+  ]
+
+(* ---------- per-link histogram grids ---------- *)
+
+(* The reference the grid replaces: one named histogram per link, minted
+   under the per-link names the grid dumps. *)
+let link_name name src dst = Printf.sprintf "%s.%d->%d" name src dst
+
+let mint_named reg ~lo ~hi ~bins ~n name =
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      ignore (Obs.hist reg ~lo ~hi ~bins (link_name name src dst))
+    done
+  done
+
+let add_named reg ~lo ~hi ~bins name ~src ~dst v =
+  Obs.Hist.add (Obs.hist reg ~lo ~hi ~bins (link_name name src dst)) v
+
+let same_dump a b = compare (Obs.dump a) (Obs.dump b) = 0
+
+(* A traced n = 4 run's per-link records, as n * n named histograms
+   dumped them.  Pinned so the family's names, order and fields stay
+   put. *)
+let golden_n4 =
+  [
+    {|{"record":"hist","name":"net.delay.0->0","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[1,0,0,0,0,0,0,2,0,0,0,0,1,0,0,0,1,0,0,1],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.0->1","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,2,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,1,1],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.0->2","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,1,0,0,0,0,0,0,0,2,0,3,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.0->3","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,1,0,0,0,2,0,0,1,0,0,0,0,0,0,1,0,0,0,1],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.1->0","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,0,0,3,0,1,0,0,0,1,0,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":5}|};
+    {|{"record":"hist","name":"net.delay.1->1","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,0,0,0,0,1,0,0,0,0,2,1,0,0,1,0,0],"underflow":0,"overflow":0,"invalid":0,"total":5}|};
+    {|{"record":"hist","name":"net.delay.1->2","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,1,1,0,0,0,0,1,1,0,0,0,1,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":5}|};
+    {|{"record":"hist","name":"net.delay.1->3","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,1,0,0,0,1,0,0,0,0,0,0,0,1,0,1,0,1,0,0],"underflow":0,"overflow":0,"invalid":0,"total":5}|};
+    {|{"record":"hist","name":"net.delay.2->0","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,1,0,0,0,0,0,1,0,1,0,0,0,0,0,0,1,1,1,0],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.2->1","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,1,0,1,1,0,0,0,0,0,0,0,0,1,1,0,1,0],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.2->2","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[1,1,0,0,0,0,1,0,0,0,1,0,0,2,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.2->3","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[1,0,0,0,0,0,1,1,0,0,2,1,0,0,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":6}|};
+    {|{"record":"hist","name":"net.delay.3->0","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":0}|};
+    {|{"record":"hist","name":"net.delay.3->1","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":0}|};
+    {|{"record":"hist","name":"net.delay.3->2","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":0}|};
+    {|{"record":"hist","name":"net.delay.3->3","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"underflow":0,"overflow":0,"invalid":0,"total":0}|};
+  ]
+
+let grid_tests =
+  let lo = 1. and hi = 2. in
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ Float.nan; lo; hi; lo -. 0.25; hi +. 0.25 ];
+          float_range lo hi;
+        ])
+  in
+  let adds =
+    QCheck2.Gen.(list_size (0 -- 40) (triple (0 -- 19) (0 -- 19) value))
+  in
+  [
+    qcheck ~count:200 ~name:"grid dumps what n^2 named hists dump"
+      QCheck2.Gen.(
+        tup6 (1 -- 20)
+          (triple (1 -- 20) (1 -- 12) (oneofl [ (lo, hi); (0.5, 3.) ]))
+          (1 -- 12) adds adds
+          (pair (oneofl [ ""; "E6"; "E1/eps=0.0001" ])
+             (list_size (0 -- 4)
+                (oneofl
+                   [ "net.delay"; "net.delay.z"; "net.delay.1"; "net.delay.10";
+                     "net.delay.2->"; "a"; "z" ]))))
+      (fun (n, (n2, bins2, (lo2, hi2)), bins, first, second, (label, others)) ->
+        let reference = Obs.create () and grid = Obs.create () in
+        List.iter
+          (fun r ->
+            Obs.set_label r label;
+            List.iter
+              (fun name ->
+                Obs.Hist.add (Obs.hist r ~lo:0. ~hi:1. ~bins:3 name) 0.5)
+              others)
+          [ reference; grid ];
+        let h = Obs.hist_grid grid ~lo ~hi ~bins ~n "net.delay" in
+        mint_named reference ~lo ~hi ~bins ~n "net.delay";
+        let record h m adds =
+          List.iter
+            (fun (src, dst, v) ->
+              let src = src mod m and dst = dst mod m in
+              Obs.Grid.add h ~src ~dst v;
+              add_named reference ~lo ~hi ~bins "net.delay" ~src ~dst v)
+            adds
+        in
+        record h n first;
+        (* Re-minting keeps the first window and the first handle valid; a
+           grid cannot give new links another window. *)
+        match
+          Obs.hist_grid grid ~lo:lo2 ~hi:hi2 ~bins:bins2 ~n:n2 "net.delay"
+        with
+        | exception Invalid_argument _ ->
+          n2 > n && (lo2, hi2, bins2) <> (lo, hi, bins)
+        | h2 ->
+          mint_named reference ~lo:lo2 ~hi:hi2 ~bins:bins2 ~n:n2 "net.delay";
+          let m = max n n2 in
+          record h m (List.filteri (fun i _ -> i land 1 = 0) second);
+          record h2 m (List.filteri (fun i _ -> i land 1 = 1) second);
+          same_dump reference grid);
+    qcheck ~count:100 ~name:"grid merge in task order = direct"
+      QCheck2.Gen.(list_size (1 -- 4) (pair (1 -- 14) adds))
+      (fun tasks ->
+        let direct = Obs.create () and parent = Obs.create () in
+        Obs.set_label direct "E6";
+        Obs.set_label parent "E6";
+        let run reg (n, adds) =
+          let h = Obs.hist_grid reg ~lo ~hi ~bins:5 ~n "net.delay" in
+          List.iter
+            (fun (s, d, v) -> Obs.Grid.add h ~src:(s mod n) ~dst:(d mod n) v)
+            adds
+        in
+        List.iter (run direct) tasks;
+        (* The parent records the first task itself, children the rest. *)
+        run parent (List.hd tasks);
+        List.iter
+          (fun task ->
+            let c = Obs.child parent in
+            run c task;
+            Obs.merge ~into:parent c)
+          (List.tl tasks);
+        same_dump direct parent);
+    t "grid window clash raises" (fun () ->
+        let reg = Obs.create () in
+        let h = Obs.hist_grid reg ~lo:1. ~hi:2. ~bins:4 ~n:3 "d" in
+        List.iter
+          (fun (lo, hi, bins) ->
+            check_raises_invalid "growth" (fun () ->
+                Obs.hist_grid reg ~lo ~hi ~bins ~n:4 "d");
+            let c = Obs.child reg in
+            ignore (Obs.hist_grid c ~lo ~hi ~bins ~n:3 "d");
+            check_raises_invalid "merge" (fun () -> Obs.merge ~into:reg c))
+          [ (0., 2., 4); (1., 3., 4); (1., 2., 5) ];
+        check_raises_invalid "link" (fun () ->
+            Obs.Grid.add h ~src:3 ~dst:0 1.5);
+        check_raises_invalid "n" (fun () ->
+            Histogram.Grid.create ~lo:1. ~hi:2. ~bins:4 ~n:0));
+    t "disabled registry: no-op grid" (fun () ->
+        let h = Obs.hist_grid Obs.none ~lo:1. ~hi:2. ~bins:4 ~n:3 "d" in
+        check_true "inactive" (not (Obs.Grid.active h));
+        Obs.Grid.add h ~src:7 ~dst:9 1.5;
+        check_int "count" 0 (Obs.Grid.count h ~src:7 ~dst:9);
+        check_int "nothing dumped" 0 (List.length (Obs.dump Obs.none)));
+    t "per-link hist golden, n = 4" (fun () ->
+        let module Scenario = Csync_harness.Scenario in
+        let params = Csync_harness.Defaults.base ~n:4 ~f:1 () in
+        let scenario =
+          {
+            (Scenario.with_standard_faults (Scenario.default ~seed:11 params))
+            with
+            Scenario.rounds = 3;
+            samples_per_round = 2;
+          }
+        in
+        let reg = Obs.create () in
+        with_installed reg (fun () -> ignore (Scenario.run scenario));
+        let links =
+          List.filter_map
+            (fun j ->
+              match Json.member "name" j with
+              | Some (Json.Str name)
+                when String.starts_with ~prefix:"net.delay." name ->
+                Some (Json.to_string j)
+              | _ -> None)
+            (Obs.dump reg)
+        in
+        Alcotest.(check (list string)) "per-link records" golden_n4 links);
   ]
 
 let suite =
@@ -2137,4 +2320,4 @@ let suite =
   @ child_profile_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
-  @ top_tests @ alloc_tests
+  @ top_tests @ alloc_tests @ grid_tests

@@ -448,6 +448,20 @@ let bench_obs =
              ignore (Csync_obs.Collect.merged t)));
     ]
 
+(* Graph construction at the scale workload's size: the seeded n = 10^4
+   degree-8 expander every scale run builds, and the 100 x 100 grid, the
+   family whose border nodes drop candidates (one trimming copy). *)
+let bench_topo =
+  Test.make_grouped ~name:"topo"
+    [
+      Test.make ~name:"expander-build-n10k"
+        (Staged.stage (fun () ->
+             ignore (Csync_topo.Graph.expander ~n:10_000 ~degree:8 ~seed:3)));
+      Test.make ~name:"grid-build-n10k"
+        (Staged.stage (fun () ->
+             ignore (Csync_topo.Graph.grid ~rows:100 ~cols:100)));
+    ]
+
 (* The stabilizing recovery wrapper's pass-through cost: [Stabilize.probe]
    on a healthy state with detection off and no schedule is the guard every
    wrapped interrupt pays before delegating to the maintenance handler -
@@ -576,7 +590,7 @@ let run_kernels ~quick =
         (fun name o acc -> { name; ns_per_op = ns_per_op o } :: acc)
         results [])
     [ bench_multiset; bench_engine; bench_round; bench_check; bench_obs;
-      bench_stabilize ]
+      bench_stabilize; bench_topo ]
   |> List.sort (fun a b -> String.compare a.name b.name)
 
 let find_kernel t name =

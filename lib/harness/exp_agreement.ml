@@ -27,13 +27,17 @@ let sweep ~quick =
   in
   if quick then [ (1e-4, 1e-6, 0.5); (1e-4, 1e-5, 0.5) ] else all
 
-let row (eps, rho, big_p) =
+let run_config (eps, rho, big_p) =
   let params = Defaults.base ~eps ~rho ~big_p () in
   let scenario =
     { (Scenario.default params) with Scenario.delay_kind = Scenario.Extreme_delay }
   in
-  let scenario = Scenario.with_standard_faults scenario in
-  let r = Scenario.run scenario in
+  (params, Scenario.run (Scenario.with_standard_faults scenario))
+
+let label (eps, rho, big_p) = Printf.sprintf "eps=%g,rho=%g,P=%g" eps rho big_p
+
+let row ((eps, rho, big_p) as config) =
+  let params, r = run_config config in
   let gamma = Params.gamma params in
   [
     [
@@ -52,10 +56,7 @@ let row (eps, rho, big_p) =
 
 let cells ~quick =
   List.map
-    (fun ((eps, rho, big_p) as config) ->
-      Experiment.cell
-        ~label:(Printf.sprintf "eps=%g,rho=%g,P=%g" eps rho big_p)
-        (fun () -> row config))
+    (fun config -> Experiment.cell ~label:(label config) (fun () -> row config))
     (sweep ~quick)
 
 let assemble ~quick:_ rows =

@@ -108,8 +108,14 @@ let create ?graph ?(degree = 8) ?(f = 2) ?(seed = 1) ?(rho = 1e-5)
       Graph.ring ~n ~degree
   in
   let hseed = mix seed in
-  let rate = Array.init n (fun p -> rho *. ((2. *. u01 (mix (p + mix (1 + hseed)))) -. 1.)) in
-  let offset = Array.init n (fun p -> dispersion *. u01 (mix (p + mix (2 + hseed)))) in
+  (* Filled by loops into flat float arrays: [Array.init]'s closure would
+     box every float it returns. *)
+  let hrate = mix (1 + hseed) and hoffset = mix (2 + hseed) in
+  let rate = Array.make n 0. and offset = Array.make n 0. in
+  for p = 0 to n - 1 do
+    rate.(p) <- rho *. ((2. *. u01 (mix (p + hrate))) -. 1.);
+    offset.(p) <- dispersion *. u01 (mix (p + hoffset))
+  done;
   {
     n;
     graph;

@@ -55,30 +55,70 @@ let in_csr t = (t.off, t.adj)
 let fold_degrees t g init =
   let acc = ref init in
   for p = 0 to t.n - 1 do
-    acc := g !acc (in_degree t p)
+    acc := g !acc (t.off.(p + 1) - t.off.(p))
   done;
   !acc
 
-let max_in_degree t = fold_degrees t max 0
-let min_in_degree t = fold_degrees t min max_int
+let max_in_degree t = fold_degrees t Int.max 0
+let min_in_degree t = fold_degrees t Int.min max_int
 
-(* ---------- construction ---------- *)
+(* ---------- construction ----------
 
-let of_in_lists ~kind ~seed lists =
-  let n = Array.length lists in
+   Every generator writes the CSR arrays directly, in O(n + m) words.
+   [build] owns [off] and an [adj] of [cap] slots, an upper bound on the
+   candidates over all nodes.  For each node in turn, [fill adj w p]
+   writes p's candidate in-neighbours into the free tail of [adj] from
+   slot [w] (the scratch; [w] is where p's row starts) and returns how
+   many it wrote.  A [sorted] family's candidates are then insertion-
+   sorted in place and compacted, dropping p itself and repeats; the ring
+   keeps the order it wrote.  When candidates were dropped, one trimming
+   copy of [adj] closes the build. *)
+
+(* Insertion-sort adj.(w) .. adj.(w + k - 1) ascending, then compact the
+   run in place without [self] and repeats; returns the end of the kept
+   run.  Candidate runs are short or already ascending, so this is linear
+   in practice. *)
+let sort_dedup (adj : int array) ~self w k =
+  for i = w + 1 to w + k - 1 do
+    let x = adj.(i) in
+    let j = ref (i - 1) in
+    while !j >= w && adj.(!j) > x do
+      adj.(!j + 1) <- adj.(!j);
+      decr j
+    done;
+    adj.(!j + 1) <- x
+  done;
+  let e = ref w in
+  for i = w to w + k - 1 do
+    let q = adj.(i) in
+    if q <> self && (!e = w || adj.(!e - 1) <> q) then begin
+      adj.(!e) <- q;
+      incr e
+    end
+  done;
+  !e
+
+let build ~kind ~seed ~n ~cap ~sorted fill =
   if n <= 0 then invalid_arg "Graph: empty node set";
   let off = Array.make (n + 1) 0 in
+  let adj = Array.make cap 0 in
   for p = 0 to n - 1 do
-    off.(p + 1) <- off.(p) + List.length lists.(p)
+    let w = off.(p) in
+    let k = fill adj w p in
+    off.(p + 1) <- (if sorted then sort_dedup adj ~self:p w k else w + k)
   done;
-  let adj = Array.make off.(n) 0 in
-  Array.iteri
-    (fun p l -> List.iteri (fun j q -> adj.(off.(p) + j) <- q) l)
-    lists;
-  Array.iter
-    (fun q -> if q < 0 || q >= n then invalid_arg "Graph: neighbor out of range")
-    adj;
+  let m = off.(n) in
+  let adj = if m = cap then adj else Array.sub adj 0 m in
+  for i = 0 to m - 1 do
+    let q = adj.(i) in
+    if q < 0 || q >= n then invalid_arg "Graph: neighbor out of range"
+  done;
   { kind; n; seed; off; adj; out_csr = None; bcast_csr = None }
+
+(* Writes [q] at candidate slot [k] of the row starting at [w]. *)
+let[@inline] push (adj : int array) w k q =
+  adj.(w + k) <- q;
+  k + 1
 
 let ring ~n ~degree =
   if n <= 1 then invalid_arg "Graph.ring: need n > 1";
@@ -87,37 +127,42 @@ let ring ~n ~degree =
   (* PR 7's orientation and order: dst hears its [degree] predecessors
      dst - 1, dst - 2, ..., dst - degree (mod n).  The scale stack's slot
      layout and per-link delay hashes key off this exact sequence. *)
-  of_in_lists ~kind:Ring ~seed:0
-    (Array.init n (fun dst ->
-         List.init degree (fun j -> (dst - 1 - j + n) mod n)))
+  build ~kind:Ring ~seed:0 ~n ~cap:(n * degree) ~sorted:false
+    (fun adj w dst ->
+      for j = 0 to degree - 1 do
+        let q = dst - 1 - j in
+        adj.(w + j) <- (if q < 0 then q + n else q)
+      done;
+      degree)
 
 let complete ~n =
   if n <= 1 then invalid_arg "Graph.complete: need n > 1";
-  of_in_lists ~kind:Complete ~seed:0
-    (Array.init n (fun p ->
-         List.filter (fun q -> q <> p) (List.init n Fun.id)))
+  build ~kind:Complete ~seed:0 ~n ~cap:(n * (n - 1)) ~sorted:true
+    (fun adj w p ->
+      let k = ref 0 in
+      for q = 0 to n - 1 do
+        if q <> p then k := push adj w !k q
+      done;
+      !k)
 
-let sorted_dedup l =
-  List.sort_uniq Int.compare l
+(* Neighbouring index on a cycle of [len], without [mod]. *)
+let[@inline] prev i len = if i = 0 then len - 1 else i - 1
+let[@inline] next i len = if i = len - 1 then 0 else i + 1
 
 let grid_like ~kind ~rows ~cols ~wrap =
   if rows <= 0 || cols <= 0 || rows * cols <= 1 then
     invalid_arg "Graph.grid: need rows * cols > 1";
   let n = rows * cols in
-  let id r c = (r * cols) + c in
-  of_in_lists ~kind ~seed:0
-    (Array.init n (fun p ->
-         let r = p / cols and c = p mod cols in
-         let near dr dc =
-           if wrap then Some (id ((r + dr + rows) mod rows) ((c + dc + cols) mod cols))
-           else
-             let r' = r + dr and c' = c + dc in
-             if r' < 0 || r' >= rows || c' < 0 || c' >= cols then None
-             else Some (id r' c')
-         in
-         List.filter_map Fun.id [ near (-1) 0; near 1 0; near 0 (-1); near 0 1 ]
-         |> List.filter (fun q -> q <> p)
-         |> sorted_dedup))
+  (* Up, down, left, right; on a torus with a dimension of 1 or 2 some of
+     these are p itself or repeats, which [build] drops. *)
+  build ~kind ~seed:0 ~n ~cap:(4 * n) ~sorted:true (fun adj w p ->
+      let r = p / cols and c = p mod cols in
+      let up = (prev r rows * cols) + c and down = (next r rows * cols) + c in
+      let left = (r * cols) + prev c cols and right = (r * cols) + next c cols in
+      let k = if wrap || r > 0 then push adj w 0 up else 0 in
+      let k = if wrap || r < rows - 1 then push adj w k down else k in
+      let k = if wrap || c > 0 then push adj w k left else k in
+      if wrap || c < cols - 1 then push adj w k right else k)
 
 let grid ~rows ~cols = grid_like ~kind:Grid ~rows ~cols ~wrap:false
 
@@ -132,6 +177,11 @@ let mix x =
   let x = x * 0x1F123BB5159A55E5 in
   x lxor (x lsr 32)
 
+(* Whether [x] is among a.(lo) .. a.(hi - 1). *)
+let mem_slice (a : int array) lo hi x =
+  let rec go i = i < hi && (a.(i) = x || go (i + 1)) in
+  go lo
+
 (* Random circulant: node p is adjacent to p +- g for each generator g.
    Generator 1 is always included (connectivity for free); the rest are
    drawn from the seeded hash stream over [2, (n-1)/2], rejecting
@@ -145,53 +195,76 @@ let expander ~n ~degree ~seed =
   let half = min (degree / 2) ((n - 1) / 2) in
   let half = max half 1 in
   let gens = Array.make half 1 in
-  let used = Hashtbl.create 16 in
-  Hashtbl.add used 1 ();
   let hseed = mix (seed + (mix n) + 0x706f) in
   let cursor = ref 0 in
   let lo = 2 and hi = (n - 1) / 2 in
+  let draw () =
+    let h = mix (!cursor + hseed) in
+    incr cursor;
+    lo + ((h land max_int) mod (hi - lo + 1))
+  in
+  (* A draw is rejected when an earlier generator (1 included) took it. *)
   for k = 1 to half - 1 do
-    let rec draw () =
-      let h = mix (!cursor + hseed) in
-      incr cursor;
-      let g = lo + ((h land max_int) mod (hi - lo + 1)) in
-      if Hashtbl.mem used g then draw () else g
-    in
-    let g = if hi < lo then 1 else draw () in
-    if g <> 1 then Hashtbl.add used g ();
-    gens.(k) <- g
+    gens.(k) <-
+      (if hi < lo then 1
+       else begin
+         let g = ref (draw ()) in
+         while mem_slice gens 0 k !g do
+           g := draw ()
+         done;
+         !g
+       end)
   done;
-  of_in_lists ~kind:Expander ~seed
-    (Array.init n (fun p ->
-         Array.to_list gens
-         |> List.concat_map (fun g -> [ (p + g) mod n; (p - g + n) mod n ])
-         |> List.filter (fun q -> q <> p)
-         |> sorted_dedup))
+  (* 1 <= g <= (n-1)/2, so p + g and p - g never meet p or each other. *)
+  build ~kind:Expander ~seed ~n ~cap:(n * 2 * half) ~sorted:true
+    (fun adj w p ->
+      for i = 0 to half - 1 do
+        let g = gens.(i) in
+        let a = p + g and b = p - g in
+        adj.(w + (2 * i)) <- (if a >= n then a - n else a);
+        adj.(w + (2 * i) + 1) <- (if b < 0 then b + n else b)
+      done;
+      2 * half)
 
 (* Hierarchical synchronization clusters: consecutive blocks of [cluster]
    nodes form cliques (the per-cluster full mesh a Welch-Lynch instance
    needs), and the first node of each cluster - its leader - joins a
-   [branching]-ary tree of leaders that stitches the clusters together. *)
+   [branching]-ary tree of leaders that stitches the clusters together.
+   Cluster c's parent is cluster (c-1) / branching, so its children are
+   c * branching + 1 .. c * branching + branching.  A leader writes its
+   parent (an earlier cluster), its clique, then its children (later
+   clusters): already ascending, with no repeats. *)
 let hier_tree ~n ~cluster ~branching =
   if n <= 1 then invalid_arg "Graph.hier_tree: need n > 1";
   if cluster < 2 then invalid_arg "Graph.hier_tree: need cluster >= 2";
   if branching < 1 then invalid_arg "Graph.hier_tree: need branching >= 1";
-  let clusters = (n + cluster - 1) / cluster in
-  let leader c = c * cluster in
-  let lists = Array.make n [] in
-  for p = 0 to n - 1 do
-    let c = p / cluster in
-    let lo = c * cluster and hi = min n ((c + 1) * cluster) in
-    lists.(p) <-
-      List.filter (fun q -> q <> p) (List.init (hi - lo) (fun i -> lo + i))
-  done;
-  for c = 1 to clusters - 1 do
-    let parent = leader ((c - 1) / branching) and child = leader c in
-    lists.(child) <- parent :: lists.(child);
-    lists.(parent) <- child :: lists.(parent)
-  done;
-  Array.iteri (fun p l -> lists.(p) <- sorted_dedup l) lists;
-  of_in_lists ~kind:Hier_tree ~seed:0 lists
+  (* [cluster >= n] is one clique; testing it first keeps [n + cluster - 1]
+     from overflowing. *)
+  let clusters = if cluster >= n then 1 else (n + cluster - 1) / cluster in
+  let full = n / cluster and rest = n mod cluster in
+  (* Clique edges of the full blocks and the last one, plus both
+     directions of each tree edge. *)
+  let cap =
+    (full * cluster * (cluster - 1)) + (rest * (rest - 1)) + (2 * (clusters - 1))
+  in
+  build ~kind:Hier_tree ~seed:0 ~n ~cap ~sorted:true (fun adj w p ->
+      let c = p / cluster in
+      let lo = c * cluster in
+      let hi = if clusters - 1 = c then n else lo + cluster in
+      let leader = p = lo in
+      let k = ref 0 in
+      if leader && c > 0 then k := push adj w !k ((c - 1) / branching * cluster);
+      for q = lo to hi - 1 do
+        if q <> p then k := push adj w !k q
+      done;
+      if leader && c <= (clusters - 2) / branching then begin
+        let first = (c * branching) + 1 in
+        let last = first - 1 + min branching (clusters - first) in
+        for c' = first to last do
+          k := push adj w !k (c' * cluster)
+        done
+      end;
+      !k)
 
 (* ---------- derived views ---------- *)
 
@@ -201,19 +274,25 @@ let out_csr t =
   match t.out_csr with
   | Some csr -> csr
   | None ->
-    let off = Array.make (t.n + 1) 0 in
-    Array.iter (fun src -> off.(src + 1) <- off.(src + 1) + 1) t.adj;
-    for p = 0 to t.n - 1 do
+    let n = t.n and i_off = t.off and i_adj = t.adj in
+    let off = Array.make (n + 1) 0 in
+    for i = 0 to Array.length i_adj - 1 do
+      let src = i_adj.(i) in
+      off.(src + 1) <- off.(src + 1) + 1
+    done;
+    for p = 0 to n - 1 do
       off.(p + 1) <- off.(p + 1) + off.(p)
     done;
-    let adj = Array.make (Array.length t.adj) 0 in
-    let next = Array.copy off in
+    let adj = Array.make (Array.length i_adj) 0 in
+    let next = Array.sub off 0 n in
     (* Walk destinations in ascending order so each source's slice fills
        in ascending destination order. *)
-    for dst = 0 to t.n - 1 do
-      iter_in t ~dst (fun src ->
-          adj.(next.(src)) <- dst;
-          next.(src) <- next.(src) + 1)
+    for dst = 0 to n - 1 do
+      for i = i_off.(dst) to i_off.(dst + 1) - 1 do
+        let src = i_adj.(i) in
+        adj.(next.(src)) <- dst;
+        next.(src) <- next.(src) + 1
+      done
     done;
     let csr = (off, adj) in
     t.out_csr <- Some csr;
@@ -275,12 +354,13 @@ let iter_bcast t ~src f =
   done
 
 let is_symmetric t =
+  let off = t.off and adj = t.adj in
   let ok = ref true in
   for dst = 0 to t.n - 1 do
-    iter_in t ~dst (fun src ->
-        let back = ref false in
-        iter_in t ~dst:src (fun q -> if q = dst then back := true);
-        if not !back then ok := false)
+    for i = off.(dst) to off.(dst + 1) - 1 do
+      let src = adj.(i) in
+      if not (mem_slice adj off.(src) off.(src + 1) dst) then ok := false
+    done
   done;
   !ok
 
@@ -292,6 +372,7 @@ let is_symmetric t =
 
 let distances t ~from =
   if from < 0 || from >= t.n then invalid_arg "Graph.distances: bad source";
+  let o_off, o_adj = out_csr t in
   let dist = Array.make t.n (-1) in
   let queue = Array.make t.n 0 in
   dist.(from) <- 0;
@@ -300,15 +381,24 @@ let distances t ~from =
   while !head < !tail do
     let p = queue.(!head) in
     incr head;
-    let visit q =
+    let d = dist.(p) + 1 in
+    (* In-neighbours, then out-neighbours: one pass over each CSR. *)
+    for i = t.off.(p) to t.off.(p + 1) - 1 do
+      let q = t.adj.(i) in
       if dist.(q) < 0 then begin
-        dist.(q) <- dist.(p) + 1;
+        dist.(q) <- d;
         queue.(!tail) <- q;
         incr tail
       end
-    in
-    iter_in t ~dst:p visit;
-    iter_out t ~src:p visit
+    done;
+    for i = o_off.(p) to o_off.(p + 1) - 1 do
+      let q = o_adj.(i) in
+      if dist.(q) < 0 then begin
+        dist.(q) <- d;
+        queue.(!tail) <- q;
+        incr tail
+      end
+    done
   done;
   dist
 

@@ -10,6 +10,14 @@
 
     Construction is a pure function of the named parameters (plus [seed]
     for {!expander}); the same arguments always produce the same arrays.
+    Every generator writes the CSR arrays directly and allocates O(n + m)
+    words for [m] directed edges: the offsets, the adjacency and at most
+    one trimming copy of it, with no per-node lists.
+
+    Neighbour order: {!ring} keeps its predecessor order [dst - 1, dst - 2,
+    ...]; every other family lists each node's in-neighbours ascending,
+    without the node itself and without repeats.
+
     Transposed views (out-edges, broadcast lists) are derived lazily and
     cached in the value. *)
 
@@ -30,27 +38,39 @@ val ring : n:int -> degree:int -> t
 
 val complete : n:int -> t
 (** Full mesh: every process hears every other, ascending.  Broadcast
-    lists are [0 .. n-1] for every source - the legacy mesh order. *)
+    lists are [0 .. n-1] for every source - the legacy mesh order.
+    @raise Invalid_argument unless [n > 1]. *)
 
 val grid : rows:int -> cols:int -> t
 (** 2-d grid (no wraparound): up/down/left/right neighbors, symmetric,
-    degree 2..4.  Node [p] sits at row [p / cols], column [p mod cols]. *)
+    degree 2..4 (1..2 on a 1-wide grid).  Node [p] sits at row
+    [p / cols], column [p mod cols].
+    @raise Invalid_argument unless [rows >= 1], [cols >= 1] and
+    [rows * cols > 1]. *)
 
 val torus : rows:int -> cols:int -> t
-(** {!grid} with wraparound: 4-regular (degenerate dimensions dedup). *)
+(** {!grid} with wraparound: 4-regular.  A dimension of 1 or 2 makes some
+    wrapped neighbours the node itself or repeats; both are dropped.
+    @raise Invalid_argument unless [rows >= 1], [cols >= 1] and
+    [rows * cols > 1] (as {!grid}). *)
 
 val expander : n:int -> degree:int -> seed:int -> t
 (** Deterministic random circulant: generator 1 (connectivity) plus
     [degree/2 - 1] generators drawn from the seeded hash stream; node [p]
     is adjacent to [p +- g] for each.  Symmetric, connected,
-    [2 * (degree/2)]-regular, and a pure function of [(n, degree, seed)].
+    [2 * max 1 (min (degree/2) ((n-1)/2))]-regular (a degree past [n - 1]
+    is capped), and a pure function of [(n, degree, seed)].
     @raise Invalid_argument unless [n > 3] and [degree >= 2]. *)
 
 val hier_tree : n:int -> cluster:int -> branching:int -> t
 (** Hierarchical synchronization clusters: consecutive blocks of
     [cluster] nodes are cliques (a full Welch-Lynch mesh each); the first
     node of each block - its leader - joins a [branching]-ary tree of
-    leaders stitching the clusters together. *)
+    leaders stitching the clusters together: cluster [c]'s leader hears
+    the leader of cluster [(c - 1) / branching].  [cluster >= n] makes one
+    clique of every node.
+    @raise Invalid_argument unless [n > 1], [cluster >= 2] and
+    [branching >= 1]. *)
 
 (** {2 Queries} *)
 

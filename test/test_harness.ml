@@ -244,6 +244,52 @@ let determinism_tests =
           exps results);
   ]
 
+(* E2 runs E1's (eps, rho, P) sweep.  Each configuration must be its own
+   labelled cell: run under one label, every later cell's delays were
+   binned into the first cell's [net.delay] window, so they fell into its
+   underflow and overflow. *)
+let e2_tests =
+  [
+    t "E2 cells bin delays in own window" (fun () ->
+        let module Obs = Csync_obs.Registry in
+        let module Json = Csync_obs.Json in
+        let reg = Obs.create () in
+        Obs.install reg;
+        Fun.protect ~finally:Obs.clear_installed (fun () ->
+            ignore
+              (Registry.run_list ~jobs:1 ~quick:false
+                 [ Option.get (Registry.find "E2") ]));
+        let hists =
+          List.filter_map
+            (fun r ->
+              let str k = Option.bind (Json.member k r) Json.to_str in
+              let num k = Option.bind (Json.member k r) Json.to_float in
+              match (str "record", str "name") with
+              | Some "hist", Some name -> Some (name, (num "lo", num "hi", r))
+              | _ -> None)
+            (Obs.dump reg)
+        in
+        List.iter
+          (fun (eps, rho, big_p) ->
+            let label = Printf.sprintf "E2/eps=%g,rho=%g,P=%g" eps rho big_p in
+            let params = Defaults.base ~eps ~rho ~big_p () in
+            let lo = params.Params.delta -. params.Params.eps
+            and hi = params.Params.delta +. params.Params.eps in
+            match List.assoc_opt (label ^ "/net.delay") hists with
+            | None -> Alcotest.failf "%s: no net.delay histogram" label
+            | Some (lo', hi', r) ->
+              Alcotest.(check (option (float 0.))) (label ^ " lo") (Some lo) lo';
+              Alcotest.(check (option (float 0.))) (label ^ " hi") (Some hi) hi';
+              let count k =
+                Option.value ~default:(-1) (Option.bind (Json.member k r) Json.to_int)
+              in
+              check_true (label ^ " delays recorded") (count "total" > 0);
+              check_int (label ^ " underflow") 0 (count "underflow");
+              check_int (label ^ " overflow") 0 (count "overflow"))
+          (Csync_harness.Exp_agreement.sweep ~quick:false));
+  ]
+
+
 let suite =
   sampling_tests @ env_tests @ scenario_tests @ registry_tests @ pool_tests
-  @ determinism_tests
+  @ determinism_tests @ e2_tests

@@ -405,6 +405,240 @@ let experiment_identity_tests =
         check_int "no violations" 0 viol1);
   ]
 
+(* ---------- CSR construction against the list reference ----------
+
+   The generators used to build per-node lists and convert them with
+   [of_in_lists].  This is that code, kept as a test-local reference: the
+   direct CSR builders must produce the same graph, array for array, on
+   every family - degenerate shapes included (grids and tori of width 1
+   or 2, where neighbours repeat or are the node itself; expander degrees
+   past (n-1)/2; one cluster spanning every node; a branching of 1). *)
+
+module Ref = struct
+  let sorted_dedup l = List.sort_uniq Int.compare l
+
+  let ring ~n ~degree =
+    Array.init n (fun dst -> List.init degree (fun j -> (dst - 1 - j + n) mod n))
+
+  let complete ~n =
+    Array.init n (fun p -> List.filter (fun q -> q <> p) (List.init n Fun.id))
+
+  let grid_like ~rows ~cols ~wrap =
+    let id r c = (r * cols) + c in
+    Array.init (rows * cols) (fun p ->
+        let r = p / cols and c = p mod cols in
+        let near dr dc =
+          if wrap then
+            Some (id ((r + dr + rows) mod rows) ((c + dc + cols) mod cols))
+          else
+            let r' = r + dr and c' = c + dc in
+            if r' < 0 || r' >= rows || c' < 0 || c' >= cols then None
+            else Some (id r' c')
+        in
+        List.filter_map Fun.id [ near (-1) 0; near 1 0; near 0 (-1); near 0 1 ]
+        |> List.filter (fun q -> q <> p)
+        |> sorted_dedup)
+
+  let mix x =
+    let x = x lxor (x lsr 31) in
+    let x = x * 0x2545F4914F6CDD1D in
+    let x = x lxor (x lsr 29) in
+    let x = x * 0x1F123BB5159A55E5 in
+    x lxor (x lsr 32)
+
+  let expander ~n ~degree ~seed =
+    let half = max 1 (min (degree / 2) ((n - 1) / 2)) in
+    let gens = Array.make half 1 in
+    let used = Hashtbl.create 16 in
+    Hashtbl.add used 1 ();
+    let hseed = mix (seed + mix n + 0x706f) in
+    let cursor = ref 0 in
+    let lo = 2 and hi = (n - 1) / 2 in
+    for k = 1 to half - 1 do
+      let rec draw () =
+        let h = mix (!cursor + hseed) in
+        incr cursor;
+        let g = lo + ((h land max_int) mod (hi - lo + 1)) in
+        if Hashtbl.mem used g then draw () else g
+      in
+      let g = if hi < lo then 1 else draw () in
+      if g <> 1 then Hashtbl.add used g ();
+      gens.(k) <- g
+    done;
+    Array.init n (fun p ->
+        Array.to_list gens
+        |> List.concat_map (fun g -> [ (p + g) mod n; (p - g + n) mod n ])
+        |> List.filter (fun q -> q <> p)
+        |> sorted_dedup)
+
+  let hier_tree ~n ~cluster ~branching =
+    let clusters = (n + cluster - 1) / cluster in
+    let leader c = c * cluster in
+    let lists = Array.make n [] in
+    for p = 0 to n - 1 do
+      let c = p / cluster in
+      let lo = c * cluster and hi = min n ((c + 1) * cluster) in
+      lists.(p) <-
+        List.filter (fun q -> q <> p) (List.init (hi - lo) (fun i -> lo + i))
+    done;
+    for c = 1 to clusters - 1 do
+      let parent = leader ((c - 1) / branching) and child = leader c in
+      lists.(child) <- parent :: lists.(child);
+      lists.(parent) <- child :: lists.(parent)
+    done;
+    Array.map sorted_dedup lists
+
+  let in_csr lists =
+    let n = Array.length lists in
+    let off = Array.make (n + 1) 0 in
+    Array.iteri (fun p l -> off.(p + 1) <- off.(p) + List.length l) lists;
+    (off, Array.of_list (List.concat (Array.to_list lists)))
+
+  (* Who hears [src], ascending; the broadcast list adds [src] itself. *)
+  let out lists src =
+    List.filter (fun dst -> List.mem src lists.(dst))
+      (List.init (Array.length lists) Fun.id)
+
+  let bcast lists src = List.sort Int.compare (src :: out lists src)
+end
+
+type family =
+  | F_ring of int * int
+  | F_complete of int
+  | F_grid of int * int
+  | F_torus of int * int
+  | F_expander of int * int * int
+  | F_hier of int * int * int
+
+let family_name = function
+  | F_ring (n, d) -> Printf.sprintf "ring n=%d degree=%d" n d
+  | F_complete n -> Printf.sprintf "complete n=%d" n
+  | F_grid (r, c) -> Printf.sprintf "grid %dx%d" r c
+  | F_torus (r, c) -> Printf.sprintf "torus %dx%d" r c
+  | F_expander (n, d, s) -> Printf.sprintf "expander n=%d degree=%d seed=%d" n d s
+  | F_hier (n, c, b) -> Printf.sprintf "hier_tree n=%d cluster=%d branching=%d" n c b
+
+let build_both = function
+  | F_ring (n, degree) -> (Graph.ring ~n ~degree, Ref.ring ~n ~degree)
+  | F_complete n -> (Graph.complete ~n, Ref.complete ~n)
+  | F_grid (rows, cols) ->
+    (Graph.grid ~rows ~cols, Ref.grid_like ~rows ~cols ~wrap:false)
+  | F_torus (rows, cols) ->
+    (Graph.torus ~rows ~cols, Ref.grid_like ~rows ~cols ~wrap:true)
+  | F_expander (n, degree, seed) ->
+    (Graph.expander ~n ~degree ~seed, Ref.expander ~n ~degree ~seed)
+  | F_hier (n, cluster, branching) ->
+    ( Graph.hier_tree ~n ~cluster ~branching,
+      Ref.hier_tree ~n ~cluster ~branching )
+
+let collect iter g ~src =
+  let l = ref [] in
+  iter g ~src (fun q -> l := q :: !l);
+  List.rev !l
+
+(* In-CSR arrays equal; out-neighbours and broadcast lists equal per node. *)
+let matches_reference fam =
+  let g, lists = build_both fam in
+  let off, adj = Graph.in_csr g in
+  let r_off, r_adj = Ref.in_csr lists in
+  off = r_off && adj = r_adj
+  && List.for_all
+       (fun src ->
+         collect Graph.iter_out g ~src = Ref.out lists src
+         && collect Graph.iter_bcast g ~src = Ref.bcast lists src)
+       (List.init (Graph.n g) Fun.id)
+
+let gen_family =
+  let open QCheck2.Gen in
+  let dims = pair (1 -- 12) (1 -- 12) >|= fun (r, c) -> if r * c > 1 then (r, c) else (r, 2) in
+  oneof
+    [
+      (let* n = 2 -- 40 in
+       let+ d = 1 -- (n - 1) in
+       F_ring (n, d));
+      (2 -- 20 >|= fun n -> F_complete n);
+      (dims >|= fun (r, c) -> F_grid (r, c));
+      (dims >|= fun (r, c) -> F_torus (r, c));
+      (* Small n with degrees well past (n-1)/2, and larger circulants. *)
+      (let* n = oneof [ 4 -- 12; 4 -- 150 ] in
+       let* d = 2 -- 70 in
+       let+ s = 0 -- 1000 in
+       F_expander (n, d, s));
+      (let* n = 2 -- 60 in
+       let* c = oneof [ 2 -- 8; 2 -- 70 ] in
+       let+ b = 1 -- 5 in
+       F_hier (n, c, b));
+    ]
+
+let csr_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:600 ~name:"CSR generators match list reference"
+         ~print:family_name gen_family matches_reference);
+    t "degenerate CSR shapes match list reference" (fun () ->
+        let cases =
+          List.concat
+            [
+              List.concat_map
+                (fun n -> List.init (n - 1) (fun d -> F_ring (n, d + 1)))
+                [ 2; 3; 4; 5 ];
+              List.map (fun n -> F_complete n) [ 2; 3; 4; 5 ];
+              List.concat_map
+                (fun k ->
+                  List.concat_map
+                    (fun (r, c) ->
+                      if r * c > 1 then [ F_grid (r, c); F_torus (r, c) ] else [])
+                    [ (1, k); (k, 1); (2, k); (k, 2) ])
+                [ 1; 2; 3; 4; 5; 8 ];
+              List.concat_map
+                (fun n ->
+                  List.concat_map
+                    (fun d -> List.map (fun s -> F_expander (n, d, s)) [ 0; 1; 7; 42 ])
+                    [ 2; 3; 4; 8; 9; 16; 17; 64 ])
+                [ 4; 5; 6; 7; 8; 9; 10; 17; 33; 100 ];
+              List.concat_map
+                (fun n ->
+                  List.concat_map
+                    (fun c -> List.map (fun b -> F_hier (n, c, b)) [ 1; 2; 3 ])
+                    [ 2; 3; n; n + 1; 1000; max_int ])
+                [ 2; 3; 4; 5; 9 ];
+            ]
+        in
+        List.iter
+          (fun fam -> check_true (family_name fam) (matches_reference fam))
+          cases);
+    t "n = 10^4 CSR graphs match list reference" (fun () ->
+        let same fam =
+          let g, lists = build_both fam in
+          let off, adj = Graph.in_csr g in
+          let r_off, r_adj = Ref.in_csr lists in
+          check_true (family_name fam) (off = r_off && adj = r_adj)
+        in
+        List.iter same
+          [
+            F_ring (10_000, 8); F_grid (100, 100); F_torus (100, 100);
+            F_hier (10_000, 16, 4); F_expander (1000, 8, 3);
+          ];
+        List.iter
+          (fun (d, s) -> same (F_expander (10_000, d, s)))
+          [ (8, 0); (8, 42); (17, 7); (64, 1) ]);
+    (* O(n + m) words: [off], [adj], and room for one trimming copy of
+       [adj] (the grid drops its missing border neighbours). *)
+    t "CSR build allocates <= 2(n+1+m) words" (fun () ->
+        let bound g = 2. *. float_of_int (Graph.n g + 1 + Graph.edges g) +. 64. in
+        List.iter
+          (fun (name, build) ->
+            let g = ref (build ()) in
+            let words = Helpers.allocated_words (fun () -> g := build ()) in
+            if words > bound !g then
+              Alcotest.failf "%s: %.0f words > bound %.0f" name words (bound !g))
+          [
+            ("expander n=10^4 degree=8",
+              fun () -> Graph.expander ~n:10_000 ~degree:8 ~seed:3);
+            ("grid 100x100", fun () -> Graph.grid ~rows:100 ~cols:100);
+          ]);
+  ]
+
 let suite =
   List.concat
     [
@@ -415,4 +649,5 @@ let suite =
       scenario_identity_tests;
       monitor_tests;
       experiment_identity_tests;
+      csr_tests;
     ]

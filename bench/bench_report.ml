@@ -160,16 +160,6 @@ let bench_engine =
                 (Csync_sim.Engine.drain e
                    ~handler:(fun _ _ -> incr count)
                    ~max_events:10_000))));
-      (let h = Csync_sim.Heap.create ~cmp:Int.compare in
-       Test.make ~name:"heap-clear-refill-1k"
-         (Staged.stage (fun () ->
-              Csync_sim.Heap.clear h;
-              for i = 0 to 999 do
-                Csync_sim.Heap.push h ((i * 7919) mod 1000)
-              done;
-              while not (Csync_sim.Heap.is_empty h) do
-                ignore (Csync_sim.Heap.pop_exn h)
-              done)));
     ]
 
 let bench_round =

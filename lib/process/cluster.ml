@@ -29,19 +29,13 @@ type 'm t = {
 (* The wheel's bucket width comes from the delay model: deliveries spread
    over the [delta - eps, delta + eps] jitter window, so eps / 2 resolves it
    into a few buckets; a jitter-free model falls back to a fraction of the
-   base delay itself. *)
-let wheel_backend delay =
-  match Csync_sim.Event_queue.default_backend () with
-  | Csync_sim.Event_queue.Heap -> Csync_sim.Event_queue.Heap
-  | Csync_sim.Event_queue.Wheel { buckets; width = default_width } ->
-    let eps = Csync_net.Delay.eps delay in
-    let delta = Csync_net.Delay.delta delay in
-    let width =
-      if eps > 0. then eps /. 2.
-      else if delta > 0. then delta /. 8.
-      else default_width
-    in
-    Csync_sim.Event_queue.Wheel { width; buckets }
+   base delay itself, and a delay-free one to the queue's default. *)
+let wheel_width delay =
+  let eps = Csync_net.Delay.eps delay in
+  let delta = Csync_net.Delay.delta delay in
+  if eps > 0. then Some (eps /. 2.)
+  else if delta > 0. then Some (delta /. 8.)
+  else None
 
 let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
     ?(exchanges = 1) ~procs () =
@@ -58,9 +52,7 @@ let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
     | Some g -> n + Csync_topo.Graph.edges g
   in
   let expected = if exchanges <= 0 then 2 * n else bcast_total + (2 * n) in
-  let engine =
-    Engine.create ~backend:(wheel_backend delay) ~expected ()
-  in
+  let engine = Engine.create ?width:(wheel_width delay) ~expected () in
   let buffer =
     Message_buffer.create ~n ?graph ~delay ?collision ~trace ~engine ()
   in

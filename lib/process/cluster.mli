@@ -41,9 +41,8 @@ val create :
     the peak in-flight event count is one exchange's broadcast traffic
     (n^2 messages on the mesh, self + out-edges per process on a graph)
     plus a START and TIMER per process; 0 means a messaging-free run.
-    The engine backend follows {!Csync_sim.Event_queue.default_backend},
-    with the wheel's bucket width derived from [delay]'s jitter (eps / 2,
-    falling back to delta / 8 for jitter-free models).
+    The engine's timing wheel takes its bucket width from [delay]'s
+    jitter (eps / 2, falling back to delta / 8 for jitter-free models).
     @raise Invalid_argument if [clocks] and [procs] differ in length or
     the graph's size is not [n]. *)
 

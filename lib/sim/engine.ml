@@ -15,10 +15,10 @@ type 'a t = {
 (* The ambient registry is captured once, at creation; with telemetry
    disabled both handles are permanent no-ops and the hot path below
    costs one branch. *)
-let create ?(start_time = 0.) ?backend ?expected () =
+let create ?(start_time = 0.) ?width ?expected () =
   let obs = Obs.installed () in
   {
-    queue = Event_queue.create ?backend ?expected ();
+    queue = Event_queue.create ?width ?expected ();
     now = start_time;
     obs_events = Obs.counter obs "sim.events";
     obs_depth_hw = Obs.gauge obs "sim.queue_depth_hw";
@@ -26,8 +26,6 @@ let create ?(start_time = 0.) ?backend ?expected () =
     depth_hw = -1;
     occ_hw = -1;
   }
-
-let backend_kind t = Event_queue.backend_kind t.queue
 
 let now t = t.now
 

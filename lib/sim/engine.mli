@@ -8,13 +8,10 @@
 type 'a t
 
 val create :
-  ?start_time:float -> ?backend:Event_queue.backend -> ?expected:int ->
-  unit -> 'a t
-(** [backend] and [expected] (a presize hint for the number of concurrently
-    pending events) are forwarded to {!Event_queue.create}. *)
-
-val backend_kind : 'a t -> Event_queue.backend
-(** The scheduler backend the underlying queue runs on. *)
+  ?start_time:float -> ?width:float -> ?expected:int -> unit -> 'a t
+(** [width] (the timing wheel's bucket width in simulated seconds) and
+    [expected] (a presize hint for the number of concurrently pending
+    events) are forwarded to {!Event_queue.create}. *)
 
 val now : 'a t -> float
 (** Current real time. *)

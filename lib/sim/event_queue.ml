@@ -1,31 +1,27 @@
-(* Two scheduler backends behind one interface.
+(* A timing wheel / calendar queue exploiting the bounded-delay structure
+   of the model: deliveries land in [delta - eps, delta + eps] of their
+   send time and timers fire at round boundaries, so the active time
+   horizon is narrow.  Events are hashed into [nbuckets] fixed-width time
+   buckets (O(1) insert); each bucket stores its events struct-of-arrays
+   and is sorted lazily when it becomes the current bucket.  Events whose
+   bucket index reaches [epoch + nbuckets] (past the horizon) go to an
+   overflow heap and are promoted into the wheel as the current bucket
+   (the epoch) advances.  Occupied buckets are tracked in a bitmask so
+   advancing skips empty buckets a word at a time, and counted alongside
+   it so [occupancy] is a field read.
 
-   [Heap] is the original comparison-based binary min-heap: O(log n) per
-   operation, no assumptions about the time distribution.  It remains the
-   reference implementation for equivalence tests and the overflow store of
-   the wheel backend.
+   Pop order is (time, prio, seq), where seq is the insertion sequence
+   number.  One rule, [bucket_index], places every event: [add], overflow
+   promotion and the restart after the wheel drains all call it.  The
+   index is a monotone function of time, so logical bucket b only holds
+   events no later than those of bucket b+1 and ties in time never span a
+   bucket boundary: the head of the (sorted) current bucket is the global
+   minimum.  Overflow holds exactly the events whose index is
+   [epoch + nbuckets], and promotion must test that same index: a float
+   horizon end can disagree with it by a rounding step and alias an event
+   into the current physical bucket. *)
 
-   [Wheel] is a timing wheel / calendar queue exploiting the bounded-delay
-   structure of the model: deliveries land in [delta - eps, delta + eps] of
-   their send time and timers fire at round boundaries, so the active time
-   horizon is narrow.  Events are hashed into [buckets] fixed-width time
-   buckets (O(1) insert); each bucket stores its events struct-of-arrays and
-   is sorted lazily when it becomes the current bucket.  Events beyond the
-   horizon [base + (epoch + buckets) * width] go to an overflow heap and are
-   promoted into the wheel as the current bucket (the epoch) advances.
-   Occupied buckets are tracked in a bitmask so advancing skips empty
-   buckets a word at a time, and counted alongside it so [occupancy] is a
-   field read.
-
-   Both backends pop in exactly the same order: (time, prio, seq), where seq
-   is the insertion sequence number.  The wheel guarantees this because
-   bucket b only holds events with time < start of bucket b+1, so the head
-   of the (sorted) current bucket is the global minimum, and ties in time
-   can never span a bucket boundary. *)
-
-type backend = Heap | Wheel of { width : float; buckets : int }
-
-type 'a entry = { time : float; prio : int; seq : int; payload : 'a }
+type 'a entry = { time : float; key : int; payload : 'a }
 
 let prio_message = 0
 
@@ -33,10 +29,7 @@ let prio_timer = 1
 
 let cmp_entry a b =
   let c = Float.compare a.time b.time in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.prio b.prio in
-    if c <> 0 then c else Int.compare a.seq b.seq
+  if c <> 0 then c else Int.compare a.key b.key
 
 (* Priority classes are tiny by design (two are used), so (prio, seq) packs
    into one int whose natural order is the lexicographic (prio, seq) order:
@@ -52,8 +45,8 @@ let pack_key ~prio ~seq = (prio lsl seq_bits) lor seq
 
 (* A bucket's live events occupy slots [pos, len); [0, pos) were popped.
    [dirty] means the live slice may be unsorted (events were appended since
-   the last sort).  Slots past [len] keep stale elements until overwritten,
-   matching the documented [Heap.clear] retention behaviour. *)
+   the last sort).  Slots past [len] keep stale elements until
+   overwritten. *)
 type 'a bucket = {
   mutable times : float array;
   mutable keys : int array; (* packed (prio, seq) *)
@@ -63,7 +56,7 @@ type 'a bucket = {
   mutable dirty : bool;
 }
 
-type 'a wheel = {
+type 'a t = {
   width : float;
   nbuckets : int; (* a power of two *)
   mask : int; (* nbuckets - 1, for physical-index masking *)
@@ -79,14 +72,7 @@ type 'a wheel = {
   mutable base : float; (* real time at the start of logical bucket 0 *)
   mutable epoch : int; (* logical number of the current bucket *)
   mutable wheel_count : int; (* live events in buckets (overflow excluded) *)
-}
-
-type 'a repr = Heap_q of 'a entry Heap.t | Wheel_q of 'a wheel
-
-type 'a t = {
-  repr : 'a repr;
   mutable next_seq : int;
-  mutable heap_reserve : int; (* pending capacity hint, applied on first add *)
 }
 
 (* -- occupancy bitmask ---------------------------------------------------- *)
@@ -281,37 +267,46 @@ let sort_slice b =
 
 (* -- wheel epoch movement and overflow promotion -------------------------- *)
 
-let horizon_end w =
-  w.base +. (float_of_int (w.epoch + w.nbuckets) *. w.width)
+(* The logical bucket of [time]: [floor ((time - base) / width)], clamped
+   below to the current epoch (a time before the current bucket joins it,
+   where the lazy sort restores global order) and above to
+   [epoch + nbuckets], which means "beyond the horizon".  For q >= 0,
+   [int_of_float] truncation IS floor, saving a libm call. *)
+let[@inline] bucket_index w time =
+  let q = (time -. w.base) /. w.width in
+  let horizon = w.epoch + w.nbuckets in
+  if q >= float_of_int horizon then horizon
+  else if q <= float_of_int w.epoch then w.epoch
+  else int_of_float q
 
-let insert_in_horizon w ~time ~prio ~seq payload =
-  let fb = Float.floor ((time -. w.base) /. w.width) in
-  let lb = if fb <= float_of_int w.epoch then w.epoch else int_of_float fb in
-  bucket_insert w (lb land w.mask) ~time ~key:(pack_key ~prio ~seq) payload
-
-(* Invariant: every overflow entry has time >= horizon_end.  Restore it after
-   the epoch advances. *)
+(* Invariant: the overflow heap holds exactly the events whose
+   [bucket_index] is [epoch + nbuckets].  Restore it after the epoch
+   advances or [base] moves.  The index is monotone in time, so the heap
+   minimum has the smallest index. *)
 let promote w =
-  let hend = horizon_end w in
   let looping = ref true in
   while !looping do
     match Heap.peek w.overflow with
-    | Some e when e.time < hend ->
-      let e = Heap.pop_exn w.overflow in
-      insert_in_horizon w ~time:e.time ~prio:e.prio ~seq:e.seq e.payload
-    | _ -> looping := false
+    | Some e ->
+      let lb = bucket_index w e.time in
+      if lb < w.epoch + w.nbuckets then begin
+        ignore (Heap.pop_exn w.overflow);
+        bucket_insert w (lb land w.mask) ~time:e.time ~key:e.key e.payload
+      end
+      else looping := false
+    | None -> looping := false
   done
 
 (* The wheel is empty but the overflow heap is not: restart the wheel at the
    overflow minimum.  Re-anchoring [base] here keeps logical bucket numbers
    small no matter how far ahead the overflow reaches. *)
 let restart_at_overflow w =
-  let e = Heap.pop_exn w.overflow in
-  w.base <- e.time;
-  w.epoch <- 0;
-  bucket_insert w 0 ~time:e.time ~key:(pack_key ~prio:e.prio ~seq:e.seq)
-    e.payload;
-  promote w
+  match Heap.peek w.overflow with
+  | Some e ->
+    w.base <- e.time;
+    w.epoch <- 0;
+    promote w
+  | None -> ()
 
 (* The current bucket is exhausted but the wheel is not: jump the epoch to
    the next occupied bucket, then promote newly in-horizon overflow. *)
@@ -364,211 +359,126 @@ let drop_head w =
 
 (* -- construction --------------------------------------------------------- *)
 
-let default_wheel_width = 0.25
-
-let default_wheel_buckets = 1024
-
-let default_backend () =
-  match Sys.getenv_opt "CSYNC_ENGINE" with
-  | Some "heap" -> Heap
-  | Some "wheel" | Some _ | None ->
-    Wheel { width = default_wheel_width; buckets = default_wheel_buckets }
-
-let create ?backend ?(expected = 0) () =
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
+let create ?(width = 0.25) ?(buckets = 1024) ?(expected = 0) () =
+  if not (Float.is_finite width) || width <= 0. then
+    invalid_arg "Event_queue.create: wheel width must be finite and > 0";
+  if buckets < 1 then
+    invalid_arg "Event_queue.create: wheel needs at least one bucket";
+  (* Round the bucket count up to a power of two so physical indexing is a
+     mask instead of a division. *)
+  let nbuckets =
+    let rec p2 k = if k >= buckets then k else p2 (2 * k) in
+    p2 1
   in
-  match backend with
-  | Heap ->
-    {
-      repr = Heap_q (Heap.create ~cmp:cmp_entry);
-      next_seq = 0;
-      heap_reserve = max 0 expected;
-    }
-  | Wheel { width; buckets } ->
-    if not (Float.is_finite width) || width <= 0. then
-      invalid_arg "Event_queue.create: wheel width must be finite and > 0";
-    if buckets < 1 then
-      invalid_arg "Event_queue.create: wheel needs at least one bucket";
-    (* Round the bucket count up to a power of two so physical indexing is
-       a mask instead of a division. *)
-    let nbuckets =
-      let rec p2 k = if k >= buckets then k else p2 (2 * k) in
-      p2 1
-    in
-    let init_cap = min 4096 (max 16 (expected / nbuckets)) in
-    let dummy = bucket_make () in
-    (* Filled by doubling appends, not [Array.make nbuckets dummy]: once
-       the table is too big for the minor heap, [Array.make] with a young
-       initial value forces a whole minor collection (and the major slice
-       after it) on every queue created. *)
-    let rec fill a =
-      if Array.length a >= nbuckets then a else fill (Array.append a a)
-    in
-    let w =
-      {
-        width;
-        nbuckets;
-        mask = nbuckets - 1;
-        init_cap;
-        dummy;
-        wbuckets = fill [| dummy |];
-        occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
-        occupied = 0;
-        overflow = Heap.create ~cmp:cmp_entry;
-        base = 0.;
-        epoch = 0;
-        wheel_count = 0;
-      }
-    in
-    { repr = Wheel_q w; next_seq = 0; heap_reserve = 0 }
-
-let backend_kind q =
-  match q.repr with
-  | Heap_q _ -> Heap
-  | Wheel_q w -> Wheel { width = w.width; buckets = w.nbuckets }
+  let init_cap = min 4096 (max 16 (expected / nbuckets)) in
+  let dummy = bucket_make () in
+  (* Filled by doubling appends, not [Array.make nbuckets dummy]: once the
+     table is too big for the minor heap, [Array.make] with a young initial
+     value forces a whole minor collection (and the major slice after it)
+     on every queue created. *)
+  let rec fill a =
+    if Array.length a >= nbuckets then a else fill (Array.append a a)
+  in
+  {
+    width;
+    nbuckets;
+    mask = nbuckets - 1;
+    init_cap;
+    dummy;
+    wbuckets = fill [| dummy |];
+    occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
+    occupied = 0;
+    overflow = Heap.create ~cmp:cmp_entry;
+    base = 0.;
+    epoch = 0;
+    wheel_count = 0;
+    next_seq = 0;
+  }
 
 (* -- queue interface ------------------------------------------------------ *)
 
-let size q =
-  match q.repr with
-  | Heap_q h -> Heap.size h
-  | Wheel_q w -> w.wheel_count + Heap.size w.overflow
+let size w = w.wheel_count + Heap.size w.overflow
 
-let is_empty q = size q = 0
+let is_empty w = size w = 0
 
-let occupancy q = match q.repr with Heap_q _ -> 0 | Wheel_q w -> w.occupied
+let occupancy w = w.occupied
 
-let add q ~time ~prio payload =
+let add w ~time ~prio payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.add: non-finite time";
   if prio < 0 || prio > max_prio then
     invalid_arg "Event_queue.add: prio out of range";
-  let seq = q.next_seq in
-  q.next_seq <- seq + 1;
-  match q.repr with
-  | Heap_q h ->
-    let entry = { time; prio; seq; payload } in
-    if q.heap_reserve > 0 then begin
-      Heap.reserve h ~dummy:entry q.heap_reserve;
-      q.heap_reserve <- 0
-    end;
-    Heap.push h entry
-  | Wheel_q w ->
-    if w.wheel_count = 0 && Heap.is_empty w.overflow then begin
-      (* Empty queue: re-anchor so this event lands in bucket 0. *)
-      w.base <- time;
-      w.epoch <- 0
-    end;
-    (* For q >= 0, int_of_float truncation IS floor, saving a libm call;
-       q < 0 (a time before the anchor, which the engine never produces but
-       this interface allows) clamps into the current bucket, where the
-       lazy sort restores global order. *)
-    let q = (time -. w.base) /. w.width in
-    if q >= float_of_int (w.epoch + w.nbuckets) then
-      Heap.push w.overflow { time; prio; seq; payload }
+  let seq = w.next_seq in
+  w.next_seq <- seq + 1;
+  let key = pack_key ~prio ~seq in
+  if w.wheel_count = 0 && Heap.is_empty w.overflow then begin
+    (* Empty queue: re-anchor so this event lands in bucket 0. *)
+    w.base <- time;
+    w.epoch <- 0
+  end;
+  let lb = bucket_index w time in
+  if lb < w.epoch + w.nbuckets then
+    bucket_insert w (lb land w.mask) ~time ~key payload
+  else Heap.push w.overflow { time; key; payload }
+
+let peek_time w =
+  if ensure_min w then begin
+    let b = w.wbuckets.(w.epoch land w.mask) in
+    Some b.times.(b.pos)
+  end
+  else None
+
+let pop_if_before w ~until =
+  if not (ensure_min w) then None
+  else begin
+    let b = w.wbuckets.(w.epoch land w.mask) in
+    let i = b.pos in
+    let time = b.times.(i) in
+    if time > until then None
     else begin
-      let lb =
-        if q <= float_of_int w.epoch then w.epoch
-        else
-          let lb = int_of_float q in
-          if lb < w.epoch then w.epoch else lb
-      in
-      bucket_insert w (lb land w.mask) ~time ~key:(pack_key ~prio ~seq)
-        payload
+      let payload = b.pays.(i) in
+      drop_head w;
+      Some (time, payload)
     end
+  end
 
-let peek_time q =
-  match q.repr with
-  | Heap_q h -> (match Heap.peek h with None -> None | Some e -> Some e.time)
-  | Wheel_q w ->
-    if ensure_min w then begin
-      let b = w.wbuckets.(w.epoch land w.mask) in
-      Some b.times.(b.pos)
-    end
-    else None
+let pop w = pop_if_before w ~until:Float.infinity
 
-let pop_if_before q ~until =
-  match q.repr with
-  | Heap_q h ->
-    if Heap.is_empty h then None
+let iter_pop_until w ~until ~f =
+  let count = ref 0 in
+  let looping = ref true in
+  while !looping do
+    if not (ensure_min w) then looping := false
     else begin
-      let e = Heap.min_elt h in
-      if e.time > until then None
-      else begin
-        let e = Heap.pop_exn h in
-        Some (e.time, e.payload)
-      end
-    end
-  | Wheel_q w ->
-    if not (ensure_min w) then None
-    else begin
-      let b = w.wbuckets.(w.epoch land w.mask) in
-      let i = b.pos in
-      let time = b.times.(i) in
-      if time > until then None
-      else begin
-        let payload = b.pays.(i) in
-        drop_head w;
-        Some (time, payload)
-      end
-    end
-
-let pop q = pop_if_before q ~until:Float.infinity
-
-let iter_pop_until q ~until ~f =
-  match q.repr with
-  | Heap_q h ->
-    let count = ref 0 in
-    let looping = ref true in
-    while !looping do
-      if Heap.is_empty h then looping := false
-      else begin
-        let e = Heap.min_elt h in
-        if e.time > until then looping := false
-        else begin
-          let e = Heap.pop_exn h in
-          incr count;
-          f e.time e.payload
+      let phys = w.epoch land w.mask in
+      let b = w.wbuckets.(phys) in
+      (* Pop a run out of the current bucket without re-deriving it per
+         event.  The run ends when the slice empties (reset eagerly, BEFORE
+         calling [f]: [f] may add to an empty queue, which re-anchors the
+         epoch) or when [f] dirties the slice by adding into this bucket;
+         [ensure_min] then re-establishes the minimum.  Otherwise
+         [pos < len] still holds at the top of the loop. *)
+      let running = ref true in
+      while !running do
+        let i = b.pos in
+        let time = Array.unsafe_get b.times i in
+        if time > until then begin
+          running := false;
+          looping := false
         end
-      end
-    done;
-    !count
-  | Wheel_q w ->
-    let count = ref 0 in
-    let looping = ref true in
-    while !looping do
-      if not (ensure_min w) then looping := false
-      else begin
-        let phys = w.epoch land w.mask in
-        let b = w.wbuckets.(phys) in
-        (* Pop a run out of the current bucket without re-deriving it per
-           event.  The run ends when the slice empties (reset eagerly,
-           BEFORE calling [f]: [f] may add to an empty queue, which
-           re-anchors the epoch) or when [f] dirties the slice by adding
-           into this bucket; [ensure_min] then re-establishes the minimum.
-           Otherwise [pos < len] still holds at the top of the loop. *)
-        let running = ref true in
-        while !running do
-          let i = b.pos in
-          let time = Array.unsafe_get b.times i in
-          if time > until then begin
-            running := false;
-            looping := false
-          end
-          else begin
-            let payload = Array.unsafe_get b.pays i in
-            b.pos <- i + 1;
-            w.wheel_count <- w.wheel_count - 1;
-            if b.pos >= b.len then begin
-              reset_bucket w phys b;
-              running := false
-            end;
-            incr count;
-            f time payload;
-            if !running && b.dirty then running := false
-          end
-        done
-      end
-    done;
-    !count
+        else begin
+          let payload = Array.unsafe_get b.pays i in
+          b.pos <- i + 1;
+          w.wheel_count <- w.wheel_count - 1;
+          if b.pos >= b.len then begin
+            reset_bucket w phys b;
+            running := false
+          end;
+          incr count;
+          f time payload;
+          if !running && b.dirty then running := false
+        end
+      done
+    end
+  done;
+  !count

@@ -8,28 +8,13 @@
     in just under the wire").  Schedule ordinary and START messages with
     {!prio_message} and timers with {!prio_timer}.
 
-    Two backends implement that contract with identical pop order:
-
-    - {!Heap}: the reference comparison-based binary heap, O(log n) per
-      operation, no assumptions about the time distribution.
-    - {!Wheel}: a timing wheel / calendar queue exploiting the model's
-      bounded delays — O(1) bucket insert, lazy per-bucket sort, an
-      occupancy bitmask to skip empty buckets, and an overflow heap for
-      events beyond the wheel's horizon ([buckets * width] ahead of the
-      current bucket) which are promoted as the {e bucket epoch} (the
-      logical number of the current bucket) advances.
-
-    The default backend is the wheel; set [CSYNC_ENGINE=heap] (or [=wheel])
-    in the environment to override it globally, e.g. for byte-identity
-    comparisons between backends. *)
-
-type backend =
-  | Heap
-  | Wheel of { width : float; buckets : int }
-      (** [width] is the bucket granularity in simulated seconds — for the
-          clock-synchronization workloads a fraction of the delay jitter
-          [eps] is the natural choice; [buckets] is the wheel size, giving a
-          horizon of [width * buckets] before events overflow to the heap. *)
+    The queue is a timing wheel / calendar queue exploiting the model's
+    bounded delays: O(1) bucket insert, lazy per-bucket sort, an occupancy
+    bitmask to skip empty buckets, and an overflow heap for events beyond
+    the wheel's horizon ([buckets * width] ahead of the current bucket),
+    promoted as the {e bucket epoch} (the logical number of the current
+    bucket) advances.  One bucket-index rule places every event, so the
+    geometry changes only speed, never the pop order. *)
 
 type 'a t
 
@@ -40,35 +25,30 @@ val prio_timer : int
 (** Priority class for TIMER messages (delivered after messages at equal
     time). *)
 
-val default_backend : unit -> backend
-(** The wheel with default geometry, unless [CSYNC_ENGINE=heap]. *)
-
-val create : ?backend:backend -> ?expected:int -> unit -> 'a t
-(** [backend] defaults to {!default_backend}.  [expected] is a capacity
-    hint: the heap backend presizes its array to that many events, the
-    wheel presizes each bucket to [expected / buckets]; either way a queue
-    that stays within the hint never re-blits while growing.
-    @raise Invalid_argument on a non-positive or non-finite wheel width, or
+val create : ?width:float -> ?buckets:int -> ?expected:int -> unit -> 'a t
+(** [width] (default 0.25) is the bucket granularity in simulated seconds:
+    for the clock-synchronization workloads a fraction of the delay jitter
+    [eps] is the natural choice.  [buckets] (default 1024, rounded up to a
+    power of two) is the wheel size, giving a horizon of [width * buckets]
+    before events overflow to the heap.  [expected] is a capacity hint:
+    each bucket is presized to [expected / buckets] events.
+    @raise Invalid_argument on a non-positive or non-finite width, or
     fewer than one bucket. *)
-
-val backend_kind : 'a t -> backend
-(** Which backend this queue runs on (with its actual geometry). *)
 
 val size : 'a t -> int
 
 val occupancy : 'a t -> int
-(** Occupied bucket count of the wheel backend's bitmask (how spread out
-    the pending horizon is; telemetry reads it for the engine's
-    occupancy gauge on every schedule).  O(1): the wheel keeps the count
-    as buckets fill and empty.  Events in the overflow heap occupy no
-    bucket.  Always 0 on the heap backend, which has no buckets. *)
+(** Occupied bucket count of the wheel's bitmask (how spread out the
+    pending horizon is; telemetry reads it for the engine's occupancy
+    gauge on every schedule).  O(1): the wheel keeps the count as buckets
+    fill and empty.  Events in the overflow heap occupy no bucket. *)
 
 val is_empty : 'a t -> bool
 
 val add : 'a t -> time:float -> prio:int -> 'a -> unit
 (** @raise Invalid_argument if [time] is not finite or [prio] is outside
     [0, 2^20) — priority {e classes} are few and small by design, which
-    lets both backends carry (prio, seq) as one packed integer. *)
+    lets the queue carry (prio, seq) as one packed integer. *)
 
 val peek_time : 'a t -> float option
 (** Earliest scheduled time, if any. *)

@@ -50,9 +50,6 @@ let push h x =
 
 let peek h = if h.len = 0 then None else Some h.data.(0)
 
-let min_elt h =
-  if h.len = 0 then invalid_arg "Heap.min_elt: empty heap" else h.data.(0)
-
 let pop_exn h =
   if h.len = 0 then invalid_arg "Heap.pop_exn: empty heap"
   else begin
@@ -66,20 +63,6 @@ let pop_exn h =
   end
 
 let pop h = if h.len = 0 then None else Some (pop_exn h)
-
-let clear h = h.len <- 0
-(* The backing array is kept: a cleared-and-refilled heap (the common reuse
-   pattern in the engine and the baselines) reallocates nothing.  Slots past
-   [len] retain their old elements until overwritten by later pushes. *)
-
-let capacity h = Array.length h.data
-
-let reserve h ~dummy n =
-  if n > Array.length h.data then begin
-    let nd = Array.make n dummy in
-    Array.blit h.data 0 nd 0 h.len;
-    h.data <- nd
-  end
 
 let to_sorted_list h =
   let copy = { cmp = h.cmp; data = Array.sub h.data 0 h.len; len = h.len } in

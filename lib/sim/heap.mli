@@ -1,8 +1,8 @@
 (** Imperative binary min-heap over an arbitrary element type.
 
-    The ordering is supplied at creation time.  Used by {!Event_queue} as the
-    core of the discrete-event scheduler; exposed separately because the
-    baselines and tests also need a priority queue. *)
+    The ordering is supplied at creation time.  {!Event_queue} keeps the
+    events beyond its wheel's horizon in one; exposed separately so the
+    tests can build a reference priority queue from it. *)
 
 type 'a t
 
@@ -16,29 +16,11 @@ val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
 
-val min_elt : 'a t -> 'a
-(** The minimum element without removing it; allocation-free.
-    @raise Invalid_argument on an empty heap. *)
-
 val pop : 'a t -> 'a option
 (** Removes and returns the minimum element, or [None] if empty. *)
 
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-(** Empties the heap, {e keeping} its backing capacity so a
-    cleared-and-refilled heap reallocates nothing.  Slots beyond the new
-    size retain their elements until overwritten; call sites holding large
-    values that must be collected promptly should drop the heap instead. *)
-
-val capacity : 'a t -> int
-(** Current backing-array length (>= {!size}). *)
-
-val reserve : 'a t -> dummy:'a -> int -> unit
-(** [reserve h ~dummy n] grows the backing array to at least [n] slots
-    (filling fresh slots with [dummy]); no-op if already that large.
-    Avoids the doubling re-blits when the final size is known up front. *)
 
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructive: the heap contents in ascending order. *)

@@ -1,6 +1,6 @@
 (* The million-process simulation core: the struct-of-arrays sweep against
    its multiset reference, the SoA cluster model's determinism, and the
-   sharded driver's worker-count and backend identities. *)
+   sharded [Scale] round's worker-count identities. *)
 
 module Sweep = Csync_core.Sweep
 module Soa = Csync_process.Soa
@@ -171,11 +171,11 @@ module Graph = Csync_topo.Graph
 
 type queued = Arrival of int | Close
 
-let queue_rows backend m ~delta ~crashed ~lo ~hi =
+let queue_rows ~width:qwidth ~buckets m ~delta ~crashed ~lo ~hi =
   let width = Soa.width m in
   let slab = Array.make ((hi - lo) * width) 0. in
   let counts = Array.make (hi - lo) 0 in
-  let q = Event_queue.create ~backend () in
+  let q = Event_queue.create ~width:qwidth ~buckets () in
   let last = ref neg_infinity in
   for dst = lo to hi - 1 do
     if Soa.is_ok m dst then begin
@@ -212,10 +212,11 @@ let bits_equal a b =
        a b
 
 (* [run_shard] fills rows [lo, hi) of the model's own store, indexed by
-   destination; the reference fills a fresh [(hi - lo)]-row slab.  The
-   comparison reads the shard's range of the store, slack slots
-   included. *)
-let check_against_queue name m ~delta ~crashed =
+   destination; the reference fills a fresh [(hi - lo)]-row slab, draining
+   a wheel of [buckets] buckets of [qwidth] seconds.  The comparison reads
+   the shard's range of the store, slack slots included. *)
+let check_against_queue ?(qwidth = 1e-4) ?(buckets = 256) name m ~delta
+    ~crashed =
   let width = Soa.width m and f = Soa.f m in
   let swept slab counts =
     let mids = Array.make (Array.length counts) Float.nan in
@@ -232,21 +233,15 @@ let check_against_queue name m ~delta ~crashed =
       let mids = Array.sub out lo (hi - lo) in
       let rows = Array.sub s.Soa.slab (lo * width) ((hi - lo) * width) in
       let row_counts = Array.sub s.Soa.counts lo (hi - lo) in
-      List.iter
-        (fun (tag, backend) ->
-          let events, slab, counts =
-            queue_rows backend m ~delta ~crashed ~lo ~hi
-          in
-          let ref_mids = swept slab counts in
-          let what = Printf.sprintf "%s [%d, %d) %s" name lo hi tag in
-          check_int (what ^ " events") events s.Soa.count;
-          check_true (what ^ " counts") (counts = row_counts);
-          check_true (what ^ " sorted rows") (bits_equal slab rows);
-          check_true (what ^ " midpoints") (bits_equal ref_mids mids))
-        [
-          ("heap", Event_queue.Heap);
-          ("wheel", Event_queue.Wheel { width = 1e-4; buckets = 256 });
-        ])
+      let events, slab, counts =
+        queue_rows ~width:qwidth ~buckets m ~delta ~crashed ~lo ~hi
+      in
+      let ref_mids = swept slab counts in
+      let what = Printf.sprintf "%s [%d, %d)" name lo hi in
+      check_int (what ^ " events") events s.Soa.count;
+      check_true (what ^ " counts") (counts = row_counts);
+      check_true (what ^ " sorted rows") (bits_equal slab rows);
+      check_true (what ^ " midpoints") (bits_equal ref_mids mids))
     [ (0, n); (n / 3, (2 * n) / 3) ]
 
 let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
@@ -475,11 +470,6 @@ let soa_tests =
         done);
   ]
 
-let with_engine_env value f =
-  let prev = Option.value (Sys.getenv_opt "CSYNC_ENGINE") ~default:"wheel" in
-  Unix.putenv "CSYNC_ENGINE" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CSYNC_ENGINE" prev) f
-
 let scale_model () =
   let m = Soa.create ~n:500 ~degree:7 ~f:2 ~seed:11 ~dispersion:0.5 () in
   Soa.crash m 17;
@@ -612,15 +602,17 @@ let scale_tests =
         check_true "checksum 4 jobs" (c1 = c4);
         check_true "state 3 jobs" (st1 = st3);
         check_true "state 4 jobs" (st1 = st4));
-    t "heap and wheel backends follow the same trajectory" (fun () ->
-        let run () =
-          let m = scale_model () in
-          let s = Scale.run ~jobs:1 ~rounds:2 m in
-          (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)
-        in
-        let wheel = with_engine_env "wheel" run in
-        let heap = with_engine_env "heap" run in
-        check_true "identical" (wheel = heap));
+    t "queue reference through the overflow matches the direct fill"
+      (fun () ->
+        (* Arrivals spread over the 0.5 s dispersion; a 1/1200 s width
+           (non-dyadic) and 8 buckets send nearly every one through the
+           overflow heap and its promotion at the horizon. *)
+        let delta = 0.01 in
+        let m = Soa.create ~n:500 ~degree:7 ~seed:11 ~delta ~dispersion:0.5 () in
+        Soa.crash m 17;
+        Soa.set_pull m 42 0.3;
+        check_against_queue ~qwidth:(delta /. 12.) ~buckets:8 "overflow" m
+          ~delta ~crashed:[ 17 ]);
     t "reduced midpoint contracts the dispersion" (fun () ->
         let m = Soa.create ~n:400 ~degree:8 ~f:2 ~seed:2 ~dispersion:1.0 () in
         let s = Scale.run ~jobs:1 ~rounds:4 m in
@@ -635,8 +627,7 @@ let scale_tests =
   ]
 
 (* The satellite identity: a monitored experiment run - online theorem
-   checks live - still renders byte-identically at 1 and 4 workers on the
-   wheel backend. *)
+   checks live - still renders byte-identically at 1 and 4 workers. *)
 let monitored_identity_tests =
   [
     t "monitored E1 tables byte-identical at 1 and 4 workers" (fun () ->
@@ -658,19 +649,18 @@ let monitored_identity_tests =
           in
           (out, Mon.checks_performed mon, Mon.violations_total mon)
         in
-        with_engine_env "wheel" (fun () ->
-            let out1, checks1, viol1 = render 1 in
-            let out4, checks4, viol4 = render 4 in
-            check_true "tables nonempty" (String.length out1 > 0);
-            Alcotest.(check string) "tables" out1 out4;
-            check_int "monitor checks" checks1 checks4;
-            check_int "monitor violations" viol1 viol4;
-            check_int "no violations" 0 viol1));
+        let out1, checks1, viol1 = render 1 in
+        let out4, checks4, viol4 = render 4 in
+        check_true "tables nonempty" (String.length out1 > 0);
+        Alcotest.(check string) "tables" out1 out4;
+        check_int "monitor checks" checks1 checks4;
+        check_int "monitor violations" viol1 viol4;
+        check_int "no violations" 0 viol1);
   ]
 
 (* The observability tentpole's identity: the canonical binary trace of a
-   telemetry-on scale run is byte-identical at any worker count and on
-   either queue backend - and telemetry never perturbs the trajectory. *)
+   telemetry-on scale run is byte-identical at any worker count - and
+   telemetry never perturbs the trajectory. *)
 module Obs = Csync_obs.Registry
 module Record = Csync_obs.Record
 module Btrace = Csync_obs.Btrace
@@ -715,22 +705,13 @@ let btrace_bytes records =
 
 let trace_identity_tests =
   [
-    t "canonical binary trace byte-identical: jobs 1/4 x heap/wheel" (fun () ->
-        let capture engine jobs =
-          with_engine_env engine (fun () ->
-              captured ~jobs ~rounds:2 ~n:10_000 ())
-        in
-        let k1, r1 = capture "wheel" 1 in
-        let k4, r4 = capture "wheel" 4 in
-        let kh, rh = capture "heap" 1 in
+    t "canonical binary trace byte-identical: jobs 1/4" (fun () ->
+        let k1, r1 = captured ~jobs:1 ~rounds:2 ~n:10_000 () in
+        let k4, r4 = captured ~jobs:4 ~rounds:2 ~n:10_000 () in
         check_true "results identical across jobs" (k1 = k4);
-        check_true "results identical across backends" (k1 = kh);
         check_true "trace has telemetry" (List.length r1 > 3);
-        let b1 = btrace_bytes r1 in
         check_true "bytes identical across jobs"
-          (String.equal b1 (btrace_bytes r4));
-        check_true "bytes identical across backends"
-          (String.equal b1 (btrace_bytes rh)));
+          (String.equal (btrace_bytes r1) (btrace_bytes r4)));
     t "telemetry leaves the scale trajectory untouched" (fun () ->
         let plain = result_key (Scale.run ~jobs:2 ~rounds:2 (big_model ~n:2000 ())) in
         let traced, _ = captured ~jobs:2 ~rounds:2 ~n:2000 () in

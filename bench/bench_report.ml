@@ -275,8 +275,8 @@ let delay_name_records =
 (* One monitored run of the standard Byzantine cast at n = 16, f = 5 over
    10 rounds (the shape of the traced benchmark workload), kept as its
    registry and monitor.  The capture kernel times what `csync trace`
-   pays after the run: dump, decode into records, a csync-btrace/1
-   encode and a decode of the bytes. *)
+   pays after the run: building the records, a csync-btrace/1 encode
+   and a decode of the bytes. *)
 let traced_capture =
   lazy
     (let module Scenario = Csync_harness.Scenario in
@@ -302,12 +302,7 @@ let traced_capture =
 let capture_traced () =
   let reg, mon = Lazy.force traced_capture in
   let records =
-    List.map
-      (fun j ->
-        match Csync_obs.Record.of_json j with
-        | Ok r -> r
-        | Error e -> failwith ("trace-capture-traced: " ^ e))
-      (Csync_obs.Registry.dump reg @ Csync_obs.Monitor.dump mon)
+    Csync_obs.Registry.records reg @ Csync_obs.Monitor.records mon
   in
   let b = Buffer.create (1 lsl 16) in
   let w = Csync_obs.Btrace.writer_fn (Buffer.add_string b) in

@@ -734,38 +734,24 @@ let trace_cmd =
         ("adjustment_bound", Json.Num (Csync_core.Params.adjustment_bound p));
       ]
   in
-  let write_trace ~out ~format ~canonical ~target ~seed ~jobs ~quick ~params
-      ~mon reg =
+  let write_trace ~out ~canonical ~target ~seed ~jobs ~quick ~params ~mon reg =
     let module Record = Csync_obs.Record in
     let manifest =
       Csync_obs.Manifest.make ~target ~seed ~jobs ~quick
         ?params:(Option.map params_json params) ()
     in
-    (* Monitor verdicts ride the same capture: one {"record":"monitor"}
-       line per configured check, so csync report and --diff can render
-       and compare them. *)
+    (* Monitor verdicts ride the same capture: one monitor record per
+       configured check, so csync report and --diff can render and
+       compare them. *)
     let records =
-      List.map
-        (fun j ->
-          match Record.of_json j with
-          | Ok r -> r
-          | Error e -> failwith ("trace dump produced a bad record: " ^ e))
-        (manifest :: (Obs.dump reg @ Csync_obs.Monitor.dump mon))
+      Record.Manifest manifest
+      :: (Obs.records reg @ Csync_obs.Monitor.records mon)
     in
     let records = if canonical then Record.canonical records else records in
-    (match format with
-    | `Binary -> Csync_obs.Btrace.write_file out records
-    | `Jsonl ->
-      let oc = open_out out in
-      List.iter
-        (fun r ->
-          output_string oc (Json.to_string (Record.to_json r));
-          output_char oc '\n')
-        records;
-      close_out oc);
+    Csync_obs.Btrace.write_file out records;
     Format.printf "wrote %s (%d records)@." out (List.length records)
   in
-  let run quick jobs seed monitor tighten out format canonical target =
+  let run quick jobs seed monitor tighten out canonical target =
     let jobs_v =
       match jobs_opt jobs with
       | Some j -> j
@@ -778,7 +764,7 @@ let trace_cmd =
       Obs.clear_installed ();
       (match result with
       | Ok () ->
-        write_trace ~out ~format ~canonical ~target ~seed ~jobs:jobs_v ~quick
+        write_trace ~out ~canonical ~target ~seed ~jobs:jobs_v ~quick
           ~params
           ~mon:(Option.value mon_opt ~default:Csync_obs.Monitor.none)
           reg;
@@ -829,20 +815,11 @@ let trace_cmd =
   in
   let out_arg =
     Arg.(
-      value & opt string "run.jsonl"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Trace output path.")
-  in
-  let format_arg =
-    let doc =
-      "Container: $(b,jsonl) (one JSON object per line) or $(b,binary) \
-       (csync-btrace/1 - length-prefixed records with interned names, \
-       roughly an order of magnitude smaller at scale).  csync report \
-       reads both."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("jsonl", `Jsonl); ("binary", `Binary) ]) `Jsonl
-      & info [ "format" ] ~docv:"FORMAT" ~doc)
+      value & opt string "run.btrace"
+      & info [ "out"; "o" ] ~docv:"FILE"
+          ~doc:
+            "Trace output path.  The capture is a csync-btrace/1 file; \
+             $(b,csync report --json) renders it as JSON lines.")
   in
   let canonical_arg =
     let doc =
@@ -865,13 +842,13 @@ let trace_cmd =
        ~doc:
          "Run a target with telemetry enabled and capture the full trace \
           (manifest, counters, gauges, series, histograms, spans, events) \
-          as JSONL or binary btrace.  The run's tables are byte-identical \
+          as a binary btrace file.  The run's tables are byte-identical \
           to an untraced run; render the capture with csync report or \
           watch it with csync top.")
     Term.(
       ret
         (const run $ quick_arg $ jobs_arg $ seed $ monitor_arg $ tighten_arg
-       $ out_arg $ format_arg $ canonical_arg $ target_arg))
+       $ out_arg $ canonical_arg $ target_arg))
 
 (* csync collect *)
 let collect_cmd =
@@ -1087,35 +1064,40 @@ let fleet_cmd =
 
 (* csync report *)
 let report_cmd =
-  let load file =
-    match Csync_obs.Report.of_file file with
+  let module Report = Csync_obs.Report in
+  let load read file =
+    match read file with
     | exception Sys_error e -> Error e
     | Error e -> Error (Printf.sprintf "%s: %s" file e)
     | Ok t -> Ok t
   in
-  let run label diff fleet files =
-    match (diff, fleet, files) with
-    | false, false, [ file ] -> (
-      match load file with
-      | Error e -> `Error (false, e)
-      | Ok t ->
-        Csync_obs.Report.render ?focus:label Format.std_formatter t;
-        `Ok ())
-    | false, true, [ file ] -> (
-      match load file with
-      | Error e -> `Error (false, e)
-      | Ok t ->
-        Csync_obs.Report.render_fleet Format.std_formatter t;
-        `Ok ())
-    | true, false, [ a; b ] -> (
-      match (load a, load b) with
+  let print_json () r =
+    print_string (Csync_obs.Json.to_string (Csync_obs.Record.to_json r));
+    print_char '\n'
+  in
+  let run label diff fleet json files =
+    match (diff, files) with
+    | _ when Bool.to_int diff + Bool.to_int fleet + Bool.to_int json > 1 ->
+      `Error (true, "--diff, --fleet and --json are exclusive")
+    | true, [ a; b ] -> (
+      match (load Report.of_file a, load Report.of_file b) with
       | Error e, _ | _, Error e -> `Error (false, e)
       | Ok ta, Ok tb ->
         Csync_obs.Diff.render Format.std_formatter ~name_a:a ~name_b:b ta tb;
         `Ok ())
-    | true, true, _ -> `Error (true, "--diff and --fleet are exclusive")
-    | false, _, _ -> `Error (true, "report renders exactly one FILE")
-    | true, _, _ -> `Error (true, "--diff aligns exactly two FILEs")
+    | true, _ -> `Error (true, "--diff aligns exactly two FILEs")
+    | false, [ file ] when json -> (
+      match load (Csync_obs.Btrace.fold_file ~init:() ~f:print_json) file with
+      | Error e -> `Error (false, e)
+      | Ok () -> `Ok ())
+    | false, [ file ] -> (
+      match load Report.of_file file with
+      | Error e -> `Error (false, e)
+      | Ok t ->
+        if fleet then Report.render_fleet Format.std_formatter t
+        else Report.render ?focus:label Format.std_formatter t;
+        `Ok ())
+    | false, _ -> `Error (true, "report renders exactly one FILE")
   in
   let label_arg =
     Arg.(
@@ -1145,13 +1127,20 @@ let report_cmd =
     in
     Arg.(value & flag & info [ "fleet" ] ~doc)
   in
+  let json_arg =
+    let doc =
+      "Print the FILE's records as JSON, one object per line, instead of \
+       the report - for grep and golden diffs."
+    in
+    Arg.(value & flag & info [ "json" ] ~doc)
+  in
   let files_arg =
     Arg.(
       non_empty & pos_all string []
       & info [] ~docv:"FILE"
           ~doc:
-            "A trace written by csync trace - JSONL or binary btrace, \
-             sniffed by magic (two traces with $(b,--diff)).")
+            "A csync-btrace/1 trace, as written by csync trace or csync \
+             collect (two traces with $(b,--diff)).")
   in
   Cmd.v
     (Cmd.info "report"
@@ -1160,7 +1149,8 @@ let report_cmd =
           message-delay histograms, pool utilization, chaos ledger, monitor \
           verdicts, exploration statistics) - or, with --diff, the \
           differences between two traces.")
-    Term.(ret (const run $ label_arg $ diff_arg $ fleet_arg $ files_arg))
+    Term.(
+      ret (const run $ label_arg $ diff_arg $ fleet_arg $ json_arg $ files_arg))
 
 (* csync topo *)
 let topo_cmd =
@@ -1327,8 +1317,8 @@ let top_cmd =
       required & pos 0 (some string) None
       & info [] ~docv:"FILE"
           ~doc:
-            "Trace to watch (JSONL or binary btrace), typically the \
-             $(b,--out) of a csync trace still running.")
+            "Trace to watch (csync-btrace/1), typically the $(b,--out) \
+             of a csync trace still running.")
   in
   Cmd.v
     (Cmd.info "top"

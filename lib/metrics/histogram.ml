@@ -160,12 +160,8 @@ module Grid = struct
     else
       bump g.counts ((l * g.bins) + linear_bin ~lo:g.lo ~hi:g.hi ~bins:g.bins v)
 
-  let map_bins g ~src ~dst f =
-    let base = link g ~src ~dst * g.bins in
-    let rec go i acc =
-      if i < base then acc else go (i - 1) (f g.counts.(i) :: acc)
-    in
-    go (base + g.bins - 1) []
+  let bin_counts g ~src ~dst =
+    Array.sub g.counts (link g ~src ~dst * g.bins) g.bins
 
   let tally g ~src ~dst k = g.tallies.((link g ~src ~dst * 4) + k)
 

@@ -119,8 +119,8 @@ module Grid : sig
   (** {!add} on link [(src, dst)].
       @raise Invalid_argument unless both are in [0, n). *)
 
-  val map_bins : t -> src:int -> dst:int -> (int -> 'a) -> 'a list
-  (** [f] of each of the link's bin counts, in bin order. *)
+  val bin_counts : t -> src:int -> dst:int -> int array
+  (** A fresh copy of the link's bin counts, in bin order. *)
 
   val underflow : t -> src:int -> dst:int -> int
 

@@ -894,22 +894,14 @@ let fold_file path ~init ~f =
       match reader ic with
       | Error e -> Error e
       | Ok r ->
-        let rec go acc =
+        let rec go acc i =
           match next r with
+          | `Record rec_ -> go (f acc rec_) (i + 1)
           | `Eof -> Ok acc
-          | `Truncated -> Error "truncated trace (file ends mid-record)"
-          | `Error e -> Error e
-          | `Record rec_ -> go (f acc rec_)
+          | `Truncated ->
+            Error
+              (Printf.sprintf "record %d: truncated trace (file ends mid-record)"
+                 i)
+          | `Error e -> Error (Printf.sprintf "record %d: %s" i e)
         in
-        go init)
-
-let sniff_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = String.length magic in
-      let b = Bytes.create n in
-      match really_input ic b 0 n with
-      | () -> Bytes.to_string b = magic
-      | exception End_of_file -> false)
+        go init 1)

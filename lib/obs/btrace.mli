@@ -1,10 +1,12 @@
-(** [csync-btrace/1] — the streaming binary trace container.
+(** [csync-btrace/1] — the trace container: every capture ([csync
+    trace], the fleet collector's merged trace) is stored in it, and
+    [csync report --json] renders one as JSON lines.
 
     A magic line followed by length-prefixed records; numeric metrics get
     compact varint/binary64 bodies with label/base names interned in a
     string table, while manifest/event/monitor records are carried as
-    embedded JSON text.  Roughly an order of magnitude smaller than the
-    equivalent JSONL at scale, and readable record-at-a-time in constant
+    embedded JSON text.  Roughly five times smaller than its JSON
+    rendering at scale, and readable record-at-a-time in constant
     memory.  See [btrace.ml] for the exact layout. *)
 
 val magic : string
@@ -55,7 +57,8 @@ val next :
 val fold_file :
   string -> init:'a -> f:('a -> Record.t -> 'a) -> ('a, string) result
 (** Stream every record of a file through [f] in constant memory
-    (truncation is an error here, unlike {!next}). *)
+    (truncation is an error here, unlike {!next}).  An error names the
+    record it stopped at, counting from 1. *)
 
 (** {2 Incremental byte-feed reading}
 
@@ -81,6 +84,3 @@ val feed_next : feed -> [ `Record of Record.t | `Await | `Error of string ]
 val feed_reset : feed -> unit
 (** Drop buffered bytes and the intern table, and expect the magic
     again — for a node stream that restarted from scratch. *)
-
-val sniff_file : string -> bool
-(** Whether the file starts with the btrace magic. *)

@@ -189,7 +189,7 @@ let tag_record src (r : Record.t) : Record.t =
   | Record.Monitor (nm, m) -> Record.Monitor (prefix src ^ "." ^ nm, m)
   | Record.Unknown _ -> r
 
-let fleet_manifest t nodes =
+let fleet_manifest nodes =
   (* Params (including the gamma/kappa envelopes the emitter bakes in)
      are copied from the lowest-id node that shipped a manifest — every
      node of one fleet runs the same parameters. *)
@@ -204,7 +204,6 @@ let fleet_manifest t nodes =
           (List.rev n.n_recs))
       nodes
   in
-  ignore t;
   Record.Manifest
     (Json.Obj
        [
@@ -244,7 +243,7 @@ let merged t =
         compare (ts, s, q, i) (ts', s', q', i'))
       tagged
   in
-  (fleet_manifest t nodes :: List.map (fun (_, _, _, _, r) -> r) sorted)
+  (fleet_manifest nodes :: List.map (fun (_, _, _, _, r) -> r) sorted)
   @ List.concat_map accounting nodes
 
 let write_merged t path = Btrace.write_file path (merged t)

@@ -1,6 +1,6 @@
-(** Cross-run trace diffing: [csync report --diff a.jsonl b.jsonl].
+(** Cross-run trace diffing: [csync report --diff a.btrace b.btrace].
 
-    Two captured traces are aligned by manifest and by metric name; the
+    Two captured traces (read by {!Report.of_file}) are aligned by manifest and by metric name; the
     rendering shows what changed between the runs — manifest drift
     (different seed, jobs, params, schema), monitor-verdict changes,
     per-round skew and ADJ deltas, histogram shift summaries, changed

@@ -617,20 +617,19 @@ let violation_json (v : violation) =
       ("provenance", Json.Arr (List.map entry_json v.provenance));
     ]
 
-let dump t =
+let records t =
   results t
   |> List.filter (fun (c, _, _, _) -> t.on.(check_index c))
   |> List.map (fun (c, evals, viols, first) ->
-         Json.Obj
-           [
-             ("record", Json.Str "monitor");
-             ("monitor", Json.Str (check_name c));
-             ("checks", Json.num_of_int evals);
-             ("violations", Json.num_of_int viols);
-             ( "first",
-               match first with None -> Json.Null | Some v -> violation_json v
-             );
-           ])
+         Record.Monitor
+           ( check_name c,
+             {
+               Record.checks = evals;
+               violations = viols;
+               first = Option.map violation_json first;
+             } ))
+
+let dump t = List.map Record.to_json (records t)
 
 let pp_violation ppf (v : violation) =
   Format.fprintf ppf "first at t=%.6f%s%s: measured %.6g > bound %.6g%s"

@@ -328,9 +328,12 @@ val results : t -> (check * int * int * violation option) list
 
 val check_name : check -> string
 
+val records : t -> Record.t list
+(** One {!Record.Monitor} per configured check, for appending to a
+    [csync trace] capture; [first] is the first violation as JSON. *)
+
 val dump : t -> Json.t list
-(** One [{"record":"monitor", ...}] JSON object per configured check,
-    for appending to a [csync trace] JSONL capture. *)
+(** {!records} rendered by {!Record.to_json}. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line-per-monitor human summary (used by the CLI after a

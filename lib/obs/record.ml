@@ -1,13 +1,11 @@
-(* The typed trace-record model shared by every reader and writer: the
-   JSONL format ([csync-trace/1], one object per line) and the binary
-   format ([csync-btrace/1], {!Btrace}) are two serializations of this
-   one type, and {!Report} folds a stream of them regardless of which
-   container they came from.
+(* The typed trace-record model shared by every reader and writer.
+   Captures are built as records ({!Registry.records}, {!Monitor.records}),
+   stored in the one binary container ([csync-btrace/1], {!Btrace}) and
+   folded by {!Report}.
 
-   [of_json]/[to_json] round-trip exactly: [to_json] reproduces the
-   field order {!Registry.dump} and {!Monitor.dump} emit, so a JSONL
-   trace rewritten through records is byte-identical to one written
-   directly. *)
+   [to_json] is the one JSON rendering, and [of_json] inverts it exactly:
+   btrace carries manifests, events and unknown kinds as embedded JSON
+   text and decodes them with [of_json]. *)
 
 type hist_rec = {
   lo : float;
@@ -123,7 +121,7 @@ let to_json = function
     Json.Obj
       [ ("record", Json.Str "gauge"); ("name", Json.Str name); ("value", Json.Num v) ]
   | Series (name, xs, ys) ->
-    let arr a = Json.Arr (Array.to_list (Array.map (fun v -> Json.Num v) a)) in
+    let arr a = Json.Arr (Array.fold_right (fun v l -> Json.Num v :: l) a []) in
     Json.Obj
       [
         ("record", Json.Str "series");
@@ -132,27 +130,29 @@ let to_json = function
         ("ys", arr ys);
       ]
   | Hist (name, h) ->
-    let scheme =
+    let counts =
+      Array.fold_right (fun c l -> Json.num_of_int c :: l) h.counts []
+    in
+    let tail =
+      [
+        ("counts", Json.Arr counts);
+        ("underflow", Json.num_of_int h.underflow);
+        ("overflow", Json.num_of_int h.overflow);
+        ("invalid", Json.num_of_int h.invalid);
+        ("total", Json.num_of_int h.total);
+      ]
+    in
+    let tail =
       match h.per_decade with
-      | None -> []
-      | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
+      | None -> tail
+      | Some pd -> ("per_decade", Json.num_of_int pd) :: tail
     in
     Json.Obj
-      ([
-         ("record", Json.Str "hist");
-         ("name", Json.Str name);
-         ("lo", Json.Num h.lo);
-         ("hi", Json.Num h.hi);
-       ]
-      @ scheme
-      @ [
-          ( "counts",
-            Json.Arr (Array.to_list (Array.map Json.num_of_int h.counts)) );
-          ("underflow", Json.num_of_int h.underflow);
-          ("overflow", Json.num_of_int h.overflow);
-          ("invalid", Json.num_of_int h.invalid);
-          ("total", Json.num_of_int h.total);
-        ])
+      (("record", Json.Str "hist")
+      :: ("name", Json.Str name)
+      :: ("lo", Json.Num h.lo)
+      :: ("hi", Json.Num h.hi)
+      :: tail)
   | Span (name, s) ->
     Json.Obj
       [

@@ -1,11 +1,10 @@
-(** Typed trace records — the common model behind both trace
-    serializations: JSONL ([csync-trace/1]) and binary ([csync-btrace/1],
-    {!Btrace}).  {!Report} folds a stream of these regardless of
-    container.
+(** Typed trace records: what a capture is built from.  {!Registry.records}
+    and {!Monitor.records} produce them, {!Btrace} stores them (the one
+    on-disk container, [csync-btrace/1]), and {!Report} folds them.
 
-    {!of_json} and {!to_json} round-trip byte-exactly through
-    {!Json.to_string}: [to_json] reproduces the field order
-    {!Registry.dump} and {!Monitor.dump} emit. *)
+    {!to_json} is the one JSON rendering ([csync report --json]).
+    {!of_json} inverts it byte-exactly through {!Json.to_string}; btrace
+    uses it for the records it carries as embedded JSON. *)
 
 type hist_rec = {
   lo : float;
@@ -41,7 +40,8 @@ val of_json : Json.t -> (t, string) result
 
 val to_json : t -> Json.t
 (** Inverse of {!of_json}; {!Manifest} and {!Unknown} pass their
-    original JSON through untouched. *)
+    original JSON through untouched.  Each kind's fields come in a fixed
+    order, so a rendering is a pure function of the record. *)
 
 val split_name : string -> string * string
 (** [split_name "label/base"] is [("label", "base")]; a name with no

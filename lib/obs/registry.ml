@@ -360,34 +360,20 @@ let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let hist_tag = ("record", Json.Str "hist")
-
-let hist_json name h =
+let hist_record name h =
   let lo, hi = Histogram.range h in
-  let counts =
-    List.init (Histogram.bins h) (fun i ->
-        Json.num_of_int (Histogram.bin_count h i))
-  in
-  let scheme =
-    match Histogram.per_decade h with
-    | None -> []
-    | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
-  in
-  Json.Obj
-    ([
-       hist_tag;
-       ("name", Json.Str name);
-       ("lo", Json.Num lo);
-       ("hi", Json.Num hi);
-     ]
-    @ scheme
-    @ [
-        ("counts", Json.Arr counts);
-        ("underflow", Json.num_of_int (Histogram.underflow h));
-        ("overflow", Json.num_of_int (Histogram.overflow h));
-        ("invalid", Json.num_of_int (Histogram.invalid h));
-        ("total", Json.num_of_int (Histogram.count h));
-      ])
+  Record.Hist
+    ( name,
+      {
+        Record.lo;
+        hi;
+        per_decade = Histogram.per_decade h;
+        counts = Array.init (Histogram.bins h) (Histogram.bin_count h);
+        underflow = Histogram.underflow h;
+        overflow = Histogram.overflow h;
+        invalid = Histogram.invalid h;
+        total = Histogram.count h;
+      } )
 
 (* [0 .. n-1] in the order of their decimal strings: 0, 1, 10, 11, .., 2. *)
 let decimal_order n =
@@ -408,12 +394,10 @@ let decimal_order n =
 (* Hands [emit] one linear [hist] record per link, named
    [prefix ^ "<src>-><dst>"], in name order: '-' sorts before every
    digit, so that is decimal-string order of src, then of dst.  Records
-   are built straight from the flat arrays and share their constant
-   fields. *)
+   are built straight from the flat arrays. *)
 let grid_records prefix g emit =
   let module G = Histogram.Grid in
   let lo, hi = G.range g in
-  let lo = ("lo", Json.Num lo) and hi = ("hi", Json.Num hi) in
   let n = G.n g in
   let order = decimal_order n in
   let digits = Array.init n string_of_int in
@@ -424,18 +408,18 @@ let grid_records prefix g emit =
         (fun dst ->
           let name = head ^ digits.(dst) in
           emit name
-            (Json.Obj
-               [
-                 hist_tag;
-                 ("name", Json.Str name);
-                 lo;
-                 hi;
-                 ("counts", Json.Arr (G.map_bins g ~src ~dst Json.num_of_int));
-                 ("underflow", Json.num_of_int (G.underflow g ~src ~dst));
-                 ("overflow", Json.num_of_int (G.overflow g ~src ~dst));
-                 ("invalid", Json.num_of_int (G.invalid g ~src ~dst));
-                 ("total", Json.num_of_int (G.count g ~src ~dst));
-               ]))
+            (Record.Hist
+               ( name,
+                 {
+                   Record.lo;
+                   hi;
+                   per_decade = None;
+                   counts = G.bin_counts g ~src ~dst;
+                   underflow = G.underflow g ~src ~dst;
+                   overflow = G.overflow g ~src ~dst;
+                   invalid = G.invalid g ~src ~dst;
+                   total = G.count g ~src ~dst;
+                 } )))
         order)
     order
 
@@ -446,88 +430,54 @@ let hist_records t =
   let named = ref (sorted_bindings t.hists) and out = ref [] in
   let rec emit_named_below link = function
     | (name, h) :: rest when String.compare name link < 0 ->
-      out := hist_json name h :: !out;
+      out := hist_record name h :: !out;
       emit_named_below link rest
     | rest -> rest
   in
   Hashtbl.fold (fun name g acc -> (name ^ ".", g) :: acc) t.grids []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (prefix, g) ->
-         grid_records prefix g (fun link j ->
+         grid_records prefix g (fun link r ->
              named := emit_named_below link !named;
-             out := j :: !out));
-  List.rev_append !out (List.map (fun (name, h) -> hist_json name h) !named)
+             out := r :: !out));
+  List.rev_append !out (List.map (fun (name, h) -> hist_record name h) !named)
 
-let dump t =
+let records t =
   let counters =
     sorted_bindings t.counters
-    |> List.map (fun (name, c) ->
-           Json.Obj
-             [
-               ("record", Json.Str "counter");
-               ("name", Json.Str name);
-               ("value", Json.num_of_int c.cv);
-             ])
+    |> List.map (fun (name, c) -> Record.Counter (name, c.cv))
   in
   let gauges =
     sorted_bindings t.gauges
     |> List.filter_map (fun (name, c) ->
-           if not c.gset then None
-           else
-             Some
-               (Json.Obj
-                  [
-                    ("record", Json.Str "gauge");
-                    ("name", Json.Str name);
-                    ("value", Json.Num c.gv);
-                  ]))
+           if c.gset then Some (Record.Gauge (name, c.gv)) else None)
   in
   let series =
     sorted_bindings t.series_tbl
     |> List.map (fun (name, c) ->
-           let take a = List.init c.sn (fun i -> Json.Num a.(i)) in
-           Json.Obj
-             [
-               ("record", Json.Str "series");
-               ("name", Json.Str name);
-               ("xs", Json.Arr (take c.sx));
-               ("ys", Json.Arr (take c.sy));
-             ])
+           Record.Series (name, Array.sub c.sx 0 c.sn, Array.sub c.sy 0 c.sn))
   in
   let hists = hist_records t in
   let spans =
     sorted_bindings t.spans
     |> List.map (fun (name, c) ->
-           Json.Obj
-             [
-               ("record", Json.Str "span");
-               ("name", Json.Str name);
-               ("count", Json.num_of_int c.pcount);
-               ("total_s", Json.Num (float_of_int c.ptotal_ns /. 1e9));
-               ("max_s", Json.Num (float_of_int c.pmax_ns /. 1e9));
-             ])
+           Record.Span
+             ( name,
+               {
+                 Record.count = c.pcount;
+                 total_s = float_of_int c.ptotal_ns /. 1e9;
+                 max_s = float_of_int c.pmax_ns /. 1e9;
+               } ))
   in
   let events =
     List.rev_map
-      (fun e ->
-        Json.Obj
-          [
-            ("record", Json.Str "event");
-            ("name", Json.Str e.ev_name);
-            ("fields", Json.Obj e.ev_fields);
-          ])
+      (fun e -> Record.Event (e.ev_name, Json.Obj e.ev_fields))
       t.events
   in
   let dropped =
     if t.events_dropped = 0 then []
-    else
-      [
-        Json.Obj
-          [
-            ("record", Json.Str "counter");
-            ("name", Json.Str "obs.events_dropped");
-            ("value", Json.num_of_int t.events_dropped);
-          ];
-      ]
+    else [ Record.Counter ("obs.events_dropped", t.events_dropped) ]
   in
   counters @ dropped @ gauges @ series @ hists @ spans @ events
+
+let dump t = List.map Record.to_json (records t)

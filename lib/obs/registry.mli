@@ -184,15 +184,15 @@ val hist_grid :
   t -> lo:float -> hi:float -> bins:int -> n:int -> string -> Grid.handle
 (** One linear histogram per link [(src, dst)], [src, dst < n], all over
     one window, stored flat ({!Csync_metrics.Histogram.Grid}) and named
-    only by {!dump}: link [(src, dst)] of grid [name] dumps as the
-    {!hist} [name ^ "." ^ src ^ "->" ^ dst] would (decimal pids, label
-    prefix included), with the same fields and bins.  Every one of the
-    [n * n] links is dumped, empty ones too, in name order among all
-    histograms.
+    only by {!records}: link [(src, dst)] of grid [name] records as
+    the {!hist} [name ^ "." ^ src ^ "->" ^ dst] would (decimal pids,
+    label prefix included), with the same fields and bins.  Every one of
+    the [n * n] links is recorded, empty ones too, in name order among
+    all histograms.
 
     Interned by name like {!hist}: the window ([lo], [hi], [bins]) is
     the first minting's.  Re-minting with a larger [n] grows the grid,
-    keeping every link's counts, so the dumped names are the union of
+    keeping every link's counts, so the recorded names are the union of
     all mintings; handles minted earlier stay valid.  {!merge} folds a
     child's grid link by link, growing [into]'s likewise, and raises
     [Invalid_argument] on another window, as it does on histogram
@@ -208,7 +208,10 @@ val event : t -> string -> (string * Json.t) list -> unit
 (** Append a structured event (capped at 65536 per run; overflow is
     counted and reported as [obs.events_dropped]). *)
 
-val dump : t -> Json.t list
-(** One JSON object per record, deterministically ordered: counters,
+val records : t -> Record.t list
+(** Every cell as a trace record, deterministically ordered: counters,
     gauges, series, histograms (every grid link included), spans (each
     sorted by name), then events in emission order. *)
+
+val dump : t -> Json.t list
+(** {!records} rendered by {!Record.to_json}. *)

@@ -35,22 +35,9 @@ type t = {
 
 (* ---------- reading ----------
 
-   Both containers stream record-at-a-time into the accumulator below:
-   JSONL via [input_line] (one line in memory at a time), binary via
-   {!Btrace.fold_file}.  The reader never materializes the file text, so
-   a million-process trace costs its decoded records, not 2x its bytes. *)
-
-let parse_line line =
-  Result.bind (Json.of_string line) Record.of_json
-
-(* The writer-side validator stays strict: a kind the reader would merely
-   skip is still a bug in anything this build produced. *)
-let check_line line =
-  match parse_line line with
-  | Ok (Record.Unknown (kind, _)) ->
-    Error (Printf.sprintf "unknown record kind %S" kind)
-  | Ok _ -> Ok ()
-  | Error e -> Error e
+   A btrace file streams record-at-a-time into the accumulator below
+   ({!Btrace.fold_file}), so a million-process trace costs its decoded
+   records, not its bytes. *)
 
 (* Manifest fields this reader understands; anything else came from a
    newer writer and is skipped with a warning rather than a failure. *)
@@ -84,8 +71,8 @@ let empty =
     warnings = [];
   }
 
-(* Accumulate one record; [where] names its position ("line 7" /
-   "record 7") for warnings. *)
+(* Accumulate one record; [where] names its position ("record 7") for
+   warnings. *)
 let add_record ~where acc (r : Record.t) =
   match r with
   | Record.Manifest j ->
@@ -109,6 +96,9 @@ let add_record ~where acc (r : Record.t) =
         :: acc.warnings;
     }
 
+let add_numbered (acc, i) r =
+  (add_record ~where:(Printf.sprintf "record %d" i) acc r, i + 1)
+
 let finalize acc =
   {
     acc with
@@ -122,54 +112,12 @@ let finalize acc =
     warnings = List.rev acc.warnings;
   }
 
-let add_line acc lineno line =
-  if String.trim line = "" then Ok acc
-  else
-    match parse_line line with
-    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-    | Ok r -> Ok (add_record ~where:(Printf.sprintf "line %d" lineno) acc r)
-
-let of_lines lines =
-  let rec go acc lineno = function
-    | [] -> Ok (finalize acc)
-    | line :: rest -> (
-      match add_line acc lineno line with
-      | Error _ as e -> e
-      | Ok acc -> go acc (lineno + 1) rest)
-  in
-  go empty 1 lines
-
 let of_records records =
-  let acc, _ =
-    List.fold_left
-      (fun (acc, i) r ->
-        (add_record ~where:(Printf.sprintf "record %d" i) acc r, i + 1))
-      (empty, 1) records
-  in
-  finalize acc
-
-let of_jsonl_channel ic =
-  let rec go acc lineno =
-    match input_line ic with
-    | exception End_of_file -> Ok (finalize acc)
-    | line -> (
-      match add_line acc lineno line with
-      | Error _ as e -> e
-      | Ok acc -> go acc (lineno + 1))
-  in
-  go empty 1
+  finalize (fst (List.fold_left add_numbered (empty, 1) records))
 
 let of_file path =
-  if Btrace.sniff_file path then
-    let f (acc, i) r =
-      (add_record ~where:(Printf.sprintf "record %d" i) acc r, i + 1)
-    in
-    match Btrace.fold_file path ~init:(empty, 1) ~f with
-    | Error e -> Error e
-    | Ok (acc, _) -> Ok (finalize acc)
-  else
-    let ic = open_in path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_jsonl_channel ic)
+  Btrace.fold_file path ~init:(empty, 1) ~f:add_numbered
+  |> Result.map (fun (acc, _) -> finalize acc)
 
 (* ---------- accessors (the diff renderer reads traces through these) ---------- *)
 

@@ -1,16 +1,15 @@
-(** Load a captured trace — JSONL ([csync-trace/1]) or binary
-    ([csync-btrace/1], sniffed by magic) — and render the human-readable
-    explainer behind [csync report].
+(** Load a captured trace and render the human-readable explainer behind
+    [csync report].
 
-    Both containers stream record-at-a-time into the report accumulator
-    ({!Record} via [input_line] or {!Btrace.fold_file}); the file text is
-    never materialized, so traces from million-process runs load in
-    memory proportional to their decoded records.
+    A trace is a [csync-btrace/1] file ({!Btrace}) of {!Record}s.  It
+    streams record-at-a-time into the report accumulator, so traces from
+    million-process runs load in memory proportional to their decoded
+    records.
 
     The reader is forward-compatible: record kinds and manifest fields it
     does not know are skipped and counted in {!warnings} (a newer writer's
     trace still renders), while truncated or malformed input remains a
-    clean one-line error naming the position. *)
+    clean one-line error. *)
 
 type t
 
@@ -33,18 +32,11 @@ type monitor_rec = Record.monitor_rec = {
   first : Json.t option;  (** the first-violation object, if any *)
 }
 
-val check_line : string -> (unit, string) result
-(** Validate a single JSONL trace line (shape-checked, not just JSON;
-    unknown kinds are errors here — this guards the writer, not the
-    reader). *)
-
-val of_lines : string list -> (t, string) result
-(** Blank lines are skipped; the error names the offending line. *)
-
 val of_records : Record.t list -> t
 
 val of_file : string -> (t, string) result
-(** Streams either container, dispatching on the btrace magic. *)
+(** Streams a [csync-btrace/1] file; anything else is a one-line
+    bad-magic error. *)
 
 val labels : t -> string list
 (** Distinct cell labels appearing in metric names ([""] = unlabeled). *)

@@ -1,12 +1,13 @@
 (** [csync top] — a live terminal view over a trace file.
 
-    top is a trace {e viewer}: each refresh streams the file (JSONL or
-    binary btrace) into a {!Report.t} in constant memory and redraws one
-    frame in place with an ANSI clear — round counter, convergence
-    sparklines, round-phase time bars, monitor verdict lights, and
-    fault/drop counters.  Tailing a trace that is still being written
-    works because the btrace reader rewinds cleanly at a half-written
-    record; top shows the last good frame until the writer catches up. *)
+    top is a trace {e viewer}: each refresh streams the btrace file
+    ({!Report.of_file}) into a {!Report.t} in constant memory and
+    redraws one frame in place with an ANSI clear — round counter,
+    convergence sparklines, round-phase time bars, monitor verdict
+    lights, and fault/drop counters.  Tailing a trace that is still
+    being written works because the btrace reader rewinds cleanly at a
+    half-written record; top shows the last good frame until the writer
+    catches up. *)
 
 val frame : ?focus:string -> ?width:int -> Report.t -> path:string -> string
 (** One rendered frame (no ANSI escapes).  [focus] picks the cell label

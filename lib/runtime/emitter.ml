@@ -118,10 +118,7 @@ let flush t =
     let buf = Buffer.create 1024 in
     let w = Btrace.writer_fn (Buffer.add_string buf) in
     Btrace.write w (Record.Manifest t.manifest);
-    List.iter
-      (fun j ->
-        match Record.of_json j with Ok r -> Btrace.write w r | Error _ -> ())
-      (Registry.dump t.reg);
+    List.iter (Btrace.write w) (Registry.records t.reg);
     Btrace.write w (Record.Counter ("emit.drops", t.drops));
     Btrace.write w (Record.Counter ("emit.frames", t.frames));
     Array.iteri

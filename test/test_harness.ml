@@ -252,7 +252,7 @@ let e2_tests =
   [
     t "E2 cells bin delays in own window" (fun () ->
         let module Obs = Csync_obs.Registry in
-        let module Json = Csync_obs.Json in
+        let module Record = Csync_obs.Record in
         let reg = Obs.create () in
         Obs.install reg;
         Fun.protect ~finally:Obs.clear_installed (fun () ->
@@ -261,13 +261,8 @@ let e2_tests =
                  [ Option.get (Registry.find "E2") ]));
         let hists =
           List.filter_map
-            (fun r ->
-              let str k = Option.bind (Json.member k r) Json.to_str in
-              let num k = Option.bind (Json.member k r) Json.to_float in
-              match (str "record", str "name") with
-              | Some "hist", Some name -> Some (name, (num "lo", num "hi", r))
-              | _ -> None)
-            (Obs.dump reg)
+            (function Record.Hist (name, h) -> Some (name, h) | _ -> None)
+            (Obs.records reg)
         in
         List.iter
           (fun (eps, rho, big_p) ->
@@ -277,15 +272,12 @@ let e2_tests =
             and hi = params.Params.delta +. params.Params.eps in
             match List.assoc_opt (label ^ "/net.delay") hists with
             | None -> Alcotest.failf "%s: no net.delay histogram" label
-            | Some (lo', hi', r) ->
-              Alcotest.(check (option (float 0.))) (label ^ " lo") (Some lo) lo';
-              Alcotest.(check (option (float 0.))) (label ^ " hi") (Some hi) hi';
-              let count k =
-                Option.value ~default:(-1) (Option.bind (Json.member k r) Json.to_int)
-              in
-              check_true (label ^ " delays recorded") (count "total" > 0);
-              check_int (label ^ " underflow") 0 (count "underflow");
-              check_int (label ^ " overflow") 0 (count "overflow"))
+            | Some h ->
+              Alcotest.(check (float 0.)) (label ^ " lo") lo h.Record.lo;
+              Alcotest.(check (float 0.)) (label ^ " hi") hi h.Record.hi;
+              check_true (label ^ " delays recorded") (h.Record.total > 0);
+              check_int (label ^ " underflow") 0 h.Record.underflow;
+              check_int (label ^ " overflow") 0 h.Record.overflow)
           (Csync_harness.Exp_agreement.sweep ~quick:false));
   ]
 

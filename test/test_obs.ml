@@ -25,6 +25,55 @@ let with_monitor mon f =
   Mon.install mon;
   Fun.protect ~finally:Mon.clear_installed f
 
+module Btrace = Csync_obs.Btrace
+
+let with_tmp suffix f =
+  let path = Filename.temp_file "csync_test" suffix in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let append_bytes path bytes =
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc bytes;
+  close_out oc
+
+(* Records through the container [csync trace] writes and the reader
+   [csync report] uses. *)
+let report_of_btrace records =
+  with_tmp ".btrace" (fun path ->
+      Btrace.write_file path records;
+      Report.of_file path)
+
+(* One line per record, as [csync report --json] prints them. *)
+let render_lines records =
+  List.map (fun r -> Json.to_string (Record.to_json r)) records
+
+let json_exn text =
+  match Json.of_string text with Ok j -> j | Error e -> failwith e
+
+let counter_names records =
+  List.filter_map (function Record.Counter (n, _) -> Some n | _ -> None) records
+
+(* Each record renders, parses back to itself, and is a kind the reader
+   knows: nothing a capture writes is skipped with a warning. *)
+let check_round_trips records =
+  List.iter
+    (fun r ->
+      let line = Json.to_string (Record.to_json r) in
+      match Result.bind (Json.of_string line) Record.of_json with
+      | Ok (Record.Unknown (kind, _)) ->
+        Alcotest.failf "unknown kind %S in %s" kind line
+      | Ok r' -> check_true ("round-trips " ^ line) (compare r' r = 0)
+      | Error e -> Alcotest.failf "bad record %s: %s" line e)
+    records
+
 let json_tests =
   [
     t "writer emits canonical scalars" (fun () ->
@@ -114,8 +163,12 @@ let json_tests =
         (match hist "[1.5]" with
         | Ok _ -> Alcotest.fail "a fractional bin count must not decode"
         | Error e -> check_true "names the field" (contains e "counts"));
+        (* The writer carries a record of unknown kind as embedded JSON,
+           which smuggles the malformed hist past the typed encoder. *)
         check_true "report rejects it"
-          (Result.is_error (Report.of_lines [ line "[1.5]" ])));
+          (Result.is_error
+             (report_of_btrace
+                [ Record.Unknown ("hist", json_exn (line "[1.5]")) ])));
   ]
 
 let registry_tests =
@@ -133,7 +186,7 @@ let registry_tests =
         Obs.Series.push s 1. 2.;
         check_true "no points" (Obs.Series.points s = []);
         Obs.event r "e" [];
-        check_int "no records" 0 (List.length (Obs.dump r)));
+        check_int "no records" 0 (List.length (Obs.records r)));
     t "counters and gauges accumulate" (fun () ->
         let r = Obs.create () in
         let c = Obs.counter r "c" in
@@ -171,11 +224,7 @@ let registry_tests =
         Obs.Counter.incr (Obs.counter r "x");
         Obs.set_label r "";
         Obs.Counter.incr (Obs.counter r "x");
-        let names =
-          List.filter_map
-            (fun j -> Option.bind (Json.member "name" j) Json.to_str)
-            (Obs.dump r)
-        in
+        let names = counter_names (Obs.records r) in
         check_true "labeled" (List.mem "cell A/x" names);
         check_true "unlabeled" (List.mem "x" names));
     t "dump is sorted and parseable" (fun () ->
@@ -186,37 +235,18 @@ let registry_tests =
         Obs.Hist.add h 0.5;
         Obs.Hist.add h Float.nan;
         Obs.event r "ev" [ ("k", Json.Str "v") ];
-        let dump = Obs.dump r in
-        let lines = List.map Json.to_string dump in
-        List.iter
-          (fun line ->
-            match Report.check_line line with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "bad record %s: %s" line e)
-          lines;
-        let counter_names =
-          List.filter_map
-            (fun j ->
-              match Json.member "record" j with
-              | Some (Json.Str "counter") ->
-                Option.bind (Json.member "name" j) Json.to_str
-              | _ -> None)
-            dump
-        in
-        check_true "sorted" (counter_names = [ "a"; "b" ]));
+        let records = Obs.records r in
+        check_round_trips records;
+        check_true "dump renders the records"
+          (Obs.dump r = List.map Record.to_json records);
+        check_true "sorted" (counter_names records = [ "a"; "b" ]));
     t "event cap drops excess and reports it" (fun () ->
         let r = Obs.create () in
         for _ = 1 to 65537 do
           Obs.event r "e" []
         done;
-        let dump = Obs.dump r in
-        let dropped =
-          List.exists
-            (fun j ->
-              Json.member "name" j = Some (Json.Str "obs.events_dropped"))
-            dump
-        in
-        check_true "dropped counter present" dropped);
+        check_true "dropped counter present"
+          (List.mem "obs.events_dropped" (counter_names (Obs.records r))));
   ]
 
 let manifest_tests =
@@ -228,8 +258,9 @@ let manifest_tests =
           (Json.member "schema" m = Some (Json.Str Manifest.schema));
         check_true "seed"
           (Option.bind (Json.member "seed" m) Json.to_int = Some 7);
-        match Report.check_line (Json.to_string m) with
-        | Ok () -> ()
+        match Record.of_json m with
+        | Ok (Record.Manifest _) -> ()
+        | Ok _ -> Alcotest.fail "manifest decoded as another kind"
         | Error e -> Alcotest.failf "manifest rejected: %s" e);
   ]
 
@@ -244,34 +275,39 @@ let report_tests =
             { scenario with Csync_harness.Scenario.rounds = 6 }
         in
         let _ = with_installed r run in
-        let lines =
-          Json.to_string (Manifest.make ~target:"test" ~seed:42 ~jobs:1 ~quick:true ())
-          :: List.map Json.to_string (Obs.dump r)
+        let parsed =
+          Report.of_records
+            (Record.Manifest
+               (Manifest.make ~target:"test" ~seed:42 ~jobs:1 ~quick:true ())
+            :: Obs.records r)
         in
-        match Report.of_lines lines with
-        | Error e -> Alcotest.failf "parse: %s" e
-        | Ok parsed ->
-          let out = Format.asprintf "%a" (Report.render ?focus:None) parsed in
-          check_true "manifest section" (contains out "== Manifest ==");
-          check_true "skew timeline" (contains out "run.skew");
-          check_true "adj table" (contains out "ADJ per round");
-          check_true "delay histogram" (contains out "net.delay");
-          check_true "sim counter" (contains out "sim.events"));
-    t "malformed lines are rejected with a line number" (fun () ->
-        match Report.of_lines [ "{\"record\":\"manifest\"}"; "{oops" ] with
-        | Ok _ -> Alcotest.fail "expected parse error"
-        | Error e -> check_true "names line 2" (contains e "line 2"));
+        let out = Format.asprintf "%a" (Report.render ?focus:None) parsed in
+        check_true "manifest section" (contains out "== Manifest ==");
+        check_true "skew timeline" (contains out "run.skew");
+        check_true "adj table" (contains out "ADJ per round");
+        check_true "delay histogram" (contains out "net.delay");
+        check_true "sim counter" (contains out "sim.events"));
+    t "malformed records are rejected with a record number" (fun () ->
+        with_tmp ".btrace" (fun path ->
+            Btrace.write_file path
+              [ Record.Manifest (json_exn {|{"record":"manifest"}|}) ];
+            (* One JSONREC frame (length 6, tag 1) holding broken JSON. *)
+            append_bytes path "\006\001{oops";
+            match Report.of_file path with
+            | Ok _ -> Alcotest.fail "expected parse error"
+            | Error e ->
+              check_true "names record 2" (contains e "record 2");
+              check_true "names the cause" (contains e "embedded JSON");
+              check_true "one line" (not (String.contains e '\n'))));
     t "empty and manifest-only traces render" (fun () ->
-        (match Report.of_lines [] with
+        (match report_of_btrace [] with
         | Error e -> Alcotest.failf "empty trace: %s" e
         | Ok t ->
           let out = Format.asprintf "%a" (Report.render ?focus:None) t in
           check_true "notes the missing manifest"
             (contains out "no manifest record"));
-        let m =
-          Json.to_string (Manifest.make ~target:"E1" ~seed:1 ~jobs:1 ~quick:true ())
-        in
-        match Report.of_lines [ m ] with
+        let m = Manifest.make ~target:"E1" ~seed:1 ~jobs:1 ~quick:true () in
+        match report_of_btrace [ Record.Manifest m ] with
         | Error e -> Alcotest.failf "manifest-only trace: %s" e
         | Ok t ->
           let out = Format.asprintf "%a" (Report.render ?focus:None) t in
@@ -299,44 +335,76 @@ let report_tests =
 let forward_compat_tests =
   [
     t "unknown record kinds are skipped with a warning" (fun () ->
-        let lines =
+        let records =
           [
-            {|{"record":"manifest","schema":"csync-trace/1","target":"E1"}|};
-            {|{"record":"flux_capacitor","name":"x","value":88}|};
-            {|{"record":"counter","name":"c","value":3}|};
+            Record.Manifest
+              (json_exn
+                 {|{"record":"manifest","schema":"csync-trace/1","target":"E1"}|});
+            Record.Unknown
+              ( "flux_capacitor",
+                json_exn {|{"record":"flux_capacitor","name":"x","value":88}|}
+              );
+            Record.Counter ("c", 3);
           ]
         in
-        match Report.of_lines lines with
+        match report_of_btrace records with
         | Error e -> Alcotest.failf "reader should not fail: %s" e
         | Ok t ->
           check_int "counter still read" 1 (List.length (Report.counters t));
           check_int "one warning" 1 (List.length (Report.warnings t));
-          check_true "warning names the kind"
-            (contains (List.hd (Report.warnings t)) "flux_capacitor"));
+          let w = List.hd (Report.warnings t) in
+          check_true "warning names the kind" (contains w "flux_capacitor");
+          check_true "warning names the record" (contains w "record 2"));
     t "unknown manifest fields are skipped with a warning" (fun () ->
-        let lines =
-          [ {|{"record":"manifest","schema":"csync-trace/1","hovercraft":true}|} ]
+        let m =
+          json_exn
+            {|{"record":"manifest","schema":"csync-trace/1","hovercraft":true}|}
         in
-        match Report.of_lines lines with
+        match report_of_btrace [ Record.Manifest m ] with
         | Error e -> Alcotest.failf "reader should not fail: %s" e
         | Ok t ->
           check_int "one warning" 1 (List.length (Report.warnings t));
           check_true "warning names the field"
             (contains (List.hd (Report.warnings t)) "hovercraft"));
-    t "the writer-side validator stays strict on unknown kinds" (fun () ->
-        match Report.check_line {|{"record":"flux_capacitor"}|} with
-        | Ok () -> Alcotest.fail "check_line must reject unknown kinds"
-        | Error e -> check_true "names the kind" (contains e "flux_capacitor"));
-    t "truncated and shape-broken lines give one-line errors" (fun () ->
-        (match Report.of_lines [ {|{"record":"counter","na|} ] with
-        | Ok _ -> Alcotest.fail "expected error"
-        | Error e -> check_true "names line 1" (contains e "line 1"));
+    t "every captured record is a known kind that round-trips" (fun () ->
+        (* What the reader would skip with a warning is still a bug in
+           anything this build captured: a monitored run with violations
+           (provenance included) renders and decodes to itself. *)
+        let reg = Obs.create () and m = Mon.create ~tighten:1e-6 () in
+        with_installed reg (fun () ->
+            with_monitor m (fun () ->
+                let scenario =
+                  Csync_harness.Scenario.default ~seed:42 (params ())
+                in
+                ignore
+                  (Csync_harness.Scenario.run
+                     { scenario with Csync_harness.Scenario.rounds = 6 })));
+        check_true "violations captured" (Mon.violations_total m > 0);
+        check_round_trips (Obs.records reg @ Mon.records m));
+    t "truncated and shape-broken records give one-line errors" (fun () ->
+        with_tmp ".btrace" (fun path ->
+            Btrace.write_file path [ Record.Counter ("c", 1) ];
+            let whole = read_all path in
+            with_tmp ".cut" (fun cut ->
+                append_bytes cut (String.sub whole 0 (String.length whole - 1));
+                match Report.of_file cut with
+                | Ok _ -> Alcotest.fail "expected error"
+                | Error e ->
+                  check_true "names truncation" (contains e "truncated");
+                  check_true "names record 1" (contains e "record 1")));
         match
-          Report.of_lines
-            [ {|{"record":"series","name":"s","xs":[1],"ys":[1,2]}|} ]
+          report_of_btrace
+            [
+              Record.Unknown
+                ( "series",
+                  json_exn {|{"record":"series","name":"s","xs":[1],"ys":[1,2]}|}
+                );
+            ]
         with
         | Ok _ -> Alcotest.fail "expected error"
-        | Error e -> check_true "mismatch named" (contains e "mismatch"));
+        | Error e ->
+          check_true "mismatch named" (contains e "mismatch");
+          check_true "one line" (not (String.contains e '\n')));
   ]
 
 (* Online theorem monitors: handle semantics of each of the four checks,
@@ -366,7 +434,7 @@ let monitor_tests =
           (Mon.Prov.mint m ~src:0 ~dst:1 ~sent:0. ~delay:1e-3 = Mon.Prov.null);
         check_true "null never resolves" (Mon.Prov.find m Mon.Prov.null = None);
         check_int "no evaluations" 0 (Mon.checks_performed m);
-        check_int "no records" 0 (List.length (Mon.dump m)));
+        check_int "no records" 0 (List.length (Mon.records m)));
     t "adjustment resolves its slots only on a violation" (fun () ->
         let m = Mon.create () in
         let h = Mon.Adjustment.handle m ~bound:1e-3 ~pid:0 in
@@ -567,15 +635,11 @@ let monitor_tests =
             ignore
               (Csync_harness.Scenario.run
                  { scenario with Csync_harness.Scenario.rounds = 6 }));
-        let lines = List.map Json.to_string (Mon.dump m) in
-        check_int "one record per check" 7 (List.length lines);
-        List.iter
-          (fun line ->
-            match Report.check_line line with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "bad monitor record %s: %s" line e)
-          lines;
-        match Report.of_lines lines with
+        let records = Mon.records m in
+        check_int "one record per check" 7 (List.length records);
+        check_true "dump renders the records"
+          (Mon.dump m = List.map Record.to_json records);
+        match report_of_btrace records with
         | Error e -> Alcotest.failf "parse: %s" e
         | Ok parsed ->
           check_int "seven monitors" 7 (List.length (Report.monitors parsed));
@@ -642,8 +706,8 @@ let provenance_tests =
   ]
 
 (* Cross-run trace diffing (csync report --diff).  Captures are built
-   in memory - manifest line + registry dump + monitor dump, exactly
-   what [csync trace] writes - and parsed back through the reader. *)
+   in memory - manifest + registry records + monitor records, exactly
+   what [csync trace] writes - and folded by the reader. *)
 let diff_tests =
   let capture ?(seed = 42) ?(tighten = 1.0) () =
     let reg = Obs.create () and m = Mon.create ~tighten () in
@@ -658,26 +722,18 @@ let diff_tests =
         ignore
           (Csync_harness.Scenario.run
              { scenario with Csync_harness.Scenario.rounds = 6 }));
-    let lines =
-      List.map Json.to_string
-        (Manifest.make ~target:"scenario" ~seed ~jobs:1 ~quick:true ()
-         :: (Obs.dump reg @ Mon.dump m))
-    in
-    match Report.of_lines lines with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "capture did not parse: %s" e
+    Report.of_records
+      (Record.Manifest
+         (Manifest.make ~target:"scenario" ~seed ~jobs:1 ~quick:true ())
+      :: (Obs.records reg @ Mon.records m))
   in
   let manifest_only ~target =
-    match
-      Report.of_lines
-        [ Json.to_string (Manifest.make ~target ~seed:1 ~jobs:1 ~quick:true ()) ]
-    with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "manifest-only trace did not parse: %s" e
+    Report.of_records
+      [ Record.Manifest (Manifest.make ~target ~seed:1 ~jobs:1 ~quick:true ()) ]
   in
   let render a b =
     Format.asprintf "%a"
-      (fun ppf () -> Diff.render ppf ~name_a:"a.jsonl" ~name_b:"b.jsonl" a b)
+      (fun ppf () -> Diff.render ppf ~name_a:"a.btrace" ~name_b:"b.btrace" a b)
       ()
   in
   [
@@ -692,22 +748,16 @@ let diff_tests =
            exactly what two real same-seed runs look like.  The verdict
            must hold and the footnote must own up to what was skipped. *)
         let with_timing v =
-          let lines =
-            List.map Json.to_string
-              [
-                Manifest.make ~target:"scenario" ~seed:1 ~jobs:1 ~quick:true ();
-                Record.to_json (Record.Counter ("E/run.rounds", 6));
-                Record.to_json
-                  (Record.Series ("E/profile.fill.ns", [| 1.; 2. |], [| v; v +. 7. |]));
-                Record.to_json
-                  (Record.Span
-                     ("E/phase.drain", { Record.count = 8; total_s = v; max_s = v }));
-                Record.to_json (Record.Gauge ("E/engine.wheel.depth", v));
-              ]
-          in
-          match Report.of_lines lines with
-          | Ok t -> t
-          | Error e -> Alcotest.failf "timing trace did not parse: %s" e
+          Report.of_records
+            [
+              Record.Manifest
+                (Manifest.make ~target:"scenario" ~seed:1 ~jobs:1 ~quick:true ());
+              Record.Counter ("E/run.rounds", 6);
+              Record.Series ("E/profile.fill.ns", [| 1.; 2. |], [| v; v +. 7. |]);
+              Record.Span
+                ("E/phase.drain", { Record.count = 8; total_s = v; max_s = v });
+              Record.Gauge ("E/engine.wheel.depth", v);
+            ]
         in
         let a = with_timing 10. and b = with_timing 1000. in
         check_bool "identical" true (Diff.identical a b);
@@ -815,8 +865,6 @@ let determinism_tests =
 
 (* ---------- binary trace container ---------- *)
 
-module Btrace = Csync_obs.Btrace
-
 (* Arbitrary records for the encode/decode round-trip: every tag, both
    series encodings (integral arrays hit INT_DELTA, fractional RAW64),
    labeled and bare names, linear and log histograms. *)
@@ -894,16 +942,6 @@ let record_gen =
   in
   oneof [ counter; gauge; series; hist; span; event; monitor; manifest; unknown ]
 
-let with_tmp suffix f =
-  let path = Filename.temp_file "csync_test" suffix in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Encode records the way the fleet emitter does: the sink-based writer
    producing one self-contained btrace segment (magic + whole frames). *)
 let segment records =
@@ -932,15 +970,16 @@ let btrace_tests =
             match Btrace.fold_file path ~init:[] ~f:(fun acc r -> r :: acc) with
             | Error e -> QCheck2.Test.fail_reportf "read failed: %s" e
             | Ok rev -> List.rev rev = records));
-    t "btrace magic is sniffable and jsonl is not" (fun () ->
-        with_tmp ".btrace" (fun path ->
-            Btrace.write_file path [ Record.Counter ("a", 1) ];
-            check_true "btrace sniffs" (Btrace.sniff_file path));
+    t "report rejects a JSONL file with a one-line bad-magic error" (fun () ->
+        check_true "btrace reads"
+          (Result.is_ok (report_of_btrace [ Record.Counter ("a", 1) ]));
         with_tmp ".jsonl" (fun path ->
-            let oc = open_out path in
-            output_string oc "{\"record\":\"counter\",\"name\":\"a\",\"value\":1}\n";
-            close_out oc;
-            check_true "jsonl does not sniff" (not (Btrace.sniff_file path))));
+            append_bytes path "{\"record\":\"counter\",\"name\":\"a\",\"value\":1}\n";
+            match Report.of_file path with
+            | Ok _ -> Alcotest.fail "a JSONL file must not load"
+            | Error e ->
+              check_true "names the magic" (contains e "bad magic");
+              check_true "one line" (not (String.contains e '\n'))));
     t "a truncated tail is truncation, not garbage" (fun () ->
         with_tmp ".btrace" (fun path ->
             Btrace.write_file path
@@ -1316,12 +1355,9 @@ let btrace_codec_tests =
 module Profile = Csync_obs.Profile
 module Pool = Csync_harness.Pool
 
-let records_of_registry reg =
-  List.filter_map (fun j -> Result.to_option (Record.of_json j)) (Obs.dump reg)
+let report_of_registry reg = Report.of_records (Obs.records reg)
 
-let report_of_registry reg = Report.of_records (records_of_registry reg)
-
-let dump_lines reg = List.map Json.to_string (Obs.dump reg)
+let dump_lines reg = render_lines (Obs.records reg)
 
 let child_profile_tests =
   [
@@ -1520,7 +1556,7 @@ let child_profile_tests =
 let monitor_child_tests =
   let agree m = Mon.Agreement.handle m ~gamma:1.0 ~from_time:0. in
   let mint m src = Mon.Prov.mint m ~src ~dst:0 ~sent:0. ~delay:1e-3 in
-  let dump_lines m = List.map Json.to_string (Mon.dump m) in
+  let dump_lines m = render_lines (Mon.records m) in
   [
     t "monitor child: counts add, firsts follow task index" (fun () ->
         let m =
@@ -1633,7 +1669,7 @@ module Explorer = Csync_check.Explorer
 let traced_run go =
   let reg = Obs.create () in
   with_installed reg go;
-  let records = records_of_registry reg in
+  let records = Obs.records reg in
   ( records,
     List.map (fun r -> Json.to_string (Record.to_json r)) (Record.canonical records) )
 
@@ -1698,11 +1734,7 @@ let canonical_jobs_tests =
                   ignore
                     (Csync_harness.Registry.run_list ~jobs ~quick:true
                        [ experiment id ])));
-          List.filter_map
-            (fun j -> Result.to_option (Record.of_json j))
-            (Obs.dump reg @ Mon.dump mon)
-          |> Record.canonical
-          |> List.map (fun r -> Json.to_string (Record.to_json r))
+          Record.canonical (Obs.records reg @ Mon.records mon) |> render_lines
         in
         List.iter
           (fun id ->
@@ -2161,7 +2193,7 @@ let mint_named reg ~lo ~hi ~bins ~n name =
 let add_named reg ~lo ~hi ~bins name ~src ~dst v =
   Obs.Hist.add (Obs.hist reg ~lo ~hi ~bins (link_name name src dst)) v
 
-let same_dump a b = compare (Obs.dump a) (Obs.dump b) = 0
+let same_dump a b = compare (Obs.records a) (Obs.records b) = 0
 
 (* A traced n = 4 run's per-link records, as n * n named histograms
    dumped them.  Pinned so the family's names, order and fields stay
@@ -2286,7 +2318,7 @@ let grid_tests =
         check_true "inactive" (not (Obs.Grid.active h));
         Obs.Grid.add h ~src:7 ~dst:9 1.5;
         check_int "count" 0 (Obs.Grid.count h ~src:7 ~dst:9);
-        check_int "nothing dumped" 0 (List.length (Obs.dump Obs.none)));
+        check_int "nothing dumped" 0 (List.length (Obs.records Obs.none)));
     t "per-link hist golden, n = 4" (fun () ->
         let module Scenario = Csync_harness.Scenario in
         let params = Csync_harness.Defaults.base ~n:4 ~f:1 () in
@@ -2301,16 +2333,144 @@ let grid_tests =
         let reg = Obs.create () in
         with_installed reg (fun () -> ignore (Scenario.run scenario));
         let links =
-          List.filter_map
-            (fun j ->
-              match Json.member "name" j with
-              | Some (Json.Str name)
-                when String.starts_with ~prefix:"net.delay." name ->
-                Some (Json.to_string j)
-              | _ -> None)
-            (Obs.dump reg)
+          List.filter
+            (function
+              | Record.Hist (name, _) ->
+                String.starts_with ~prefix:"net.delay." name
+              | _ -> false)
+            (Obs.records reg)
+          |> render_lines
         in
         Alcotest.(check (list string)) "per-link records" golden_n4 links);
+  ]
+
+(* ---------- the JSON rendering ---------- *)
+
+(* One record of every kind, and the lines [csync report --json] prints
+   for them.  Pinned so the renderer's field order and number format
+   stay put: golden diffs and CI greps read these lines. *)
+let golden_records =
+  [
+    Record.Manifest
+      (Json.Obj
+         [
+           ("record", Json.Str "manifest");
+           ("schema", Json.Str "csync-trace/1");
+           ("target", Json.Str "E1");
+           ("seed", Json.num_of_int 7);
+           ("quick", Json.Bool true);
+         ]);
+    Record.Counter ("E1/sim.events", 1519);
+    Record.Counter ("obs.events_dropped", 2048);
+    Record.Gauge ("E1/engine.wheel.depth", 0.25);
+    Record.Series
+      ("E1/run.skew", [| 0.; 0.5; 1. |], [| 1e-4; 3.5e-5; -2.25e-6 |]);
+    Record.Hist
+      ( "E1/net.delay.0->1",
+        {
+          Record.lo = 9e-4;
+          hi = 1.1e-3;
+          per_decade = None;
+          counts = [| 0; 3; 1; 0 |];
+          underflow = 1;
+          overflow = 0;
+          invalid = 2;
+          total = 7;
+        } );
+    Record.Hist
+      ( "E1/run.skew.hist",
+        {
+          Record.lo = 1e-9;
+          hi = 1e-3;
+          per_decade = Some 4;
+          counts = [| 1; 0; 2 |];
+          underflow = 0;
+          overflow = 0;
+          invalid = 0;
+          total = 3;
+        } );
+    Record.Span
+      ( "E1/phase.drain",
+        { Record.count = 8; total_s = 0.001234567; max_s = 0.000250001 } );
+    Record.Event
+      ( "E1/chaos.inject",
+        Json.Obj
+          [
+            ("pid", Json.num_of_int 3);
+            ("kind", Json.Str "crash");
+            ("at", Json.Num 2.5);
+          ] );
+    Record.Monitor
+      ("agreement", { Record.checks = 12; violations = 0; first = None });
+    Record.Monitor
+      ( "adjustment",
+        {
+          Record.checks = 40;
+          violations = 1;
+          first =
+            Some
+              (Json.Obj
+                 [
+                   ("label", Json.Str "E5a");
+                   ("round", Json.num_of_int 2);
+                   ("pid", Json.Null);
+                   ("time", Json.Num 1.0625);
+                   ("measured", Json.Num 3e-4);
+                   ("bound", Json.Num 1e-4);
+                   ( "provenance",
+                     Json.Arr
+                       [
+                         Json.Obj
+                           [
+                             ("id", Json.num_of_int 3);
+                             ("src", Json.num_of_int 1);
+                             ("dst", Json.num_of_int 0);
+                             ("sent", Json.Num 1.);
+                             ("delay", Json.Num 1e-3);
+                             ("fresh", Json.Bool true);
+                             ("faults", Json.Arr [ Json.Str "reorder" ]);
+                           ];
+                       ] );
+                 ]);
+        } );
+    Record.Unknown
+      ( "flux_capacitor",
+        Json.Obj
+          [ ("record", Json.Str "flux_capacitor"); ("value", Json.num_of_int 88) ]
+      );
+  ]
+
+let golden_json =
+  [
+    {|{"record":"manifest","schema":"csync-trace/1","target":"E1","seed":7,"quick":true}|};
+    {|{"record":"counter","name":"E1/sim.events","value":1519}|};
+    {|{"record":"counter","name":"obs.events_dropped","value":2048}|};
+    {|{"record":"gauge","name":"E1/engine.wheel.depth","value":0.25}|};
+    {|{"record":"series","name":"E1/run.skew","xs":[0,0.5,1],"ys":[0.0001,3.4999999999999997e-05,-2.2500000000000001e-06]}|};
+    {|{"record":"hist","name":"E1/net.delay.0->1","lo":0.00089999999999999998,"hi":0.0011000000000000001,"counts":[0,3,1,0],"underflow":1,"overflow":0,"invalid":2,"total":7}|};
+    {|{"record":"hist","name":"E1/run.skew.hist","lo":1.0000000000000001e-09,"hi":0.001,"per_decade":4,"counts":[1,0,2],"underflow":0,"overflow":0,"invalid":0,"total":3}|};
+    {|{"record":"span","name":"E1/phase.drain","count":8,"total_s":0.001234567,"max_s":0.00025000100000000002}|};
+    {|{"record":"event","name":"E1/chaos.inject","fields":{"pid":3,"kind":"crash","at":2.5}}|};
+    {|{"record":"monitor","monitor":"agreement","checks":12,"violations":0,"first":null}|};
+    {|{"record":"monitor","monitor":"adjustment","checks":40,"violations":1,"first":{"label":"E5a","round":2,"pid":null,"time":1.0625,"measured":0.00029999999999999997,"bound":0.0001,"provenance":[{"id":3,"src":1,"dst":0,"sent":1,"delay":0.001,"fresh":true,"faults":["reorder"]}]}}|};
+    {|{"record":"flux_capacitor","value":88}|};
+  ]
+
+let render_tests =
+  [
+    t "--json rendering of a fixed record list is pinned" (fun () ->
+        Alcotest.(check (list string))
+          "rendered" golden_json (render_lines golden_records);
+        with_tmp ".btrace" (fun path ->
+            Btrace.write_file path golden_records;
+            match
+              Btrace.fold_file path ~init:[] ~f:(fun acc r -> r :: acc)
+            with
+            | Error e -> Alcotest.fail e
+            | Ok rev ->
+              Alcotest.(check (list string))
+                "through btrace" golden_json
+                (render_lines (List.rev rev))));
   ]
 
 let suite =
@@ -2320,4 +2480,4 @@ let suite =
   @ child_profile_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
-  @ top_tests @ alloc_tests @ grid_tests
+  @ top_tests @ alloc_tests @ grid_tests @ render_tests

@@ -685,12 +685,7 @@ let captured ~jobs ~rounds ~n () =
     Fun.protect ~finally:Obs.clear_installed (fun () ->
         Scale.run ~jobs ~rounds (big_model ~n ()))
   in
-  let records =
-    List.filter_map
-      (fun j -> Result.to_option (Record.of_json j))
-      (Obs.dump reg)
-  in
-  (result_key stats, Record.canonical records)
+  (result_key stats, Record.canonical (Obs.records reg))
 
 let btrace_bytes records =
   let path = Filename.temp_file "csync_scale" ".btrace" in

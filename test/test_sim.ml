@@ -832,13 +832,12 @@ let occupancy_tests =
                  ()));
         let gauges base =
           List.filter_map
-            (fun j ->
-              match Csync_obs.Record.of_json j with
-              | Ok (Csync_obs.Record.Gauge (name, v))
+            (function
+              | Csync_obs.Record.Gauge (name, v)
                 when snd (Csync_obs.Record.split_name name) = base ->
                 Some v
               | _ -> None)
-            (Reg.dump reg)
+            (Reg.records reg)
         in
         check_true "occupancy high-water marks"
           (gauges "sim.queue_occupancy_hw" = [ 14.; 15. ]);

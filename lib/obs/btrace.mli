@@ -21,19 +21,22 @@ val writer : out_channel -> writer
 
 val writer_fn : ?flush:(unit -> unit) -> (string -> unit) -> writer
 (** A writer over an arbitrary sink (the fleet emitter's socket stream).
-    The sink receives the magic immediately and then only *whole frames*
-    — a length prefix and its payload as one string — so any chunking of
-    the sink's output concatenates to exactly the one-shot encoding, and
-    a flush can never split a record.  [flush] (default: no-op) runs at
-    the same periodic flush points as the file writer's channel flush. *)
+    The sink receives the magic immediately and then *whole frames* — a
+    length prefix and its payload each — handed over in batches, one
+    string per flush point: every 64 frames and at {!close_writer}.  So
+    any chunking of the sink's output concatenates to exactly the
+    one-shot encoding, and a flush can never split a record.  [flush]
+    (default: no-op) runs right after each batch, at the same points as
+    the file writer's channel flush. *)
 
 val write : writer -> Record.t -> unit
-(** Appends one record (interning any new name strings first).  The
-    channel is flushed every few records, bounding how stale a tailing
-    reader can observe the file. *)
+(** Appends one record (interning any new name strings first).  Records
+    reach the channel at the next flush point, every few records,
+    bounding how stale a tailing reader can observe the file. *)
 
 val close_writer : writer -> unit
-(** Flushes; does not close the channel. *)
+(** Hands over the frames written since the last flush point and
+    flushes; does not close the channel. *)
 
 val write_file : string -> Record.t list -> unit
 
@@ -73,7 +76,8 @@ val feed : unit -> feed
 
 val feed_bytes : feed -> string -> unit
 (** Append a chunk.  Chunk boundaries are arbitrary — mid-varint,
-    mid-record, mid-magic are all fine. *)
+    mid-record, mid-magic are all fine.  A chunk fed while nothing else
+    is buffered is decoded in place, without a copy. *)
 
 val feed_next : feed -> [ `Record of Record.t | `Await | `Error of string ]
 (** Drain the next whole record.  [`Await] means more bytes are needed;

@@ -16,6 +16,18 @@ let num_of_int i =
   if i >= 0 && i < num_cache then Array.unsafe_get small_nums i
   else Num (float_of_int i)
 
+(* Elements [0 .. i] consed onto [acc], back to front. *)
+let rec cons_ints a i acc =
+  if i < 0 then acc
+  else cons_ints a (i - 1) (num_of_int (Array.unsafe_get a i) :: acc)
+
+let rec cons_floats a i acc =
+  if i < 0 then acc else cons_floats a (i - 1) (Num (Array.unsafe_get a i) :: acc)
+
+let of_int_array a = Arr (cons_ints a (Array.length a - 1) [])
+
+let of_float_array a = Arr (cons_floats a (Array.length a - 1) [])
+
 (* ---------- writing ---------- *)
 
 let escape buf s =
@@ -244,8 +256,14 @@ let member k = function Obj l -> assoc_str k l | _ -> None
 
 let to_float = function Num f -> Some f | _ -> None
 
+(* [Float.is_integer], without its C call for every value an int can
+   hold: below 2^62 in magnitude the truncation is exact. *)
+let is_integer f =
+  if Float.abs f < 4.6e18 then Float.of_int (int_of_float f) = f
+  else Float.is_integer f
+
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when is_integer f -> Some (int_of_float f)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
@@ -269,7 +287,7 @@ let float_array = function
 
 let rec fill_ints a i = function
   | [] -> true
-  | Num f :: rest when Float.is_integer f ->
+  | Num f :: rest when is_integer f ->
     Array.unsafe_set a i (int_of_float f);
     fill_ints a (i + 1) rest
   | _ -> false

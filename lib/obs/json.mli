@@ -22,6 +22,12 @@ val num_of_int : int -> t
 val num_cache : int
 (** How many small ints {!num_of_int} shares nodes for. *)
 
+val of_int_array : int array -> t
+(** [Arr] of {!num_of_int} of each element, in order. *)
+
+val of_float_array : float array -> t
+(** [Arr] of [Num] of each element, in order. *)
+
 val to_string : t -> string
 (** Single line, no trailing newline.  NaN/infinite numbers encode as
     [null]. *)
@@ -33,6 +39,9 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 
 val to_float : t -> float option
+
+val is_integer : float -> bool
+(** [Float.is_integer], cheaper for the values an int can hold. *)
 
 val to_int : t -> int option
 (** Only integral [Num]s. *)

@@ -37,69 +37,160 @@ type t =
 
 (* ---------- JSON decoding ---------- *)
 
-(* A failed field lookup raises its message; fields are read in [let]
+(* A failed field lookup raises its message; fields are checked in [let]
    sequence, so the first bad field in source order is the one reported. *)
 exception Bad of string
 
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing or malformed field %S" name))
+(* Every key a known kind reads has a slot, its index in [keys].  One
+   pass over an object keeps the first occurrence of each (as
+   {!Json.member} would find it); the kind's fields are then checked
+   from the slots. *)
+let keys =
+  [| "record"; "name"; "value"; "xs"; "ys"; "lo"; "hi"; "per_decade"; "counts";
+     "underflow"; "overflow"; "invalid"; "total"; "count"; "total_s"; "max_s";
+     "fields"; "monitor"; "checks"; "violations"; "first" |]
+
+let s_record = 0
+let s_name = 1
+let s_value = 2
+let s_xs = 3
+let s_ys = 4
+let s_lo = 5
+let s_hi = 6
+let s_per_decade = 7
+let s_counts = 8
+let s_underflow = 9
+let s_overflow = 10
+let s_invalid = 11
+let s_total = 12
+let s_count = 13
+let s_total_s = 14
+let s_max_s = 15
+let s_fields = 16
+let s_monitor = 17
+let s_checks = 18
+let s_violations = 19
+let s_first = 20
+
+let slot = function
+  | "record" -> s_record
+  | "name" -> s_name
+  | "value" -> s_value
+  | "xs" -> s_xs
+  | "ys" -> s_ys
+  | "lo" -> s_lo
+  | "hi" -> s_hi
+  | "per_decade" -> s_per_decade
+  | "counts" -> s_counts
+  | "underflow" -> s_underflow
+  | "overflow" -> s_overflow
+  | "invalid" -> s_invalid
+  | "total" -> s_total
+  | "count" -> s_count
+  | "total_s" -> s_total_s
+  | "max_s" -> s_max_s
+  | "fields" -> s_fields
+  | "monitor" -> s_monitor
+  | "checks" -> s_checks
+  | "violations" -> s_violations
+  | "first" -> s_first
+  | _ -> -1
+
+(* An empty slot: a fresh block, so no parsed value is physically equal
+   to it, and of a shape no field accessor accepts. *)
+let absent = Json.Obj [ (Sys.opaque_identity "", Json.Null) ]
+
+let rec fill slots = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    let i = slot k in
+    if i >= 0 && Array.unsafe_get slots i == absent then
+      Array.unsafe_set slots i v;
+    fill slots rest
+
+let bad i =
+  raise (Bad (Printf.sprintf "missing or malformed field %S" keys.(i)))
+
+let get_str slots i =
+  match slots.(i) with Json.Str s -> s | _ -> bad i
+
+let get_int slots i =
+  match slots.(i) with
+  | Json.Num f when Json.is_integer f -> int_of_float f
+  | _ -> bad i
+
+let get_float slots i =
+  match slots.(i) with Json.Num f -> f | _ -> bad i
+
+let get_floats slots i =
+  match Json.float_array slots.(i) with Some a -> a | None -> bad i
+
+let get_ints slots i =
+  match Json.int_array slots.(i) with Some a -> a | None -> bad i
 
 let decode j =
-  match field "record" Json.to_str j with
+  (* one [absent] per key *)
+  let slots =
+    [| absent; absent; absent; absent; absent; absent; absent; absent; absent;
+       absent; absent; absent; absent; absent; absent; absent; absent; absent;
+       absent; absent; absent |]
+  in
+  (match j with Json.Obj fields -> fill slots fields | _ -> ());
+  match get_str slots s_record with
   | "manifest" -> Manifest j
   | "counter" ->
-    let name = field "name" Json.to_str j in
-    let v = field "value" Json.to_int j in
+    let name = get_str slots s_name in
+    let v = get_int slots s_value in
     Counter (name, v)
   | "gauge" ->
-    let name = field "name" Json.to_str j in
-    let v = field "value" Json.to_float j in
+    let name = get_str slots s_name in
+    let v = get_float slots s_value in
     Gauge (name, v)
   | "series" ->
-    let name = field "name" Json.to_str j in
-    let xs = field "xs" Json.float_array j in
-    let ys = field "ys" Json.float_array j in
+    let name = get_str slots s_name in
+    let xs = get_floats slots s_xs in
+    let ys = get_floats slots s_ys in
     if Array.length xs <> Array.length ys then
       raise (Bad "series xs/ys length mismatch");
     Series (name, xs, ys)
   | "hist" ->
-    let name = field "name" Json.to_str j in
-    let lo = field "lo" Json.to_float j in
-    let hi = field "hi" Json.to_float j in
+    let name = get_str slots s_name in
+    let lo = get_float slots s_lo in
+    let hi = get_float slots s_hi in
     let per_decade =
-      match Json.member "per_decade" j with
-      | None -> None
-      | Some pd -> (
-        match Json.to_int pd with
-        | Some pd when pd > 0 -> Some pd
-        | _ -> raise (Bad "malformed field \"per_decade\""))
+      match slots.(s_per_decade) with
+      | pd when pd == absent -> None
+      | Json.Num f when Json.is_integer f && int_of_float f > 0 ->
+        Some (int_of_float f)
+      | _ -> raise (Bad "malformed field \"per_decade\"")
     in
-    let counts = field "counts" Json.int_array j in
-    let underflow = field "underflow" Json.to_int j in
-    let overflow = field "overflow" Json.to_int j in
-    let invalid = field "invalid" Json.to_int j in
-    let total = field "total" Json.to_int j in
+    let counts = get_ints slots s_counts in
+    let underflow = get_int slots s_underflow in
+    let overflow = get_int slots s_overflow in
+    let invalid = get_int slots s_invalid in
+    let total = get_int slots s_total in
     Hist (name, { lo; hi; per_decade; counts; underflow; overflow; invalid; total })
   | "span" ->
-    let name = field "name" Json.to_str j in
-    let count = field "count" Json.to_int j in
-    let total_s = field "total_s" Json.to_float j in
-    let max_s = field "max_s" Json.to_float j in
+    let name = get_str slots s_name in
+    let count = get_int slots s_count in
+    let total_s = get_float slots s_total_s in
+    let max_s = get_float slots s_max_s in
     Span (name, { count; total_s; max_s })
   | "event" ->
-    let name = field "name" Json.to_str j in
-    let fields = Option.value (Json.member "fields" j) ~default:(Json.Obj []) in
+    let name = get_str slots s_name in
+    let fields =
+      match slots.(s_fields) with f when f == absent -> Json.Obj [] | f -> f
+    in
     Event (name, fields)
   | "monitor" ->
-    let name = field "monitor" Json.to_str j in
-    let checks = field "checks" Json.to_int j in
-    let violations = field "violations" Json.to_int j in
+    let name = get_str slots s_monitor in
+    let checks = get_int slots s_checks in
+    let violations = get_int slots s_violations in
     let first =
-      match Json.member "first" j with
-      | None | Some Json.Null -> None
-      | Some f -> Some f
+      match slots.(s_first) with
+      | f when f == absent -> None
+      | Json.Null -> None
+      | f -> Some f
     in
     Monitor (name, { checks; violations; first })
   | other -> Unknown (other, j)
@@ -121,21 +212,17 @@ let to_json = function
     Json.Obj
       [ ("record", Json.Str "gauge"); ("name", Json.Str name); ("value", Json.Num v) ]
   | Series (name, xs, ys) ->
-    let arr a = Json.Arr (Array.fold_right (fun v l -> Json.Num v :: l) a []) in
     Json.Obj
       [
         ("record", Json.Str "series");
         ("name", Json.Str name);
-        ("xs", arr xs);
-        ("ys", arr ys);
+        ("xs", Json.of_float_array xs);
+        ("ys", Json.of_float_array ys);
       ]
   | Hist (name, h) ->
-    let counts =
-      Array.fold_right (fun c l -> Json.num_of_int c :: l) h.counts []
-    in
     let tail =
       [
-        ("counts", Json.Arr counts);
+        ("counts", Json.of_int_array h.counts);
         ("underflow", Json.num_of_int h.underflow);
         ("overflow", Json.num_of_int h.overflow);
         ("invalid", Json.num_of_int h.invalid);

@@ -2473,6 +2473,215 @@ let render_tests =
                 (render_lines (List.rev rev))));
   ]
 
+(* ---------- a full traced capture ---------- *)
+
+(* The capture the bench's trace-capture-traced kernel encodes: one
+   monitored run of the standard Byzantine cast at n = 16, f = 5 over 10
+   rounds - 257 hists (256 per-link delays), 23 series, 5 counters, 2
+   gauges and 7 monitors. *)
+let traced_capture =
+  lazy
+    (let module Scenario = Csync_harness.Scenario in
+     let params = Csync_harness.Defaults.base ~n:16 ~f:5 () in
+     let scenario =
+       {
+         (Scenario.with_standard_faults (Scenario.default ~seed:1 params)) with
+         Scenario.rounds = 10;
+         samples_per_round = 4;
+       }
+     in
+     let reg = Obs.create () and mon = Mon.create () in
+     with_installed reg (fun () ->
+         with_monitor mon (fun () -> ignore (Scenario.run scenario)));
+     Obs.records reg @ Mon.records mon)
+
+let capture_tests =
+  [
+    t "traced capture btrace is pinned" (fun () ->
+        let records = Lazy.force traced_capture in
+        check_int "records" 294 (List.length records);
+        let bytes = segment records in
+        check_int "length" 14499 (String.length bytes);
+        Alcotest.(check string)
+          "digest" "8b31c071b75a4fb8cedc7349e73b4f34"
+          (Digest.to_hex (Digest.string bytes));
+        let fd = Btrace.feed () in
+        Btrace.feed_bytes fd bytes;
+        check_true "decodes to the input" (compare (drain_feed fd) records = 0));
+    t "capture encode allocates <= 24 words/rec" (fun () ->
+        (* A fresh writer's whole cost: its trie, cursors and the batches
+           it hands the sink (here discarded). *)
+        let records = Lazy.force traced_capture in
+        let encode () =
+          let w = Btrace.writer_fn ignore in
+          List.iter (Btrace.write w) records;
+          Btrace.close_writer w
+        in
+        encode ();
+        let per_rec =
+          minor_words encode /. float_of_int (List.length records)
+        in
+        if not (per_rec <= 24.) then
+          Alcotest.failf "%.2f minor words per record" per_rec);
+  ]
+
+(* ---------- JSON decoding ---------- *)
+
+(* Reference decoder: each field looked up by [Json.member] (its first
+   occurrence) and checked in the order [Record.of_json] reports them. *)
+let member_of_json j =
+  let exception Bad of string in
+  let field name conv =
+    match Option.bind (Json.member name j) conv with
+    | Some v -> v
+    | None -> raise (Bad (Printf.sprintf "missing or malformed field %S" name))
+  in
+  let decode () =
+    match field "record" Json.to_str with
+    | "manifest" -> Record.Manifest j
+    | "counter" ->
+      let name = field "name" Json.to_str in
+      Record.Counter (name, field "value" Json.to_int)
+    | "gauge" ->
+      let name = field "name" Json.to_str in
+      Record.Gauge (name, field "value" Json.to_float)
+    | "series" ->
+      let name = field "name" Json.to_str in
+      let xs = field "xs" Json.float_array in
+      let ys = field "ys" Json.float_array in
+      if Array.length xs <> Array.length ys then
+        raise (Bad "series xs/ys length mismatch");
+      Record.Series (name, xs, ys)
+    | "hist" ->
+      let name = field "name" Json.to_str in
+      let lo = field "lo" Json.to_float in
+      let hi = field "hi" Json.to_float in
+      let per_decade =
+        match Json.member "per_decade" j with
+        | None -> None
+        | Some pd -> (
+          match Json.to_int pd with
+          | Some pd when pd > 0 -> Some pd
+          | _ -> raise (Bad "malformed field \"per_decade\""))
+      in
+      let counts = field "counts" Json.int_array in
+      let underflow = field "underflow" Json.to_int in
+      let overflow = field "overflow" Json.to_int in
+      let invalid = field "invalid" Json.to_int in
+      let total = field "total" Json.to_int in
+      Record.Hist
+        ( name,
+          { Record.lo; hi; per_decade; counts; underflow; overflow; invalid;
+            total } )
+    | "span" ->
+      let name = field "name" Json.to_str in
+      let count = field "count" Json.to_int in
+      let total_s = field "total_s" Json.to_float in
+      let max_s = field "max_s" Json.to_float in
+      Record.Span (name, { Record.count; total_s; max_s })
+    | "event" ->
+      let name = field "name" Json.to_str in
+      Record.Event
+        (name, Option.value (Json.member "fields" j) ~default:(Json.Obj []))
+    | "monitor" ->
+      let name = field "monitor" Json.to_str in
+      let checks = field "checks" Json.to_int in
+      let violations = field "violations" Json.to_int in
+      let first =
+        match Json.member "first" j with
+        | None | Some Json.Null -> None
+        | Some f -> Some f
+      in
+      Record.Monitor (name, { Record.checks; violations; first })
+    | other -> Record.Unknown (other, j)
+  in
+  match decode () with r -> Ok r | exception Bad e -> Error e
+
+(* A rendered record with its fields dropped, duplicated, retyped or
+   moved, so that the first occurrence and the check order both show. *)
+let mangled_json_gen =
+  let open QCheck2.Gen in
+  let junk =
+    oneofl
+      [ Json.Null; Json.Str "x"; Json.Num 1.5; Json.Num 2.; Json.Num (-3.);
+        Json.Arr [ Json.Num 1. ]; Json.Bool true; Json.Obj [] ]
+  in
+  let edit fields =
+    let n = List.length fields in
+    if n = 0 then return fields
+    else
+      int_bound (n - 1) >>= fun i ->
+      let k, _ = List.nth fields i in
+      junk >>= fun v ->
+      oneofl
+        [
+          List.filteri (fun j _ -> j <> i) fields;
+          (k, v) :: fields;
+          fields @ [ (k, v) ];
+          List.mapi (fun j f -> if j = i then (k, v) else f) fields;
+          List.filteri (fun j _ -> j <> i) fields @ [ List.nth fields i ];
+        ]
+  in
+  record_gen >>= fun r ->
+  match Record.to_json r with
+  | Json.Obj fields ->
+    int_range 0 3 >>= fun edits ->
+    let rec go k fields =
+      if k = 0 then return fields else edit fields >>= go (k - 1)
+    in
+    map (fun fields -> Json.Obj fields) (go edits fields)
+  | j -> return j
+
+let json_decode_tests =
+  [
+    qcheck ~count:500 ~name:"of_json matches field-by-field decoding"
+      mangled_json_gen (fun j ->
+        match (Record.of_json j, member_of_json j) with
+        | Ok a, Ok b -> compare a b = 0
+        | Error a, Error b -> String.equal a b
+        | _ -> false);
+    t "Json.is_integer agrees with Float.is_integer" (fun () ->
+        List.iter
+          (fun f ->
+            check_true (Printf.sprintf "%h" f)
+              (Json.is_integer f = Float.is_integer f))
+          [ 0.; -0.; 1.; -1.; 0.5; -2.5; 1e15; 4.5e18; 4.6e18; -4.6e18;
+            4.611686018427387904e18; 9.3e18; 1e300; -1e300; 5e-324;
+            Float.max_float; Float.infinity; Float.neg_infinity; Float.nan;
+            Float.pred 4.6e18; Float.succ 4.6e18 ]);
+  ]
+
+(* ---------- varints past 2^62 ---------- *)
+
+(* Integers whose zigzag passes 2^62: the writer codes varints as
+   unsigned 63-bit numbers, up to 9 bytes. *)
+let varint_boundary_tests =
+  [
+    t "btrace round-trips ints past 2^62" (fun () ->
+        let h lo hi =
+          hist ~lo ~hi [| 1; 2 |]
+        in
+        let records =
+          [
+            Record.Counter ("c", 1 lsl 61);
+            Record.Counter ("c", max_int);
+            Record.Counter ("c", min_int);
+            Record.Series ("s", [| 0.; 1. |], [| 3e18; 2.4e18 |]);
+            Record.Series ("s", [| 0.; 1. |], [| -4e18; 4e18 |]);
+            Record.Span ("p", { Record.count = 1; total_s = 3e9; max_s = 1. });
+            Record.Hist ("h", h 1. 3e9);
+          ]
+        in
+        List.iter
+          (fun r ->
+            let fd = Btrace.feed () in
+            Btrace.feed_bytes fd (segment [ r ]);
+            check_true
+              (Json.to_string (Record.to_json r))
+              (drain_feed fd = [ r ]))
+          records);
+  ]
+
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
@@ -2480,4 +2689,5 @@ let suite =
   @ child_profile_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
-  @ top_tests @ alloc_tests @ grid_tests @ render_tests
+  @ top_tests @ alloc_tests @ grid_tests @ render_tests @ capture_tests
+  @ json_decode_tests @ varint_boundary_tests

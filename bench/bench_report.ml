@@ -51,9 +51,9 @@ let render_suite ~jobs ~quick =
   Buffer.contents buf
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Csync_obs.Registry.now_ns () in
   let v = f () in
-  (Unix.gettimeofday () -. t0, v)
+  (float_of_int (Csync_obs.Registry.now_ns () - t0) *. 1e-9, v)
 
 let run_suite ~jobs ~quick ~compare_jobs1 =
   let wall_s, out = timed (fun () -> render_suite ~jobs ~quick) in
@@ -394,7 +394,7 @@ let bench_obs =
   in
   (* Same line for the profiled path: a phase-span wrap on the disabled
      registry is what every untraced Scale round pays per phase. *)
-  let prof_off = Csync_obs.Profile.create Csync_obs.Registry.none in
+  let span_off = Csync_obs.Registry.span Csync_obs.Registry.none "bench.p" in
   Test.make_grouped ~name:"obs"
     [
       Test.make ~name:"counter-incr-disabled"
@@ -406,7 +406,7 @@ let bench_obs =
              Csync_obs.Registry.Gauge.observe_max g_off 1.0));
       Test.make ~name:"phase-span-disabled"
         (Staged.stage (fun () ->
-             Csync_obs.Profile.time prof_off Csync_obs.Profile.Apply ignore));
+             Csync_obs.Registry.Span.time span_off ignore));
       Test.make ~name:"monitor-check-disabled"
         (Staged.stage (fun () ->
              Csync_obs.Monitor.Agreement.check mon_off ~time:1.0 ~skew:0.5));
@@ -613,8 +613,8 @@ let monitor_disabled_ns t =
   | Some k when Float.is_finite k.ns_per_op -> Some k.ns_per_op
   | _ -> None
 
-(* Disabled-path round-phase profiler overhead per wrapped phase (one
-   branch plus the closure call on a disabled [Profile.time]). *)
+(* Disabled-path round-phase span overhead per wrapped phase (one
+   branch plus the closure call on a disabled [Registry.Span.time]). *)
 let profile_disabled_ns t =
   match find_kernel t "obs/phase-span-disabled" with
   | Some k when Float.is_finite k.ns_per_op -> Some k.ns_per_op

@@ -18,6 +18,23 @@ let jobs_arg =
 
 let jobs_opt jobs = if jobs > 0 then Some jobs else None
 
+(* A whole file's contents ([chaos --plan], [check --replay]). *)
+let read_file file =
+  try
+    let ic = open_in_bin file in
+    Ok
+      (Fun.protect
+         ~finally:(fun () -> close_in_noerr ic)
+         (fun () -> really_input_string ic (in_channel_length ic)))
+  with Sys_error e -> Error e
+
+(* One line of per-node stream accounting ([collect], [fleet]). *)
+let pp_node_stats (s : Csync_obs.Collect.node_stats) =
+  Format.printf
+    "p%-4d frames %-6d records %-7d gaps %-4d lost %-4d resets %-3d errors \
+     %-3d@."
+    s.Csync_obs.Collect.src s.frames s.records s.gaps s.lost s.resets s.errors
+
 (* Online theorem monitors (csync run/chaos/trace --monitor): evaluate the
    paper's bounds while the run executes instead of post hoc.  The monitor
    is installed ambiently, like the telemetry registry, and captured by
@@ -225,15 +242,7 @@ let chaos_cmd =
     | Some file -> begin
       (* One deterministic run of a serialized plan (e.g. a model-checker
          counterexample exported with csync check --cex). *)
-      match
-        try
-          let ic = open_in_bin file in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          Ok s
-        with Sys_error e -> Error e
-      with
+      match read_file file with
       | Error e -> `Error (false, e)
       | Ok contents ->
       match Plan.of_sexp_string contents with
@@ -357,15 +366,6 @@ let check_cmd =
   let module Explorer = Csync_check.Explorer in
   let module Cex = Csync_check.Cex in
   let module Replay = Csync_check.Replay in
-  let read_file file =
-    try
-      let ic = open_in_bin file in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Ok s
-    with Sys_error e -> Error e
-  in
   let write_file file s =
     let oc = open_out file in
     output_string oc s;
@@ -415,11 +415,14 @@ let check_cmd =
         }
       in
       Format.printf "%a@." Scope.pp scope;
-      let t_start = Unix.gettimeofday () in
+      let t_start = Csync_obs.Registry.now_ns () in
+      let elapsed_s () =
+        float_of_int (Csync_obs.Registry.now_ns () - t_start) *. 1e-9
+      in
       (match scope.Scope.mode with
       | Scope.Reintegrate ->
         let r = Explorer.run_reintegration ?jobs:(jobs_opt jobs) scope in
-        let dt = Unix.gettimeofday () -. t_start in
+        let dt = elapsed_s () in
         Format.printf
           "explored %d delay paths (%d mini-simulations) in %.2f s (%.0f \
            sims/s)@."
@@ -439,7 +442,7 @@ let check_cmd =
         end
       | Scope.Maintain ->
         let r = Explorer.run ?jobs:(jobs_opt jobs) scope in
-        let dt = Unix.gettimeofday () -. t_start in
+        let dt = elapsed_s () in
         let s = r.Explorer.stats in
         Format.printf
           "states %d (deduped %d), schedules %d, mini-simulations %d in \
@@ -852,13 +855,6 @@ let trace_cmd =
 
 (* csync collect *)
 let collect_cmd =
-  let pp_node_stats (s : Csync_obs.Collect.node_stats) =
-    Format.printf
-      "p%-4d frames %-6d records %-7d gaps %-4d lost %-4d resets %-3d errors \
-       %-3d@."
-      s.Csync_obs.Collect.src s.frames s.records s.gaps s.lost s.resets
-      s.errors
-  in
   let run port out duration snapshot_period max_src =
     match
       Csync_runtime.Collector.run ~port ~max_src ~out ~duration
@@ -960,13 +956,7 @@ let fleet_cmd =
       Thread.join collector_thread;
       Collector.write_snapshot collector out;
       let stats = Collect.stats (Collector.collect collector) in
-      List.iter
-        (fun (s : Collect.node_stats) ->
-          Format.printf
-            "p%-4d frames %-6d records %-7d gaps %-4d lost %-4d resets %-3d \
-             errors %-3d@."
-            s.Collect.src s.frames s.records s.gaps s.lost s.resets s.errors)
-        stats;
+      List.iter pp_node_stats stats;
       Format.printf "rejected datagrams: %d@."
         (Collector.rejected collector);
       Collector.close collector;

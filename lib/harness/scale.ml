@@ -18,7 +18,6 @@
 module Soa = Csync_process.Soa
 module Sweep = Csync_core.Sweep
 module Obs = Csync_obs.Registry
-module Profile = Csync_obs.Profile
 
 (* Same 62-bit mixer family as Soa's hash: allocation-free, deterministic
    across 64-bit platforms.  [@inline] keeps the chains of
@@ -148,7 +147,6 @@ let round ?jobs t =
   let shards = max 1 (min jobs n) in
   let width = Soa.width t in
   let obs = Obs.installed () in
-  let prof = Profile.create obs in
   (* The shards only read the report-time table: fill it here, once,
      before they fan out. *)
   Soa.prepare t;
@@ -179,8 +177,9 @@ let round ?jobs t =
   (* The shards cover every destination, so the store holds this round's
      midpoint for each of them: one [apply] over all of it. *)
   let mids = (fst results.(0)).Soa.mids in
-  Profile.time prof Profile.Apply (fun () -> Soa.apply t ~lo:0 mids);
-  Profile.time prof Profile.Advance (fun () -> Soa.advance t);
+  Obs.Span.time (Obs.span obs "profile.apply") (fun () ->
+      Soa.apply t ~lo:0 mids);
+  Obs.Span.time (Obs.span obs "profile.advance") (fun () -> Soa.advance t);
   (* Per-round convergence series (an O(n)/O(edges) observation pass,
      only when telemetry is on).  Pushed here rather than in [run] so
      every round-driving caller — the experiments loop rounds themselves
@@ -221,8 +220,6 @@ let run ?jobs ?(rounds = 1) t =
   if rounds < 0 then invalid_arg "Scale.run: negative rounds";
   let jobs = resolve_jobs jobs in
   let shards = max 1 (min jobs (Soa.n t)) in
-  let obs = Obs.installed () in
-  let prof = Profile.create obs in
   let spread0 = Soa.spread t in
   let local0 = Soa.local_skew t in
   let events = ref 0 in
@@ -232,7 +229,11 @@ let run ?jobs ?(rounds = 1) t =
     events := !events + ev;
     checksum := mix_int !checksum ck
   done;
-  let state = Profile.time prof Profile.Checksum (fun () -> state_checksum t) in
+  let state =
+    Obs.Span.time
+      (Obs.span (Obs.installed ()) "profile.checksum")
+      (fun () -> state_checksum t)
+  in
   {
     n = Soa.n t;
     jobs;

@@ -15,12 +15,12 @@
     records into its task's own registry ([scale.events], log-bucketed
     [scale.link_delay] / [scale.local_skew] histograms, [profile.fill] /
     [profile.sweep] spans), which {!Pool.init} folds back in shard-index
-    order after the join; the orchestrator times the apply/advance/
-    checksum phases through {!Csync_obs.Profile} and pushes per-round
-    convergence series.  All of it observes only - results are
-    byte-identical with telemetry on or off, and the merged trace is
-    byte-identical at any [--jobs] (modulo the wall-clock records a
-    canonical trace drops). *)
+    order after the join; the orchestrator times the apply, advance and
+    checksum phases as [profile.<phase>] spans the same way
+    ({!Csync_obs.Registry.Span.time}) and pushes per-round convergence
+    series.  All of it observes only - results are byte-identical with
+    telemetry on or off, and the merged trace is byte-identical at any
+    [--jobs] (modulo the timing records a canonical trace drops). *)
 
 val round : ?jobs:int -> Csync_process.Soa.t -> int * int
 (** Simulate one round across [jobs] shards (default

@@ -19,7 +19,7 @@
    body is [uvarint ref, uvarint shared, suffix] ([ref] = id+1, 0 means
    no reference and omits [shared]): [shared] bytes are copied from the
    front of the referenced earlier string, so sibling names ("profile.
-   apply.ns" after "profile.advance.ns") pay only their distinct tail.
+   apply" after "profile.advance") pay only their distinct tail.
 
    The writer keeps no string table: a trie over every string defined so
    far is both the dictionary and the prefix finder.  Its nodes — one per
@@ -237,8 +237,6 @@ let writer_fn ?(flush = fun () -> ()) sink =
     labels = cursor ();
     bases = cursor ();
   }
-
-let writer oc = writer_fn ~flush:(fun () -> flush oc) (output_string oc)
 
 let grow w k =
   let cap = max (2 * Bytes.length w.out) (w.len + k) in
@@ -627,10 +625,10 @@ exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-(* Decoder state, shared by the channel reader and the byte-feed reader:
-   the intern table, and a cursor over the payload being decoded — it
-   spans [b.[pos .. stop-1]] and is reset in place for every record, so
-   decoding allocates nothing beyond the records it returns. *)
+(* Decoder state of a feed: the intern table, and a cursor over the
+   payload being decoded — it spans [b.[pos .. stop-1]] and is reset in
+   place for every record, so decoding allocates nothing beyond the
+   records it returns. *)
 type dec = {
   mutable strings : string array;
   mutable nstrings : int;
@@ -926,73 +924,14 @@ let decode_payload d payload ~off len =
     (* unknown tag: length framing lets us skip it *)
     `Again
 
-(* ---------- channel reader ---------- *)
-
-type reader = { ic : in_channel; rd : dec; mutable payload : Bytes.t }
-
-let reader ic =
-  let m = Bytes.create (String.length magic) in
-  match really_input ic m 0 (String.length magic) with
-  | () when Bytes.to_string m = magic ->
-    Ok { ic; rd = dec (); payload = Bytes.create 256 }
-  | () -> Error "not a csync-btrace/1 file (bad magic)"
-  | exception End_of_file -> Error "not a csync-btrace/1 file (truncated magic)"
-
-let rewind r start =
-  seek_in r.ic start;
-  `Truncated
-
-(* Read the next record.  [`Truncated] means the file ends mid-record —
-   the channel is rewound to the record boundary, so a tailing caller can
-   retry after the writer appends more. *)
-let rec next r =
-  let start = pos_in r.ic in
-  (* The length prefix is read byte-by-byte so EOF inside it rewinds
-     cleanly. *)
-  let len = ref 0 and shift = ref 0 in
-  let more = ref true and state = ref `Len in
-  while !more do
-    match input_byte r.ic with
-    | exception End_of_file ->
-      state := if !shift = 0 && !len = 0 then `Eof else `Short;
-      more := false
-    | b ->
-      if !shift > 62 then begin
-        state := `Bad;
-        more := false
-      end
-      else begin
-        len := !len lor ((b land 0x7f) lsl !shift);
-        if b land 0x80 = 0 then more := false else shift := !shift + 7
-      end
-  done;
-  match !state with
-  | `Eof -> `Eof
-  | `Short -> rewind r start
-  | `Bad -> `Error "varint too long"
-  | `Len ->
-    let len = !len in
-    if len <= 0 || len > max_record_len then
-      `Error (Printf.sprintf "implausible record length %d" len)
-    else begin
-      if len > Bytes.length r.payload then
-        r.payload <- Bytes.create (max len (2 * Bytes.length r.payload));
-      match really_input r.ic r.payload 0 len with
-      | exception End_of_file -> rewind r start
-      | () -> (
-        match decode_payload r.rd r.payload ~off:0 len with
-        | `Again -> next r
-        | `Record _ as res -> res
-        | exception Malformed msg -> `Error msg)
-    end
-
 (* ---------- byte-feed reader ---------- *)
 
-(* An incremental reader over an in-memory byte stream: the collector
-   appends each arriving datagram's payload with [feed_bytes] and drains
-   whole records with [feed_next].  Partial records simply [`Await] more
-   bytes; [feed_reset] discards buffered bytes and the intern table, for
-   a node that reconnected with a fresh stream. *)
+(* The one decoder, an incremental reader over an in-memory byte
+   stream: the collector appends each arriving datagram's payload with
+   [feed_bytes] and [fold_file] each chunk it reads, and both drain whole
+   records with [feed_next].  Partial records simply [`Await] more bytes;
+   [feed_reset] discards buffered bytes and the intern table, for a node
+   that reconnected with a fresh stream. *)
 type feed = {
   mutable own : Bytes.t;  (* the feed's buffer, grown on demand *)
   mutable fb : Bytes.t;  (* [own], or the chunk just fed *)
@@ -1106,26 +1045,42 @@ let write_file path records =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let w = writer oc in
+      let w = writer_fn ~flush:(fun () -> flush oc) (output_string oc) in
       List.iter (write w) records;
       close_writer w)
+
+(* The file is fed to one feed in fixed-size chunks, so memory stays
+   bounded by the chunk and the longest record, whatever the file's
+   length. *)
+let fold_chunk = 65536
 
 let fold_file path ~init ~f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      match reader ic with
-      | Error e -> Error e
-      | Ok r ->
-        let rec go acc i =
-          match next r with
-          | `Record rec_ -> go (f acc rec_) (i + 1)
-          | `Eof -> Ok acc
-          | `Truncated ->
+      match really_input_string ic (String.length magic) with
+      | exception End_of_file ->
+        Error "not a csync-btrace/1 file (truncated magic)"
+      | m when m <> magic -> Error "not a csync-btrace/1 file (bad magic)"
+      | _ ->
+        let fd = feed () in
+        fd.expect_magic <- false;
+        let chunk = Bytes.create fold_chunk in
+        let rec drain acc i =
+          match feed_next fd with
+          | `Record r -> drain (f acc r) (i + 1)
+          | `Await -> read acc i
+          | `Error e -> Error (Printf.sprintf "record %d: %s" i e)
+        and read acc i =
+          match input ic chunk 0 fold_chunk with
+          | 0 when fd.flen = 0 -> Ok acc
+          | 0 ->
             Error
               (Printf.sprintf "record %d: truncated trace (file ends mid-record)"
                  i)
-          | `Error e -> Error (Printf.sprintf "record %d: %s" i e)
+          | n ->
+            feed_bytes fd (Bytes.sub_string chunk 0 n);
+            drain acc i
         in
-        go init 1)
+        read init 1)

@@ -16,57 +16,42 @@ val magic : string
 
 type writer
 
-val writer : out_channel -> writer
-(** Writes the magic immediately.  The channel should be in binary mode. *)
-
 val writer_fn : ?flush:(unit -> unit) -> (string -> unit) -> writer
-(** A writer over an arbitrary sink (the fleet emitter's socket stream).
-    The sink receives the magic immediately and then *whole frames* — a
-    length prefix and its payload each — handed over in batches, one
-    string per flush point: every 64 frames and at {!close_writer}.  So
-    any chunking of the sink's output concatenates to exactly the
-    one-shot encoding, and a flush can never split a record.  [flush]
-    (default: no-op) runs right after each batch, at the same points as
-    the file writer's channel flush. *)
+(** A writer over a sink: a file channel ({!write_file}), a buffer, or
+    the fleet emitter's socket stream.  The sink receives the magic
+    immediately and then *whole frames* — a length prefix and its
+    payload each — handed over in batches, one string per flush point:
+    every 64 frames and at {!close_writer}.  So any chunking of the
+    sink's output concatenates to exactly the one-shot encoding, and a
+    flush can never split a record.  [flush] (default: no-op) runs right
+    after each batch. *)
 
 val write : writer -> Record.t -> unit
 (** Appends one record (interning any new name strings first).  Records
-    reach the channel at the next flush point, every few records,
-    bounding how stale a tailing reader can observe the file. *)
+    reach the sink at the next flush point, every few records, bounding
+    how stale a tailing reader can observe a file. *)
 
 val close_writer : writer -> unit
-(** Hands over the frames written since the last flush point and
-    flushes; does not close the channel. *)
+(** Hands over the frames written since the last flush point and runs
+    [flush]; does not close the sink. *)
 
 val write_file : string -> Record.t list -> unit
+(** Write the records to a file, flushing the channel at every flush
+    point. *)
 
 (** {2 Reading} *)
 
-type reader
-(** Streaming decoder state (the string table accumulated so far). *)
-
-val reader : in_channel -> (reader, string) result
-(** Checks the magic. *)
-
-val next :
-  reader ->
-  [ `Record of Record.t | `Eof | `Truncated | `Error of string ]
-(** Next record.  [`Eof] is a clean end at a record boundary;
-    [`Truncated] means the file currently ends mid-record — the channel
-    is rewound to the record boundary so a tailing caller ([csync top
-    --follow]) can retry after the writer appends more.  String-table and
-    unknown-tag records are consumed internally. *)
-
 val fold_file :
   string -> init:'a -> f:('a -> Record.t -> 'a) -> ('a, string) result
-(** Stream every record of a file through [f] in constant memory
-    (truncation is an error here, unlike {!next}).  An error names the
-    record it stopped at, counting from 1. *)
+(** Stream every record of a file through [f] in constant memory: the
+    file is read in fixed-size chunks through a {!feed}.  A file that
+    ends mid-record is an error.  An error names the record it stopped
+    at, counting from 1. *)
 
 (** {2 Incremental byte-feed reading}
 
-    For consumers that receive the stream in arbitrary chunks (the fleet
-    collector's datagrams) rather than from a seekable channel. *)
+    The decoder: it takes the stream in arbitrary chunks (the fleet
+    collector's datagrams, {!fold_file}'s reads). *)
 
 type feed
 (** Buffered undecoded bytes plus the intern table built so far. *)

@@ -80,10 +80,6 @@ let node_of t src =
     Hashtbl.add t.nodes src n;
     n
 
-let starts_with_magic payload =
-  String.length payload >= String.length Btrace.magic
-  && String.sub payload 0 (String.length Btrace.magic) = Btrace.magic
-
 let drain n ~ts_ns ~seq =
   let rec go () =
     match Btrace.feed_next n.n_feed with
@@ -113,7 +109,7 @@ let accept n ~seq ~ts_ns payload =
 
 let frame t ~src ~seq ~ts_ns payload =
   let n = node_of t src in
-  if starts_with_magic payload then begin
+  if String.starts_with ~prefix:Btrace.magic payload then begin
     (* A segment head.  Emitters ship every flush as a self-contained
        segment, so magic alone is routine; a sequence REGRESSION here
        means a fresh emitter (restart/reconnect, seq back to 0), and a

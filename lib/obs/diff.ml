@@ -6,15 +6,7 @@
 
 let section ppf title = Format.fprintf ppf "@.== %s ==@.@." title
 
-let split_name name =
-  match String.rindex_opt name '/' with
-  | None -> ("", name)
-  | Some i ->
-    (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+let split_name = Record.split_name
 
 (* ---------- manifest ---------- *)
 
@@ -200,7 +192,7 @@ let metric_names t =
   @ List.map (fun (n, _, _) -> n) (Report.series t)
   @ List.map fst (Report.hists t)
 
-(* Wall-clock data (spans, gauges, profiler/pool series) differs between
+(* Timing data (spans, gauges, pool series) differs between
    any two real runs; the diff compares only the subset [Record.canonical]
    keeps, so the golden "no differences" verdict survives the profiler. *)
 let volatile_metric name = Record.volatile_base (snd (split_name name))
@@ -277,7 +269,7 @@ let render ppf ~name_a ~name_b a b =
     let adjs =
       series_deltas a b ~select:(fun n ->
           let _, base = split_name n in
-          starts_with ~prefix:"proc." base
+          String.starts_with ~prefix:"proc." base
           && (Filename.check_suffix base ".adj"
              || Filename.check_suffix base ".corr"))
     in

@@ -1,8 +1,8 @@
-/* Monotonic clock primitive for Wall_clock.mono_ns.
+/* Monotonic clock primitive for Registry.now_ns.
  *
- * CLOCK_MONOTONIC never steps (NTP slews it but cannot jump it), so
- * telemetry timestamps taken from it order correctly even if the host's
- * wall clock is adjusted mid-run.  Nanoseconds since an unspecified
+ * CLOCK_MONOTONIC never steps (NTP slews it but cannot jump it), so span
+ * durations and telemetry timestamps taken from it are never negative
+ * and order correctly even if the host's wall clock is adjusted mid-run.  Nanoseconds since an unspecified
  * epoch fit comfortably in OCaml's 63-bit int (~146 years). */
 
 #include <caml/mlvalues.h>

@@ -272,10 +272,6 @@ let split_name name =
   | Some i ->
     (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* Manifest fields that legitimately differ between byte-identical
    computations: when they were captured, from which commit, and with
    how many workers (the repo's cardinal invariant is that the worker
@@ -283,9 +279,9 @@ let starts_with ~prefix s =
 let volatile_manifest_fields = [ "captured_unix"; "git_rev"; "jobs" ]
 
 let volatile_base base =
-  starts_with ~prefix:"pool." base
-  || starts_with ~prefix:"profile." base
-  || starts_with ~prefix:"obs.worker" base
+  String.starts_with ~prefix:"pool." base
+  || String.starts_with ~prefix:"profile." base
+  || String.starts_with ~prefix:"obs.worker" base
 
 let canonical records =
   List.filter_map

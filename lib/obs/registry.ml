@@ -22,9 +22,9 @@ type series_cell = {
   mutable sn : int;
 }
 
-(* Durations accumulate as integer nanoseconds: the clock resolves µs at
-   best, summing exact ns quotients avoids float drift, and the trace
-   encoder stores ns-exact span times as varints instead of raw f64. *)
+(* Durations accumulate as integer nanoseconds, as {!now_ns} reads them:
+   summing ints avoids float drift, and the trace encoder stores ns-exact
+   span times as varints instead of raw f64. *)
 type span_cell = {
   mutable pcount : int;
   mutable ptotal_ns : int;
@@ -90,7 +90,9 @@ let installed () = Tls.get installed_key
 
 let clear_installed () = Tls.set installed_key none
 
-let now_s () = Unix.gettimeofday ()
+(* CLOCK_MONOTONIC in ns (mono_clock_stubs.c): it never steps, so a span
+   can never read a negative duration. *)
+external now_ns : unit -> int = "csync_mono_ns" [@@noalloc]
 
 let intern tbl name make =
   match Hashtbl.find_opt tbl name with
@@ -252,27 +254,27 @@ module Span = struct
 
   let active = function Noop -> false | P _ -> true
 
+  let add_ns c ns =
+    c.pcount <- c.pcount + 1;
+    c.ptotal_ns <- c.ptotal_ns + ns;
+    if ns > c.pmax_ns then c.pmax_ns <- ns
+
   let record h seconds =
     match h with
     | Noop -> ()
-    | P c ->
-      let ns = max 0 (int_of_float (Float.round (seconds *. 1e9))) in
-      c.pcount <- c.pcount + 1;
-      c.ptotal_ns <- c.ptotal_ns + ns;
-      if ns > c.pmax_ns then c.pmax_ns <- ns
+    | P c -> add_ns c (max 0 (int_of_float (Float.round (seconds *. 1e9))))
 
   let time h f =
     match h with
     | Noop -> f ()
-    | P _ ->
-      let t0 = now_s () in
-      let finish () = record h (now_s () -. t0) in
-      (match f () with
+    | P c -> (
+      let t0 = now_ns () in
+      match f () with
       | v ->
-        finish ();
+        add_ns c (now_ns () - t0);
         v
       | exception e ->
-        finish ();
+        add_ns c (now_ns () - t0);
         raise e)
 
   let count = function Noop -> 0 | P c -> c.pcount

@@ -74,8 +74,12 @@ val merge : into:t -> t -> unit
     {!Gauge.observe_max}: the max is kept).  No-op if either registry is
     {!none}. *)
 
-val now_s : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]), for span timing. *)
+val now_ns : unit -> int
+(** The host's monotonic clock ([CLOCK_MONOTONIC]) in integer
+    nanoseconds since an unspecified epoch.  Unlike the wall clock it
+    never steps, so durations taken from it are never negative even if
+    NTP adjusts the host mid-run.  {!Span.time} reads it, as do the
+    fleet emitter's timestamps and the bench and model-checker timers. *)
 
 (** {2 Instruments}
 
@@ -160,8 +164,8 @@ module Span : sig
   (** Record a duration in seconds. *)
 
   val time : handle -> (unit -> 'a) -> 'a
-  (** Run the thunk, recording its wall-clock duration (also on raise).
-      On a no-op handle this is exactly [f ()]. *)
+  (** Run the thunk, recording its duration on {!now_ns} (also on
+      raise).  On a no-op handle this is exactly [f ()]. *)
 
   val count : handle -> int
 end

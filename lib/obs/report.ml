@@ -154,13 +154,9 @@ let labels t =
   let acc = List.fold_left (fun acc (n, _) -> add acc n) acc t.hists in
   List.sort compare acc
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let proc_adj_pid base =
   (* "proc.<pid>.adj" -> Some pid *)
-  if starts_with ~prefix:"proc." base then
+  if String.starts_with ~prefix:"proc." base then
     let rest = String.sub base 5 (String.length base - 5) in
     match String.index_opt rest '.' with
     | Some i when String.sub rest i (String.length rest - i) = ".adj" ->
@@ -301,7 +297,7 @@ let render_hists ppf ~focus t =
         (List.filter
            (fun (name, _) ->
              let _, base = split_name name in
-             starts_with ~prefix:"net.delay." base)
+             String.starts_with ~prefix:"net.delay." base)
            t.hists)
     in
     if per_link > 0 then
@@ -309,9 +305,9 @@ let render_hists ppf ~focus t =
         per_link
   end
 
-(* The scale pipeline's phase spans, in pipeline order; phases a trace
-   lacks are simply absent from the table. *)
-let phase_order = List.map Profile.phase_name Profile.phases
+(* The scale pipeline's phase spans ("profile.<phase>"), in pipeline
+   order; phases a trace lacks are simply absent from the table. *)
+let phase_order = [ "fill"; "sweep"; "apply"; "advance"; "checksum" ]
 
 let phase_rank p =
   let rec go i = function
@@ -327,7 +323,7 @@ let render_profile ppf ~focus t =
         let l, base = split_name name in
         if
           (focus = "" || l = focus)
-          && starts_with ~prefix:"profile." base
+          && String.starts_with ~prefix:"profile." base
           && s.count > 0
         then Some (String.sub base 8 (String.length base - 8), s)
         else None)
@@ -389,7 +385,7 @@ let render_pool ppf t =
     List.filter_map
       (fun (name, s) ->
         let _, base = split_name name in
-        if starts_with ~prefix:"pool.worker" base then
+        if String.starts_with ~prefix:"pool.worker" base then
           Option.map
             (fun w -> (w, s))
             (int_of_string_opt
@@ -433,7 +429,7 @@ let render_chaos ppf t =
     List.filter
       (fun (name, v) ->
         let _, base = split_name name in
-        starts_with ~prefix:"chaos." base && v > 0)
+        String.starts_with ~prefix:"chaos." base && v > 0)
       t.counters
   in
   let injections =
@@ -573,7 +569,7 @@ let parse_node_label l =
 
 let fleet_offset_peer base =
   let p = "fleet.offset.p" in
-  if starts_with ~prefix:p base then
+  if String.starts_with ~prefix:p base then
     int_of_string_opt
       (String.sub base (String.length p) (String.length base - String.length p))
   else None

@@ -67,8 +67,10 @@ val warnings : t -> string list
 (** Reader warnings: skipped unknown record kinds / manifest fields. *)
 
 val phase_rank : string -> int
-(** Position of a round phase name (["fill"], ["sweep"], ...) in
-    {!Profile.phases} order; unknown names sort last. *)
+(** Position of a round phase name in the scale pipeline's order
+    (["fill"], ["sweep"], ["apply"], ["advance"], ["checksum"]: the
+    [<phase>] of the ["profile.<phase>"] spans); unknown names sort
+    last. *)
 
 val render : ?focus:string -> Format.formatter -> t -> unit
 (** Render the report: manifest, skew timelines, ADJ-per-round table,

@@ -1,18 +1,14 @@
 (* csync top — a live terminal view over a trace file.
 
-   top is a trace *viewer*, not a second telemetry channel: it tails the
-   file csync trace is writing (or re-reads a finished one), folds it
-   into a {!Report.t} in constant memory, and redraws one frame in place
-   with an ANSI clear.  The btrace reader's [`Truncated] contract (rewind
-   to the record boundary) is what makes tailing a live binary trace
-   safe: a half-written record renders as "capture in progress" rather
-   than an error, and the next refresh picks it up whole. *)
+   top is a trace *viewer*, not a second telemetry channel: each refresh
+   re-reads the file csync trace is writing (or a finished one) through
+   {!Report.of_file}, folding it into a {!Report.t} in constant memory,
+   and redraws one frame in place with an ANSI clear.  A file that
+   currently ends mid-record fails that read; the view keeps the last
+   good frame with a "capture in progress" note, and a later refresh
+   reads the record whole. *)
 
 module MSeries = Csync_metrics.Series
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 let split_name = Record.split_name
 
@@ -55,7 +51,7 @@ let phases t ~focus =
   List.filter_map
     (fun (name, (s : Record.span_rec)) ->
       let l, base = split_name name in
-      if (focus = "" || l = focus) && starts_with ~prefix:"profile." base
+      if (focus = "" || l = focus) && String.starts_with ~prefix:"profile." base
          && s.count > 0
       then Some (String.sub base 8 (String.length base - 8), s)
       else None)
@@ -68,8 +64,8 @@ let fault_counters t =
     (fun (name, v) ->
       let _, base = split_name name in
       v > 0
-      && (starts_with ~prefix:"chaos." base
-         || starts_with ~prefix:"net.tamper" base
+      && (String.starts_with ~prefix:"chaos." base
+         || String.starts_with ~prefix:"net.tamper" base
          || base = "net.collision_dropped" || base = "obs.events_dropped"))
     (Report.counters t)
 
@@ -85,6 +81,19 @@ let default_focus t =
   | None -> ( match Report.labels t with l :: _ -> l | [] -> "")
 
 (* ---------- frame rendering ---------- *)
+
+(* One line of monitor verdicts, shared by both panels. *)
+let monitor_lights b mons =
+  List.iteri
+    (fun i (name, (m : Record.monitor_rec)) ->
+      Buffer.add_string b (if i = 0 then "monitors  " else "   ");
+      Buffer.add_string b
+        (if m.violations = 0 then Printf.sprintf "[ok]   %s (%d checks)" name m.checks
+         else
+           Printf.sprintf "[FAIL] %s (%d/%d violations)" name m.violations
+             m.checks))
+    mons;
+  Buffer.add_char b '\n'
 
 let bar ~width share =
   let full = int_of_float (Float.round (share *. float_of_int width)) in
@@ -151,14 +160,8 @@ let frame ?focus ?(width = 32) t ~path =
   (* monitor lights *)
   let mons = Report.monitors t in
   if mons <> [] then begin
-    pr "monitors  ";
-    List.iteri
-      (fun i (name, (m : Record.monitor_rec)) ->
-        if i > 0 then pr "   ";
-        if m.violations = 0 then pr "[ok]   %s (%d checks)" name m.checks
-        else pr "[FAIL] %s (%d/%d violations)" name m.violations m.checks)
-      mons;
-    pr "\n\n"
+    monitor_lights b mons;
+    Buffer.add_char b '\n'
   end;
   (* drop / fault counters *)
   let faults = fault_counters t in
@@ -241,14 +244,7 @@ let fleet_frame ?width:_ t ~path =
   let mons = Report.monitors t in
   if mons <> [] then begin
     Buffer.add_char b '\n';
-    pr "monitors  ";
-    List.iteri
-      (fun i (name, (m : Record.monitor_rec)) ->
-        if i > 0 then pr "   ";
-        if m.violations = 0 then pr "[ok]   %s (%d checks)" name m.checks
-        else pr "[FAIL] %s (%d/%d violations)" name m.violations m.checks)
-      mons;
-    pr "\n"
+    monitor_lights b mons
   end;
   Buffer.contents b
 

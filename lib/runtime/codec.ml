@@ -67,7 +67,7 @@ let decode ~max_src buf ~len =
 
    [seq] numbers a node's frames consecutively so the collector can
    account for losses; [ts_ns] is the emitter's monotonic-clock stamp
-   ({!Wall_clock.mono_ns}) used as the merge key. *)
+   ({!Csync_obs.Registry.now_ns}) used as the merge key. *)
 
 let tel_magic = 0x43535954l (* "CSYT" *)
 

@@ -62,7 +62,7 @@ let create ~src ~peers ~port ?(period = 0.25) ?(max_samples = 512) ?on_flush
     frames = 0;
     drops = 0;
     flushes = 0;
-    last_flush_ns = Wall_clock.mono_ns ();
+    last_flush_ns = Registry.now_ns ();
     xs = Array.make peers [];
     ys = Array.make peers [];
     counts = Array.make peers 0;
@@ -111,7 +111,7 @@ let ship t ~ts_ns stream =
 
 let flush t =
   if not t.closed then begin
-    let ts_ns = Wall_clock.mono_ns () in
+    let ts_ns = Registry.now_ns () in
     t.last_flush_ns <- ts_ns;
     t.flushes <- t.flushes + 1;
     (match t.on_flush with None -> () | Some f -> f t.reg);
@@ -139,7 +139,7 @@ let flush t =
 
 let sample t ~peer ~own ~value =
   if not t.closed then begin
-    let ts = Wall_clock.mono_ns () in
+    let ts = Registry.now_ns () in
     if peer >= 0 && peer < Array.length t.xs then begin
       if t.counts.(peer) >= t.max_samples then t.drops <- t.drops + 1
       else begin

@@ -48,7 +48,7 @@ val sample : t -> peer:int -> own:float -> value:float -> unit
 (** Record one exchanged-timestamp observation: [own] this node's clock
     reading at reception, [value] the peer's transmitted reading.  The
     stored sample is the one-way offset [own - value] stamped with
-    {!Wall_clock.mono_ns}.  Triggers a flush when the period has
+    {!Csync_obs.Registry.now_ns}.  Triggers a flush when the period has
     elapsed.  Never blocks, never raises. *)
 
 val flush : t -> unit

@@ -1,5 +1,3 @@
-external mono_ns : unit -> int = "csync_mono_ns" [@@noalloc]
-
 type t = { epoch : float; offset : float; rate : float }
 
 let create ?epoch ~offset ~rate () =

@@ -5,7 +5,11 @@
     oscillator, drift and offset are injected: the clock reads
     [offset + rate * (wall - epoch)], with [rate] in the rho-band.  The
     injected parameters are known to the harness (not to the algorithm),
-    so the true skew of the synchronized clocks can be computed exactly. *)
+    so the true skew of the synchronized clocks can be computed exactly.
+
+    It reads [Unix.gettimeofday], so a host clock step steps it too.
+    Durations and telemetry timestamps read the monotonic
+    {!Csync_obs.Registry.now_ns} instead. *)
 
 type t
 
@@ -25,10 +29,3 @@ val wall_of : t -> float -> float
 val rate : t -> float
 
 val offset : t -> float
-
-val mono_ns : unit -> int
-(** The host's monotonic clock ([CLOCK_MONOTONIC]) in integer
-    nanoseconds since an unspecified epoch.  Unlike the wall clock it
-    never steps, so telemetry timestamps taken from it stay ordered
-    even if NTP adjusts the host mid-run.  All fleet-telemetry emitter
-    timestamps use this reading. *)

@@ -996,20 +996,20 @@ let btrace_tests =
                 (match Btrace.fold_file cut ~init:0 ~f:(fun n _ -> n + 1) with
                 | Error e -> check_true "names truncation" (contains e "truncated")
                 | Ok _ -> Alcotest.fail "expected a truncation error");
-                (* The streaming reader rewinds at the cut, stably - what
-                   csync top leans on while the writer is mid-record. *)
-                let ic = open_in_bin cut in
-                Fun.protect
-                  ~finally:(fun () -> close_in ic)
-                  (fun () ->
-                    match Btrace.reader ic with
-                    | Error e -> Alcotest.fail e
-                    | Ok r ->
-                      (match Btrace.next r with
-                      | `Record (Record.Counter ("whole", 7)) -> ()
-                      | _ -> Alcotest.fail "expected the whole record first");
-                      check_true "truncated" (Btrace.next r = `Truncated);
-                      check_true "stable on retry" (Btrace.next r = `Truncated));
+                (* A feed awaits the rest at the cut, stably, and decodes
+                   the record once the tail arrives. *)
+                let fd = Btrace.feed () in
+                Btrace.feed_bytes fd (read_all cut);
+                (match Btrace.feed_next fd with
+                | `Record (Record.Counter ("whole", 7)) -> ()
+                | _ -> Alcotest.fail "expected the whole record first");
+                check_true "awaits" (Btrace.feed_next fd = `Await);
+                check_true "stable on retry" (Btrace.feed_next fd = `Await);
+                Btrace.feed_bytes fd
+                  (String.sub bytes (String.length bytes - 4) 4);
+                (match Btrace.feed_next fd with
+                | `Record (Record.Series ("tail", _, _)) -> ()
+                | _ -> Alcotest.fail "expected the tail record once whole");
                 (* Once the writer finishes the record, a fresh pass reads
                    the whole file. *)
                 let oc =
@@ -1350,16 +1350,15 @@ let btrace_codec_tests =
         | _ -> Alcotest.fail "expected the reader to reject a negative count");
   ]
 
-(* ---------- per-task children and the round-phase profiler ---------- *)
+(* ---------- per-task children ---------- *)
 
-module Profile = Csync_obs.Profile
 module Pool = Csync_harness.Pool
 
 let report_of_registry reg = Report.of_records (Obs.records reg)
 
 let dump_lines reg = render_lines (Obs.records reg)
 
-let child_profile_tests =
+let child_tests =
   [
     t "child counters sum into the parent on merge" (fun () ->
         let reg = Obs.create () in
@@ -1516,39 +1515,6 @@ let child_profile_tests =
         ignore (Pool.init ~jobs:4 3 (fun _ -> ()));
         check_true "untraced stays untraced"
           (Obs.installed () == Obs.none && Mon.installed () == Mon.none));
-    t "profiler spans and per-occurrence series accumulate" (fun () ->
-        let reg = Obs.create () in
-        let p = Profile.create reg in
-        check_true "active" (Profile.active p);
-        check_int "passthrough" 42 (Profile.time p Profile.Fill (fun () -> 42));
-        Profile.record_ns p Profile.Fill 1_000_000;
-        (* A fresh profiler over the same registry continues the same
-           interned instruments - the per-round case in Scale.round. *)
-        Profile.record_ns (Profile.create reg) Profile.Fill 2_000_000;
-        let rep = report_of_registry reg in
-        let spr = List.assoc "profile.fill" (Report.spans rep) in
-        check_int "three occurrences" 3 spr.Report.count;
-        let _, xs, ys =
-          List.find (fun (n, _, _) -> n = "profile.fill.ns") (Report.series rep)
-        in
-        check_true "x is the occurrence index" (xs = [| 0.; 1.; 2. |]);
-        check_float "recorded ns" 1_000_000. ys.(1);
-        check_float "continues across instances" 2_000_000. ys.(2));
-    t "disabled profiler is an exact passthrough" (fun () ->
-        check_true "inactive" (not (Profile.active Profile.disabled));
-        check_int "result" 7
-          (Profile.time Profile.disabled Profile.Sweep (fun () -> 7));
-        Profile.record_ns Profile.disabled Profile.Checksum 5;
-        check_true "time is monotone nonneg" (Profile.now_ns () >= 0));
-    t "profiler timing also records when the thunk raises" (fun () ->
-        let reg = Obs.create () in
-        let p = Profile.create reg in
-        (match Profile.time p Profile.Apply (fun () -> failwith "boom") with
-        | exception Failure _ -> ()
-        | _ -> Alcotest.fail "expected the exception through");
-        let rep = report_of_registry reg in
-        check_int "occurrence recorded" 1
-          (List.assoc "profile.apply" (Report.spans rep)).Report.count);
   ]
 
 (* Per-task monitors: a child records like its parent, and merging the
@@ -2682,12 +2648,93 @@ let varint_boundary_tests =
           records);
   ]
 
+(* ---------- phase spans ---------- *)
+
+(* Listed right after the per-task children in [suite]: alcotest numbers
+   tests by position, and this slot keeps the later numbers stable. *)
+let span_time_tests =
+  [
+    t "Span.time records a busy-wait of >= 1 us" (fun () ->
+        let reg = Obs.create () in
+        Obs.Span.time (Obs.span reg "p") (fun () ->
+            let t0 = Obs.now_ns () in
+            while Obs.now_ns () - t0 < 1_000 do
+              ()
+            done);
+        let s = List.assoc "p" (Report.spans (report_of_registry reg)) in
+        check_int "one call" 1 s.Record.count;
+        check_true "at least 1 us" (s.Record.total_s >= 1e-6));
+    t "Span.time is an exact passthrough when disabled" (fun () ->
+        let p = Obs.span Obs.none "p" in
+        check_true "inactive" (not (Obs.Span.active p));
+        check_int "result" 7 (Obs.Span.time p (fun () -> 7));
+        check_int "nothing counted" 0 (Obs.Span.count p));
+    t "Span.time records when the thunk raises" (fun () ->
+        let reg = Obs.create () in
+        (match Obs.Span.time (Obs.span reg "p") (fun () -> failwith "boom") with
+        | exception Failure _ -> ()
+        | _ -> Alcotest.fail "expected the exception through");
+        check_int "occurrence recorded" 1
+          (List.assoc "p" (Report.spans (report_of_registry reg))).Report.count);
+  ]
+
+(* ---------- the monotonic clock and the traced round ---------- *)
+
+module Soa = Csync_process.Soa
+module Scale = Csync_harness.Scale
+
+let clock_span_tests =
+  [
+    t "Registry.now_ns is positive, monotone and advances" (fun () ->
+        let a = Obs.now_ns () in
+        check_true "positive" (a > 0);
+        let monotone = ref true and prev = ref a in
+        for _ = 1 to 1_000 do
+          let c = Obs.now_ns () in
+          if c < !prev then monotone := false;
+          prev := c
+        done;
+        check_true "monotone" !monotone;
+        Unix.sleepf 0.01;
+        check_true "advances across a sleep" (Obs.now_ns () - a > 5_000_000));
+    t "traced Scale.run writes profile spans only" (fun () ->
+        let reg = Obs.create () in
+        Obs.install reg;
+        Fun.protect ~finally:Obs.clear_installed (fun () ->
+            ignore (Scale.run ~jobs:1 ~rounds:2 (Soa.create ~n:64 ~seed:3 ())));
+        let profile name =
+          String.starts_with ~prefix:"profile." (snd (Record.split_name name))
+        in
+        let phases =
+          List.filter_map
+            (function
+              | Record.Span (name, s) ->
+                check_true (name ^ " counted") (s.Record.count > 0);
+                if profile name then Some (name, s.Record.count) else None
+              | Record.Counter (name, _)
+              | Record.Gauge (name, _)
+              | Record.Series (name, _, _)
+              | Record.Hist (name, _) ->
+                check_true (name ^ " is not a profile record") (not (profile name));
+                None
+              | _ -> None)
+            (Obs.records reg)
+        in
+        (* Re-minting a span each round continues the same cell. *)
+        check_true "every phase timed, per round"
+          (List.sort compare phases
+          = [
+              ("profile.advance", 2); ("profile.apply", 2);
+              ("profile.checksum", 1); ("profile.fill", 2); ("profile.sweep", 2);
+            ]));
+  ]
+
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
   @ determinism_tests @ btrace_tests @ btrace_intern_tests @ btrace_codec_tests
-  @ child_profile_tests
+  @ child_tests @ span_time_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
   @ top_tests @ alloc_tests @ grid_tests @ render_tests @ capture_tests
-  @ json_decode_tests @ varint_boundary_tests
+  @ json_decode_tests @ varint_boundary_tests @ clock_span_tests

@@ -214,20 +214,6 @@ let live_tests =
 
 let tel_tests =
   [
-    t "mono_ns is positive, monotone, and actually advances" (fun () ->
-        let a = Wall_clock.mono_ns () in
-        check_true "positive" (a > 0);
-        let monotone = ref true in
-        let prev = ref a in
-        for _ = 1 to 1_000 do
-          let c = Wall_clock.mono_ns () in
-          if c < !prev then monotone := false;
-          prev := c
-        done;
-        check_true "monotone" !monotone;
-        Thread.delay 0.01;
-        check_true "advances across a sleep"
-          (Wall_clock.mono_ns () - a > 5_000_000));
     t "telemetry frame roundtrip" (fun () ->
         let payload = String.init 300 (fun i -> Char.chr (i land 0xff)) in
         let b = Codec.encode_tel ~src:4 ~seq:17 ~ts_ns:123_456_789_012 payload in

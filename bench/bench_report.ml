@@ -1,4 +1,4 @@
-(* Shared benchmark engine behind both `bench/main.exe` and `csync bench`.
+(* The benchmark engine behind `csync bench`.
 
    Two parts:
 
@@ -701,92 +701,59 @@ let pp_summary ppf t =
       a.engine_words_per_event a.delivery_words_per_event
       a.soa_words_per_event
 
-(* Hand-rolled JSON: the container has no JSON library and the shape is
-   small and fixed. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Csync_obs.Json
 
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
+(* The BENCH_*.json object.  [Json.to_string] writes floats as [%.17g], so
+   {!load_baseline} reads back every value bit for bit, and non-finite
+   values as [null]. *)
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"csync-bench/1\",\n";
-  add "  \"mode\": %S,\n" t.mode;
-  add "  \"jobs\": %d,\n" t.jobs;
-  add "  \"parallel_available\": %b,\n" t.parallel_available;
-  (match t.suite with
-  | None -> add "  \"suite\": null,\n"
-  | Some s ->
-    add "  \"suite\": {\n";
-    add "    \"wall_s\": %s,\n" (json_float s.wall_s);
-    add "    \"wall_s_jobs1\": %s,\n" (json_float s.wall_s_jobs1);
-    add "    \"speedup_vs_jobs1\": %s,\n" (json_float s.speedup_vs_jobs1);
-    add "    \"tables_identical\": %b\n" s.tables_identical;
-    add "  },\n");
-  (match t.alloc with
-  | None -> add "  \"alloc_words_per_event\": null,\n"
-  | Some a ->
-    add "  \"alloc_words_per_event\": {\n";
-    add "    \"engine\": %s,\n" (json_float a.engine_words_per_event);
-    add "    \"delivery\": %s,\n" (json_float a.delivery_words_per_event);
-    add "    \"soa_round\": %s\n" (json_float a.soa_words_per_event);
-    add "  },\n");
-  add "  \"kernels_ns_per_op\": {\n";
-  let rec kernels = function
-    | [] -> ()
-    | [ { name; ns_per_op } ] ->
-      add "    \"%s\": %s\n" (json_escape name) (json_float ns_per_op)
-    | { name; ns_per_op } :: rest ->
-      add "    \"%s\": %s,\n" (json_escape name) (json_float ns_per_op);
-      kernels rest
-  in
-  kernels t.kernels;
-  add "  },\n";
-  add "  \"derived\": {\n";
-  add "    \"mid_reduced_speedup_n10k\": %s,\n"
-    (match mid_reduced_speedup_n10k t with
-    | Some r -> json_float r
-    | None -> "null");
-  add "    \"check_states_per_sec\": %s,\n"
-    (match check_states_per_sec t with
-    | Some r -> json_float r
-    | None -> "null");
-  add "    \"telemetry_disabled_ns\": %s,\n"
-    (match telemetry_disabled_ns t with
-    | Some r -> json_float r
-    | None -> "null");
-  add "    \"monitor_disabled_ns\": %s,\n"
-    (match monitor_disabled_ns t with
-    | Some r -> json_float r
-    | None -> "null");
-  add "    \"profile_disabled_ns\": %s,\n"
-    (match profile_disabled_ns t with
-    | Some r -> json_float r
-    | None -> "null");
-  add "    \"stabilize_disabled_ns\": %s\n"
-    (match stabilize_disabled_ns t with
-    | Some r -> json_float r
-    | None -> "null");
-  add "  }\n";
-  add "}\n";
-  Buffer.contents buf
+  let num f = Json.Num f in
+  let opt f = function Some v -> f v | None -> Json.Null in
+  Json.Obj
+    [
+      ("schema", Json.Str "csync-bench/1");
+      ("mode", Json.Str t.mode);
+      ("jobs", Json.num_of_int t.jobs);
+      ("parallel_available", Json.Bool t.parallel_available);
+      ( "suite",
+        opt
+          (fun s ->
+            Json.Obj
+              [
+                ("wall_s", num s.wall_s);
+                ("wall_s_jobs1", num s.wall_s_jobs1);
+                ("speedup_vs_jobs1", num s.speedup_vs_jobs1);
+                ("tables_identical", Json.Bool s.tables_identical);
+              ])
+          t.suite );
+      ( "alloc_words_per_event",
+        opt
+          (fun a ->
+            Json.Obj
+              [
+                ("engine", num a.engine_words_per_event);
+                ("delivery", num a.delivery_words_per_event);
+                ("soa_round", num a.soa_words_per_event);
+              ])
+          t.alloc );
+      ( "kernels_ns_per_op",
+        Json.Obj (List.map (fun k -> (k.name, num k.ns_per_op)) t.kernels) );
+      ( "derived",
+        Json.Obj
+          [
+            ("mid_reduced_speedup_n10k", opt num (mid_reduced_speedup_n10k t));
+            ("check_states_per_sec", opt num (check_states_per_sec t));
+            ("telemetry_disabled_ns", opt num (telemetry_disabled_ns t));
+            ("monitor_disabled_ns", opt num (monitor_disabled_ns t));
+            ("profile_disabled_ns", opt num (profile_disabled_ns t));
+            ("stabilize_disabled_ns", opt num (stabilize_disabled_ns t));
+          ] );
+    ]
 
 let write_json t file =
   let oc = open_out file in
-  output_string oc (to_json t);
+  output_string oc (Json.to_string (to_json t));
+  output_char oc '\n';
   close_out oc
 
 (* ---------- baseline comparison ---------- *)
@@ -802,7 +769,6 @@ type baseline = {
 }
 
 let load_baseline file =
-  let module Json = Csync_obs.Json in
   match
     try
       let ic = open_in_bin file in

@@ -1,4 +1,4 @@
-(** Benchmark engine shared by [bench/main.exe] and [csync bench].
+(** The benchmark engine behind [csync bench].
 
     Runs the experiment suite as a timed, parallelism-audited artifact and
     bechamel micro-benchmarks of the computational kernels, and serializes
@@ -73,13 +73,21 @@ val pp_kernels : Format.formatter -> kernel list -> unit
 
 val pp_summary : Format.formatter -> t -> unit
 
-val to_json : t -> string
+val to_json : t -> Csync_obs.Json.t
+(** The [csync-bench/1] report object; absent and non-finite values are
+    [null]. *)
 
 val write_json : t -> string -> unit
+(** {!to_json} through {!Csync_obs.Json.to_string}, one line.  Floats are
+    written as [%.17g], so {!load_baseline} reads them back bit for bit. *)
 
 (** {2 Baseline comparison} ([csync bench --baseline BENCH_quick.json]) *)
 
-type baseline
+type baseline = {
+  b_mode : string option;
+  b_suite_wall_s : float option;
+  b_kernels : (string * float) list;  (** finite kernel values, in file order *)
+}
 
 val load_baseline : string -> (baseline, string) result
 (** Reload a previously written BENCH_*.json.  Kernels added or removed

@@ -932,18 +932,7 @@ let fleet_cmd =
         nodes gamma;
       let stop = Atomic.make false in
       let collector_thread =
-        Thread.create
-          (fun () ->
-            let last_snap = ref (Unix.gettimeofday ()) in
-            while not (Atomic.get stop) do
-              Collector.poll collector ~timeout:0.1;
-              let now = Unix.gettimeofday () in
-              if now -. !last_snap >= 1.0 then begin
-                last_snap := now;
-                Collector.write_snapshot collector out
-              end
-            done)
-          ()
+        Thread.create (fun () -> Collector.serve collector ~out ~stop ()) ()
       in
       let live =
         Live.run_maintenance ~base_port ~seed ~degrade:true
@@ -951,10 +940,9 @@ let fleet_cmd =
           ~duration ()
       in
       (* Straggler datagrams from the final emitter flushes. *)
-      Collector.poll collector ~timeout:0.3;
+      Thread.delay 0.3;
       Atomic.set stop true;
       Thread.join collector_thread;
-      Collector.write_snapshot collector out;
       let stats = Collect.stats (Collector.collect collector) in
       List.iter pp_node_stats stats;
       Format.printf "rejected datagrams: %d@."

@@ -24,11 +24,39 @@ let min_rounds (r : Scenario.result) =
     (fun acc (_, records) -> min acc (List.length records))
     max_int r.Scenario.histories
 
-let run ~quick =
+let rounds ~quick = if quick then 12 else 25
+
+let row ~quick faults averaging =
   let params = Defaults.base () in
-  let { Params.n; beta; _ } = params in
   let gamma = Params.gamma params in
-  let rounds = if quick then 12 else 25 in
+  let rounds = rounds ~quick in
+  let r =
+    Scenario.run
+      {
+        (Scenario.default params) with
+        Scenario.averaging;
+        faults;
+        offset_spread = 0.;
+        rounds;
+      }
+  in
+  let done_ = min_rounds r in
+  let outcome =
+    if done_ < rounds - 2 then
+      Printf.sprintf "COLLAPSED (wedged after %d rounds)" done_
+    else if r.Scenario.steady_skew <= gamma then "bounded"
+    else "UNBOUNDED drift apart"
+  in
+  [
+    Averaging.name averaging;
+    string_of_int done_;
+    Table.cell_e r.Scenario.steady_skew;
+    Table.cell_ratio (r.Scenario.steady_skew /. gamma);
+    outcome;
+  ]
+
+let cells ~quick =
+  let { Params.n; beta; _ } = Defaults.base () in
   let two_faced_late pid =
     ( pid,
       Scenario.Two_faced_late
@@ -52,6 +80,19 @@ let run ~quick =
         Averaging.unprotected Averaging.Median;
       ]
   in
+  List.concat_map
+    (fun (strategy, faults) ->
+      List.map
+        (fun averaging ->
+          Experiment.cell
+            ~label:
+              (Printf.sprintf "strategy=%s,averaging=%s" strategy
+                 (Averaging.name averaging))
+            (fun () -> [ strategy :: row ~quick faults averaging ]))
+        averagings)
+    strategies
+
+let assemble ~quick:_ rows =
   let table =
     Table.make
       ~title:"E12: ablation - is the f-fold reduction actually needed?"
@@ -60,42 +101,9 @@ let run ~quick =
           "outcome" ]
       ()
   in
-  let table =
-    List.fold_left
-      (fun table (label, faults) ->
-        List.fold_left
-          (fun table averaging ->
-            let scenario =
-              {
-                (Scenario.default params) with
-                Scenario.averaging;
-                faults;
-                offset_spread = 0.;
-                rounds;
-              }
-            in
-            let r = Scenario.run scenario in
-            let done_ = min_rounds r in
-            let wedged = done_ < rounds - 2 in
-            let outcome =
-              if wedged then Printf.sprintf "COLLAPSED (wedged after %d rounds)" done_
-              else if r.Scenario.steady_skew <= gamma then "bounded"
-              else "UNBOUNDED drift apart"
-            in
-            Table.add_row table
-              [
-                label;
-                Averaging.name averaging;
-                string_of_int done_;
-                Table.cell_e r.Scenario.steady_skew;
-                Table.cell_ratio (r.Scenario.steady_skew /. gamma);
-                outcome;
-              ])
-          table averagings)
-      table strategies
-  in
   [
-    Table.note table
+    Table.note
+      (Table.add_rows table (List.concat rows))
       "reduce-protected averages absorb both strategies (skew <= gamma).  \
        Unprotected midpoint and mean either get dragged apart by the \
        two-faced pair or collapse outright when a sender goes silent - which \
@@ -106,6 +114,6 @@ let run ~quick =
   ]
 
 let experiment =
-  Experiment.of_run ~id:"E12"
+  Experiment.of_cells ~id:"E12"
     ~title:"Ablation of the fault-tolerant averaging function"
-    ~paper_ref:"Section 4.1; Appendix (reduce/mid machinery)" run
+    ~paper_ref:"Section 4.1; Appendix (reduce/mid machinery)" ~cells ~assemble

@@ -12,13 +12,50 @@
 module Table = Csync_metrics.Table
 module Params = Csync_core.Params
 
-let run ~quick =
+let capacity = 3
+
+let row ~quick sigma =
   let params = Defaults.base () in
-  let { Params.n; delta; eps; _ } = params in
-  let capacity = 3 and window = delta /. 2. in
-  let sigmas =
-    if quick then [ 0.; 4. *. eps ] else [ 0.; eps; 4. *. eps; delta ]
+  let scenario =
+    {
+      (Scenario.default params) with
+      Scenario.stagger = sigma;
+      collision = Some (capacity, params.Params.delta /. 2.);
+      rounds = (if quick then 12 else 25);
+    }
   in
+  let r = Scenario.run scenario in
+  let rounds_done =
+    List.fold_left
+      (fun acc (_, records) -> min acc (List.length records))
+      max_int r.Scenario.histories
+  in
+  let drop_pct =
+    100. *. float_of_int r.Scenario.dropped
+    /. float_of_int (max 1 r.Scenario.messages)
+  in
+  [
+    [
+      Table.cell_e sigma;
+      string_of_int r.Scenario.messages;
+      string_of_int r.Scenario.dropped;
+      Printf.sprintf "%.1f" drop_pct;
+      string_of_int rounds_done;
+      Table.cell_e r.Scenario.steady_skew;
+      Table.cell_e (Params.gamma params);
+    ];
+  ]
+
+let cells ~quick =
+  let { Params.delta; eps; _ } = Defaults.base () in
+  List.map
+    (fun sigma ->
+      Experiment.cell ~label:(Printf.sprintf "sigma=%g" sigma) (fun () ->
+          row ~quick sigma))
+    (if quick then [ 0.; 4. *. eps ] else [ 0.; eps; 4. *. eps; delta ])
+
+let assemble ~quick:_ rows =
+  let { Params.n; delta; _ } = Defaults.base () in
   let table =
     Table.make
       ~title:"E11: bounded receive buffers - simultaneous vs staggered broadcast"
@@ -27,50 +64,19 @@ let run ~quick =
           "steady skew"; "gamma" ]
       ()
   in
-  let table =
-    List.fold_left
-      (fun table sigma ->
-        let scenario =
-          {
-            (Scenario.default params) with
-            Scenario.stagger = sigma;
-            collision = Some (capacity, window);
-            rounds = (if quick then 12 else 25);
-          }
-        in
-        let r = Scenario.run scenario in
-        let rounds_done =
-          List.fold_left
-            (fun acc (_, records) -> min acc (List.length records))
-            max_int r.Scenario.histories
-        in
-        let drop_pct =
-          100. *. float_of_int r.Scenario.dropped
-          /. float_of_int (max 1 r.Scenario.messages)
-        in
-        Table.add_row table
-          [
-            Table.cell_e sigma;
-            string_of_int r.Scenario.messages;
-            string_of_int r.Scenario.dropped;
-            Printf.sprintf "%.1f" drop_pct;
-            string_of_int rounds_done;
-            Table.cell_e r.Scenario.steady_skew;
-            Table.cell_e (Params.gamma params);
-          ])
-      table sigmas
-  in
   [
-    Table.note table
+    Table.note
+      (Table.add_rows table (List.concat rows))
       (Printf.sprintf
          "Buffer: %d datagrams per %.1e s per receiver, n = %d.  At sigma=0 \
           all broadcasts land together and overflow the buffer; staggering \
           spreads them out and restores loss-free synchronization \
           (Section 9.3's fix, implemented at AT&T Bell Labs in 1986)."
-         capacity window n);
+         capacity (delta /. 2.) n);
   ]
 
 let experiment =
-  Experiment.of_run ~id:"E11"
+  Experiment.of_cells ~id:"E11"
     ~title:"Datagram collisions and staggered broadcasts"
-    ~paper_ref:"Section 9.3 (implementation on Suns + Ethernet)" run
+    ~paper_ref:"Section 9.3 (implementation on Suns + Ethernet)" ~cells
+    ~assemble

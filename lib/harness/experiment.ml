@@ -2,58 +2,26 @@ module Table = Csync_metrics.Table
 
 type cell = { label : string; thunk : unit -> string list list }
 
-let cell ~label thunk = { label; thunk }
+let cell ~label thunk =
+  if String.contains label '/' then
+    invalid_arg ("Experiment.cell: '/' in label " ^ label);
+  { label; thunk }
 
-type piece = Rows of string list list | Tables of Table.t list
-
-type body =
-  | Monolithic of (quick:bool -> Table.t list)
-  | Cells of {
-      cells : quick:bool -> cell list;
-      assemble : quick:bool -> string list list list -> Table.t list;
-    }
-
-type t = { id : string; title : string; paper_ref : string; body : body }
-
-let of_run ~id ~title ~paper_ref run =
-  { id; title; paper_ref; body = Monolithic run }
+type t = {
+  id : string;
+  title : string;
+  paper_ref : string;
+  cells : quick:bool -> cell list;
+  assemble : quick:bool -> string list list list -> Table.t list;
+}
 
 let of_cells ~id ~title ~paper_ref ~cells ~assemble =
-  { id; title; paper_ref; body = Cells { cells; assemble } }
+  { id; title; paper_ref; cells; assemble }
 
 let tasks ~quick t =
-  match t.body with
-  | Monolithic run -> [ (t.id, fun () -> Tables (run ~quick)) ]
-  | Cells { cells; _ } ->
-    List.map
-      (fun c -> (t.id ^ "/" ^ c.label, fun () -> Rows (c.thunk ())))
-      (cells ~quick)
-
-let assemble ~quick t pieces =
-  match (t.body, pieces) with
-  | Monolithic _, [ Tables tables ] -> tables
-  | Monolithic _, _ ->
-    invalid_arg "Experiment.assemble: monolithic experiments have one piece"
-  | Cells { assemble; _ }, pieces ->
-    assemble ~quick
-      (List.map
-         (function
-           | Rows rows -> rows
-           | Tables _ -> invalid_arg "Experiment.assemble: expected rows")
-         pieces)
-
-let run ~quick t =
-  match t.body with
-  | Monolithic run -> run ~quick
-  | Cells _ ->
-    assemble ~quick t (List.map (fun (_, thunk) -> thunk ()) (tasks ~quick t))
-
-let render_header ppf t =
-  Format.fprintf ppf "@.######## %s: %s@.######## (%s)@." t.id t.title
-    t.paper_ref
+  List.map (fun c -> (t.id ^ "/" ^ c.label, c.thunk)) (t.cells ~quick)
 
 let render_tables ppf t tables =
-  render_header ppf t;
+  Format.fprintf ppf "@.######## %s: %s@.######## (%s)@." t.id t.title
+    t.paper_ref;
   List.iter (Table.render ppf) tables
-
-let render ppf ~quick t = render_tables ppf t (run ~quick t)

@@ -4,48 +4,33 @@
     theorem's bound, a convergence recurrence, or a Section 10 comparison
     row) as one or more tables; see DESIGN.md's per-experiment index.
 
-    An experiment is either {e monolithic} - a single [run] function, as
-    in the original harness - or {e cell-based}: a pure description of its
-    sweep as a list of independent, individually seeded cells, each
-    producing raw rows, plus an [assemble] step that folds the rows into
-    tables in canonical order.  Cell-based experiments can be scheduled
-    across a {!Pool} of workers with bit-identical output for any worker
-    count; see {!Registry.run_all}. *)
+    An experiment is a pure description of its sweep: a list of
+    independent, individually seeded, labelled cells, each producing raw
+    rows, plus an [assemble] step that folds the rows into tables in
+    canonical order.  {!Registry.run_list} schedules the cells across a
+    {!Pool} of workers with bit-identical output for any worker count,
+    and prefixes each cell's metrics with [id/label], so every run of a
+    sweep is its own series in a capture. *)
 
 type cell = { label : string; thunk : unit -> string list list }
-(** One independent unit of work: a stable display label and a seeded
-    thunk returning raw rows.  The thunk must be self-contained (its own
-    RNGs, no shared mutable state) - it may run on any pool worker. *)
+(** One independent unit of work: a stable display label ([key=value],
+    as in ["eps=0.0001,rho=1e-06,P=0.5"]) and a seeded thunk returning raw
+    rows.  The thunk must be self-contained (its own RNGs, no shared
+    mutable state) - it may run on any pool worker. *)
 
 val cell : label:string -> (unit -> string list list) -> cell
-
-type piece = Rows of string list list | Tables of Csync_metrics.Table.t list
-(** Result of one scheduled task: raw rows for a cell, finished tables for
-    a monolithic experiment run as a single task. *)
-
-type body =
-  | Monolithic of (quick:bool -> Csync_metrics.Table.t list)
-  | Cells of {
-      cells : quick:bool -> cell list;
-      assemble : quick:bool -> string list list list -> Csync_metrics.Table.t list;
-          (** Receives one row list per cell, in cell-list order -
-              independent of the order cells were executed in. *)
-    }
+(** @raise Invalid_argument if [label] contains a ['/']: metric names
+    split at their last ['/'] into label and base name. *)
 
 type t = {
-  id : string;  (** "E1" .. "E13" *)
+  id : string;  (** "E1" .. "E17" *)
   title : string;
   paper_ref : string;  (** theorem/section the experiment reproduces *)
-  body : body;
+  cells : quick:bool -> cell list;  (** [quick] trims sweeps for test suites *)
+  assemble : quick:bool -> string list list list -> Csync_metrics.Table.t list;
+      (** Receives one row list per cell, in cell-list order - independent
+          of the order cells were executed in. *)
 }
-
-val of_run :
-  id:string ->
-  title:string ->
-  paper_ref:string ->
-  (quick:bool -> Csync_metrics.Table.t list) ->
-  t
-(** A monolithic experiment ([quick] trims sweeps for test suites). *)
 
 val of_cells :
   id:string ->
@@ -55,20 +40,8 @@ val of_cells :
   assemble:(quick:bool -> string list list list -> Csync_metrics.Table.t list) ->
   t
 
-val tasks : quick:bool -> t -> (string * (unit -> piece)) list
-(** The experiment's schedulable units (label, thunk): one per cell, or a
-    single task for a monolithic experiment. *)
-
-val assemble : quick:bool -> t -> piece list -> Csync_metrics.Table.t list
-(** Fold task results (in {!tasks} order) back into tables.
-    @raise Invalid_argument on an arity or piece-shape mismatch. *)
-
-val run : quick:bool -> t -> Csync_metrics.Table.t list
-(** Run sequentially in the current domain: tasks in order, then
-    {!assemble}. *)
+val tasks : quick:bool -> t -> (string * (unit -> string list list)) list
+(** The experiment's schedulable units: one [(id/label, thunk)] per cell. *)
 
 val render_tables : Format.formatter -> t -> Csync_metrics.Table.t list -> unit
 (** Print the experiment header followed by already-computed tables. *)
-
-val render : Format.formatter -> quick:bool -> t -> unit
-(** Run the experiment (sequentially) and print its header and tables. *)

@@ -38,17 +38,15 @@ let run_list ?jobs ~quick experiments =
     Csync_obs.Registry.set_label (Csync_obs.Registry.installed ()) label;
     thunk ()
   in
-  let pieces = Pool.init ~jobs (Array.length flat) run_task in
+  let rows = Pool.init ~jobs (Array.length flat) run_task in
   let next = ref 0 in
   List.map
     (fun (e, tasks) ->
       let k = List.length tasks in
-      let slice = List.init k (fun j -> pieces.(!next + j)) in
+      let slice = List.init k (fun j -> rows.(!next + j)) in
       next := !next + k;
-      (e, Experiment.assemble ~quick e slice))
+      (e, e.Experiment.assemble ~quick slice))
     per_exp
-
-let run_all ?jobs ~quick () = run_list ?jobs ~quick all
 
 let render_list ?jobs ppf ~quick experiments =
   List.iter

@@ -10,13 +10,11 @@ val run_list :
   quick:bool ->
   Experiment.t list ->
   (Experiment.t * Csync_metrics.Table.t list) list
-(** Schedule every cell of every listed experiment through the {!Pool}
-    ([jobs] defaults to {!Pool.default_jobs}) and assemble each
-    experiment's tables in canonical order.  Output is bit-identical for
-    every [jobs] value; see {!Pool}. *)
-
-val run_all :
-  ?jobs:int -> quick:bool -> unit -> (Experiment.t * Csync_metrics.Table.t list) list
+(** The one way to run experiments.  Schedule every cell of every listed
+    experiment through the {!Pool} ([jobs] defaults to
+    {!Pool.default_jobs}), each under its own registry label [id/label],
+    and assemble each experiment's tables in canonical order.  Output is
+    bit-identical for every [jobs] value; see {!Pool}. *)
 
 val render_list :
   ?jobs:int -> Format.formatter -> quick:bool -> Experiment.t list -> unit

@@ -1,7 +1,7 @@
 (** ASCII tables for experiment reports.
 
     Every experiment renders its result as one or more tables so that
-    [bench/main.exe] reproduces the paper's quantitative content as
+    [csync run] reproduces the paper's quantitative content as
     readable rows; {!to_csv} supports downstream plotting. *)
 
 type t

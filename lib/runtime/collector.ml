@@ -56,10 +56,14 @@ let receive_one t =
     | Ok (src, seq, ts_ns, payload) ->
       Collect.frame t.collect ~src ~seq ~ts_ns payload)
 
+(* Deadlines run on the monotonic clock, so a host clock step can neither
+   stretch nor cut a collection. *)
+let now () = float_of_int (Csync_obs.Registry.now_ns ()) *. 1e-9
+
 let poll t ~timeout =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = now () +. timeout in
   let rec loop () =
-    let remaining = deadline -. Unix.gettimeofday () in
+    let remaining = deadline -. now () in
     if remaining > 0. then begin
       match Unix.select [ t.sock ] [] [] remaining with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -78,16 +82,25 @@ let write_snapshot t path =
 
 let close t = Unix.close t.sock
 
-let run ?port:p ?max_src ~out ~duration ?(snapshot_period = 1.0) () =
-  let t = create ?port:p ?max_src () in
-  Fun.protect ~finally:(fun () -> close t) @@ fun () ->
-  let until = Unix.gettimeofday () +. duration in
-  let next_snap = ref (Unix.gettimeofday () +. snapshot_period) in
+(* Polls are capped at [stop_latency] so a caller's [stop] flag is seen
+   promptly even while the fleet is quiet. *)
+let stop_latency = 0.1
+
+let serve t ~out ?(snapshot_period = 1.0) ?duration ?stop () =
+  let until =
+    match duration with Some d -> now () +. d | None -> Float.infinity
+  in
+  let stopped () = match stop with Some s -> Atomic.get s | None -> false in
+  let next_snap = ref (now () +. snapshot_period) in
   let rec loop () =
-    let now = Unix.gettimeofday () in
-    if now < until then begin
-      poll t ~timeout:(Float.max 0.01 (Float.min (until -. now) (!next_snap -. now)));
-      if Unix.gettimeofday () >= !next_snap then begin
+    let now_s = now () in
+    let left = until -. now_s in
+    if left > 0. && not (stopped ()) then begin
+      poll t
+        ~timeout:
+          (Float.max 0.01
+             (Float.min stop_latency (Float.min left (!next_snap -. now_s))));
+      if now () >= !next_snap then begin
         write_snapshot t out;
         next_snap := !next_snap +. snapshot_period
       end;
@@ -95,5 +108,10 @@ let run ?port:p ?max_src ~out ~duration ?(snapshot_period = 1.0) () =
     end
   in
   loop ();
-  write_snapshot t out;
+  write_snapshot t out
+
+let run ?port:p ?max_src ~out ~duration ?snapshot_period () =
+  let t = create ?port:p ?max_src () in
+  Fun.protect ~finally:(fun () -> close t) @@ fun () ->
+  serve t ~out ?snapshot_period ~duration ();
   (Collect.stats t.collect, t.rejected)

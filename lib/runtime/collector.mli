@@ -1,4 +1,5 @@
-(** Fleet telemetry collector: the UDP fan-in for [csync collect].
+(** Fleet telemetry collector: the UDP fan-in for [csync collect] and
+    [csync fleet].
 
     One socket accepts every node's telemetry stream concurrently.  Each
     datagram is validated by {!Codec.decode_tel} — scanners' garbage and
@@ -37,6 +38,20 @@ val write_snapshot : t -> string -> unit
 
 val close : t -> unit
 
+val serve :
+  t ->
+  out:string ->
+  ?snapshot_period:float ->
+  ?duration:float ->
+  ?stop:bool Atomic.t ->
+  unit ->
+  unit
+(** The collector loop: serve datagrams, atomically rewriting [out] every
+    [snapshot_period] (default 1 s) seconds, until [duration] seconds
+    have passed or [stop] is set (seen within 0.1 s), whichever comes
+    first; then write a final snapshot.  With neither it serves until the
+    process ends.  Deadlines run on the monotonic clock. *)
+
 val run :
   ?port:int ->
   ?max_src:int ->
@@ -45,7 +60,5 @@ val run :
   ?snapshot_period:float ->
   unit ->
   Csync_obs.Collect.node_stats list * int
-(** The [csync collect] loop: create, serve datagrams for [duration]
-    seconds rewriting [out] every [snapshot_period] (default 1 s)
-    seconds, write a final snapshot, close.  Returns the per-node stats
-    and the rejected-datagram count. *)
+(** [csync collect]: create, {!serve} for [duration] seconds, close.
+    Returns the per-node stats and the rejected-datagram count. *)

@@ -281,7 +281,86 @@ let e2_tests =
           (Csync_harness.Exp_agreement.sweep ~quick:false));
   ]
 
+(* Every experiment is labelled cells, so each run of a sweep records under
+   its own label.  Runs laid end to end under one label splice into one
+   series whose xs jump back at every run boundary. *)
+let one_run_per_label_tests =
+  [
+    t "series never step back in time" (fun () ->
+        let module Obs = Csync_obs.Registry in
+        let module Record = Csync_obs.Record in
+        let reg = Obs.create () in
+        Obs.install reg;
+        Fun.protect ~finally:Obs.clear_installed (fun () ->
+            ignore (Registry.run_list ~jobs:1 ~quick:true Registry.all));
+        let steps_back xs =
+          let rec go i =
+            i + 1 < Array.length xs && (xs.(i + 1) < xs.(i) || go (i + 1))
+          in
+          go 0
+        in
+        let spliced =
+          List.filter_map
+            (function
+              | Record.Series (name, xs, _) when steps_back xs -> Some name
+              | _ -> None)
+            (Obs.records reg)
+        in
+        Alcotest.(check (list string)) "series whose xs decrease" [] spliced);
+  ]
+
+(* The bench report's JSON must carry what it measured: every kernel value
+   comes back from the written file bit for bit. *)
+let bench_json_tests =
+  let module B = Bench_report in
+  [
+    t "bench JSON reads back bit for bit" (fun () ->
+        let report =
+          {
+            B.mode = "quick";
+            jobs = 2;
+            parallel_available = true;
+            suite =
+              Some
+                {
+                  B.wall_s = 0.1234567890123456;
+                  wall_s_jobs1 = 1. /. 3.;
+                  speedup_vs_jobs1 = Float.pi;
+                  tables_identical = true;
+                };
+            kernels =
+              [
+                { B.name = "averaging/mid-reduce-n7"; ns_per_op = 11.7065423 };
+                { B.name = "engine/\"quoted\"\\name"; ns_per_op = 4.9e-324 };
+                { B.name = "simulation/round"; ns_per_op = 41234567.891 };
+                { B.name = "obs/not-measured"; ns_per_op = Float.nan };
+              ];
+            alloc = None;
+          }
+        in
+        let file = Filename.temp_file "csync-bench" ".json" in
+        B.write_json report file;
+        let loaded = B.load_baseline file in
+        Sys.remove file;
+        match loaded with
+        | Error e -> Alcotest.fail e
+        | Ok b ->
+          Alcotest.(check (option string)) "mode" (Some "quick") b.B.b_mode;
+          let bits = List.map (fun (n, v) -> (n, Int64.bits_of_float v)) in
+          check_true "suite wall_s"
+            (Option.map Int64.bits_of_float b.B.b_suite_wall_s
+            = Some (Int64.bits_of_float 0.1234567890123456));
+          check_true "kernels, finite ones bit for bit"
+            (bits b.B.b_kernels
+            = bits
+                (List.filter_map
+                   (fun k ->
+                     if Float.is_finite k.B.ns_per_op then
+                       Some (k.B.name, k.B.ns_per_op)
+                     else None)
+                   report.B.kernels)));
+  ]
 
 let suite =
   sampling_tests @ env_tests @ scenario_tests @ registry_tests @ pool_tests
-  @ determinism_tests @ e2_tests
+  @ determinism_tests @ e2_tests @ bench_json_tests @ one_run_per_label_tests

@@ -140,7 +140,11 @@ let experiment_smoke_tests =
     (fun e ->
       t (Printf.sprintf "experiment %s runs" e.Csync_harness.Experiment.id)
         (fun () ->
-          let tables = Csync_harness.Experiment.run ~quick:true e in
+          let tables =
+            snd
+              (List.hd
+                 (Csync_harness.Registry.run_list ~jobs:1 ~quick:true [ e ]))
+          in
           check_true "has tables" (tables <> []);
           List.iter
             (fun tbl ->

@@ -367,4 +367,46 @@ let fleet_tests =
         Collector.close col);
   ]
 
-let suite = codec_tests @ tel_tests @ live_tests @ fleet_tests
+(* [Collector.serve] is the loop behind both [csync collect] and
+   [csync fleet]. *)
+let serve_tests =
+  [
+    t "serve loop stops on its flag with a final snapshot" (fun () ->
+        let col = Collector.create () in
+        let out = Filename.temp_file "csync-serve" ".btrace" in
+        let stop = Atomic.make false in
+        (* A long period: the only snapshot is the final one. *)
+        let server =
+          Thread.create
+            (fun () -> Collector.serve col ~out ~snapshot_period:60. ~stop ())
+            ()
+        in
+        let manifest = Json.Obj [ ("record", Json.Str "manifest") ] in
+        let emitters =
+          List.map
+            (fun src ->
+              Emitter.create ~src ~peers:2 ~port:(Collector.port col)
+                ~period:60. ~manifest ())
+            [ 0; 1 ]
+        in
+        List.iteri
+          (fun src em ->
+            Emitter.sample em ~peer:(1 - src) ~own:1.0 ~value:0.99;
+            Emitter.flush em)
+          emitters;
+        Thread.delay 0.3;
+        Atomic.set stop true;
+        Thread.join server;
+        List.iter Emitter.close emitters;
+        Collector.close col;
+        let report = Report.of_file out in
+        Sys.remove out;
+        match report with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          Alcotest.(check (list int))
+            "both nodes in the snapshot" [ 0; 1 ]
+            (Report.fleet r).Report.fleet_nodes);
+  ]
+
+let suite = codec_tests @ tel_tests @ live_tests @ fleet_tests @ serve_tests

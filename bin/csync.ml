@@ -92,7 +92,7 @@ let list_cmd =
           e.Csync_harness.Experiment.title e.Csync_harness.Experiment.paper_ref)
       Csync_harness.Registry.all
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the paper experiments (E1-E12).")
+  Cmd.v (Cmd.info "list" ~doc:"List the paper experiments.")
     Term.(const run $ const ())
 
 (* csync run [IDS...] *)

@@ -17,11 +17,9 @@ type t = {
   seed : int;
   plan : Plan.t;
   rounds : int;
-  degrade : bool;
 }
 
-let make ?(seed = 42) ?(rounds = 24) ?(degrade = true) ~params plan =
-  { params; seed; plan; rounds; degrade }
+let make ?(seed = 42) ?(rounds = 24) ~params plan = { params; seed; plan; rounds }
 
 type recovery = {
   pid : int;
@@ -116,7 +114,7 @@ let run t =
           profile)
   in
   let delay = Delay.uniform ~delta ~eps ~rng:delay_rng in
-  let cfg = Maintenance.config ~degrade:t.degrade t.params in
+  let cfg = Maintenance.config ~degrade:true t.params in
   let crashes = Plan.crash_schedule t.plan in
   let corruptions = Plan.corruption_schedule t.plan in
   let life_readers = Hashtbl.create 4 in
@@ -422,8 +420,7 @@ let ok r = agreement_ok r && recoveries_ok r
 
 type campaign_run = { seed : int; plan : Plan.t; result : result }
 
-let single ?(rounds = 24) ?(degrade = true) ?(corrupt = false) ~params ~seed ()
-    =
+let single ?(rounds = 24) ?(corrupt = false) ~params ~seed () =
   if rounds < 15 then invalid_arg "Runner_chaos.single: need >= 15 rounds";
   let big_p = (params : Params.t).Params.big_p in
   let window =
@@ -438,13 +435,12 @@ let single ?(rounds = 24) ?(degrade = true) ?(corrupt = false) ~params ~seed ()
       ~window ()
   in
   let plan = Gen.random ~rng:gen_rng spec in
-  let result = run { params; seed; plan; rounds; degrade } in
+  let result = run { params; seed; plan; rounds } in
   { seed; plan; result }
 
-let campaign ?(rounds = 24) ?(degrade = true) ?(corrupt = false) ?jobs ~params
-    ~seeds () =
+let campaign ?(rounds = 24) ?(corrupt = false) ?jobs ~params ~seeds () =
   if rounds < 15 then invalid_arg "Runner_chaos.campaign: need >= 15 rounds";
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   Pool.map_list ~jobs
-    (fun seed -> single ~rounds ~degrade ~corrupt ~params ~seed ())
+    (fun seed -> single ~rounds ~corrupt ~params ~seed ())
     seeds

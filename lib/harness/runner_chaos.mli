@@ -31,21 +31,19 @@ type t = {
   seed : int;
   plan : Csync_chaos.Plan.t;
   rounds : int;
-  degrade : bool;
-      (** run the maintenance automata in degraded mode.  Required for
-          plans that isolate a process (a partitioned victim hears nobody;
-          the paper's fixed-f reduction would average stale sentinels into
-          an unbounded correction). *)
 }
+(** The maintenance automata always run in degraded mode
+    ([Maintenance.config ~degrade:true]).  Plans that isolate a process
+    need it: a partitioned victim hears nobody, and the paper's fixed-f
+    reduction would average stale sentinels into an unbounded correction. *)
 
 val make :
   ?seed:int ->
   ?rounds:int ->
-  ?degrade:bool ->
   params:Csync_core.Params.t ->
   Csync_chaos.Plan.t ->
   t
-(** Defaults: seed 42, 24 rounds, degraded mode on. *)
+(** Defaults: seed 42, 24 rounds. *)
 
 type recovery = {
   pid : int;
@@ -115,7 +113,6 @@ type campaign_run = { seed : int; plan : Csync_chaos.Plan.t; result : result }
 
 val single :
   ?rounds:int ->
-  ?degrade:bool ->
   ?corrupt:bool ->
   params:Csync_core.Params.t ->
   seed:int ->
@@ -132,7 +129,6 @@ val single :
 
 val campaign :
   ?rounds:int ->
-  ?degrade:bool ->
   ?corrupt:bool ->
   ?jobs:int ->
   params:Csync_core.Params.t ->

@@ -1,4 +1,7 @@
 module Cluster = Csync_process.Cluster
+module Fault = Csync_process.Fault
+module Hardware_clock = Csync_clock.Hardware_clock
+module Multiset = Csync_multiset
 module Params = Csync_core.Params
 module Maintenance = Csync_core.Maintenance
 module Reintegration = Csync_core.Reintegration
@@ -37,12 +40,6 @@ type result = {
   others_skew_throughout : float;
 }
 
-let median l =
-  let a = Array.of_list l in
-  Array.sort Float.compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.(n / 2 - 1) +. a.(n / 2)) /. 2.
-
 let run t =
   let { Params.n; big_p; t0; beta; _ } = t.params in
   if t.wake_round <= float_of_int t.crash_round then
@@ -54,31 +51,40 @@ let run t =
       ~is_faulty:(fun pid -> is_faulty pid || pid = t.victim)
       ~offset_spread:(beta *. 0.9) ~rounds:t.rounds
   in
-  (* The victim is honest at first: give it a wake-up inside the pack. *)
+  let round_real i = Env.tmax0 env +. (i *. big_p) in
+  let crash_time = round_real (float_of_int t.crash_round) in
+  let wake_time = round_real t.wake_round in
+  let t_end = round_real (float_of_int t.rounds) in
+  (* The victim is honest at first (a wake-up inside the pack), silent from
+     [crash_time], and a Section 9.1 reintegration automaton from
+     [wake_time], its wake-up correction [wake_corr]. *)
   let cfg = Maintenance.config t.params in
-  let readers = Hashtbl.create n in
-  let victim_reader = ref None in
+  let rcfg = Reintegration.config ~initial_corr:t.wake_corr cfg in
+  let victim_clock = env.Env.clocks.(t.victim) in
+  let victim_auto =
+    Fault.crash_recover
+      ~crash_phys:(Hardware_clock.time victim_clock crash_time)
+      ~recover_phys:(Hardware_clock.time victim_clock wake_time)
+      ~recovery:(Reintegration.automaton ~self_hint:t.victim rcfg)
+      (Maintenance.automaton ~self_hint:t.victim cfg)
+  in
+  let victim_proc, victim_reader = Cluster.make_proc victim_auto in
   let procs =
     Array.init n (fun pid ->
         if is_faulty pid then Adversary.silent ()
-        else begin
-          let proc, reader = Maintenance.create ~self:pid cfg in
-          if pid = t.victim then victim_reader := Some reader
-          else Hashtbl.add readers pid reader;
-          proc
-        end)
+        else if pid = t.victim then victim_proc
+        else fst (Maintenance.create ~self:pid cfg))
   in
   let cluster =
     Cluster.create ~clocks:env.Env.clocks ~delay:env.Env.delay ~procs ()
   in
   Cluster.schedule_starts_at_logical cluster ~t0 ~corrs:(Array.make n 0.);
+  (* A START at the wake instant boots the recovery automaton there. *)
+  Cluster.schedule_start cluster ~pid:t.victim ~time:wake_time;
+  let join_state () = Fault.recovered_state (victim_reader ()) in
   let survivors =
     List.filter (fun p -> p <> t.victim) env.Env.nonfaulty
   in
-  let round_real i = Env.tmax0 env +. (i *. big_p) in
-  let crash_time = round_real (float_of_int t.crash_round) in
-  let wake_time = round_real t.wake_round in
-  let t_end = round_real (float_of_int t.rounds) in
   (* Samples: a fixed grid over the whole run; victim offset is measured
      against the median of the surviving local times. *)
   let sample_count = t.rounds * 8 in
@@ -87,47 +93,28 @@ let run t =
   let others_skew = ref 0. in
   let skew_incl_victim_after = ref 0. in
   let pre_crash_skew = ref 0. in
-  let join_reader = ref None in
-  let victim_alive = ref true in
-  let crashed = ref false and woken = ref false in
   Array.iter
     (fun time ->
-      if (not !crashed) && time >= crash_time then begin
-        Cluster.run_until cluster crash_time;
-        Cluster.kill cluster t.victim;
-        victim_alive := false;
-        crashed := true
-      end;
-      if (not !woken) && time >= wake_time then begin
-        Cluster.run_until cluster wake_time;
-        let rcfg = Reintegration.config ~initial_corr:t.wake_corr cfg in
-        let proc, reader = Reintegration.create ~self:t.victim rcfg in
-        Cluster.replace cluster t.victim proc;
-        Cluster.revive cluster t.victim;
-        Cluster.schedule_start cluster ~pid:t.victim
-          ~time:(wake_time +. (big_p /. 1000.));
-        join_reader := Some reader;
-        victim_alive := true;
-        woken := true
-      end;
       Cluster.run_until cluster time;
       let locals = List.map (Cluster.local_time cluster) survivors in
       let lo = List.fold_left Float.min (List.hd locals) locals in
       let hi = List.fold_left Float.max (List.hd locals) locals in
       others_skew := Float.max !others_skew (hi -. lo);
-      if !victim_alive then begin
+      if time < crash_time || time >= wake_time then begin
         let v = Cluster.local_time cluster t.victim in
-        let offset = Float.abs (v -. median locals) in
+        let offset =
+          Float.abs (v -. Multiset.median (Multiset.of_list locals))
+        in
         victim_offsets := (time, offset) :: !victim_offsets;
         if time < crash_time then
           pre_crash_skew :=
             Float.max !pre_crash_skew (Float.max (hi -. lo) offset);
         (* After the rejoin has had a full round to settle, the victim is
            nonfaulty again and must satisfy agreement. *)
-        match !join_reader with
-        | Some reader when Reintegration.mode (reader ()) = Reintegration.Joined ->
+        match join_state () with
+        | Some s when Reintegration.mode s = Reintegration.Joined ->
           let joined_at =
-            match Reintegration.join_round (reader ()) with
+            match Reintegration.join_round s with
             | Some r -> round_real (float_of_int (r + 1))
             | None -> infinity
           in
@@ -147,10 +134,7 @@ let run t =
       0. !victim_offsets
   in
   {
-    join_round =
-      (match !join_reader with
-       | Some reader -> Reintegration.join_round (reader ())
-       | None -> None);
+    join_round = Option.bind (join_state ()) Reintegration.join_round;
     victim_offset = Array.of_list (List.rev !victim_offsets);
     pre_crash_skew = !pre_crash_skew;
     wake_offset;

@@ -4,7 +4,9 @@
     that runs the normal maintenance algorithm, crashes at a configured
     round, stays dead for a while (its clock keeps drifting and its
     correction variable is garbage on revival), and then wakes running the
-    {!Csync_core.Reintegration} automaton.  While crashed, the victim
+    {!Csync_core.Reintegration} automaton - one
+    {!Csync_process.Fault.crash_recover} automaton, booted by a START at
+    the wake instant.  While crashed, the victim
     counts toward the fault budget f; after it rejoins, the system is back
     to one fault.
 

@@ -180,7 +180,9 @@ let run t =
       env.Env.nonfaulty
   in
   (* Per-round real-time spread of round starts (the paper's B^i <= beta),
-     from the physical broadcast timestamps mapped back through each clock. *)
+     from the physical broadcast timestamps mapped back through each clock.
+     A staggered process broadcasts pid * stagger after its round start, so
+     that offset comes off before the inversion. *)
   let round_spread =
     let table : (int, float list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -190,7 +192,8 @@ let run t =
             if r.Maintenance.exchange = 0 then begin
               let real =
                 Hardware_clock.inverse (Cluster.clock cluster pid)
-                  r.Maintenance.broadcast_phys
+                  (r.Maintenance.broadcast_phys
+                  -. (float_of_int pid *. t.stagger))
               in
               let prev =
                 Option.value (Hashtbl.find_opt table r.Maintenance.round) ~default:[]
@@ -245,5 +248,3 @@ let run t =
     histories;
     trace = Csync_sim.Trace.to_list trace;
   }
-
-let skew_at_round_starts result = result.round_spread

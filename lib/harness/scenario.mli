@@ -83,6 +83,3 @@ type result = {
 }
 
 val run : t -> result
-
-val skew_at_round_starts : result -> (int * float) list
-(** Alias for [round_spread], emphasizing its role as the B^i series. *)

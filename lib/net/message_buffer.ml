@@ -104,8 +104,6 @@ let release t d =
 
 let set_tamper t f = t.tamper <- Some f
 
-let clear_tamper t = t.tamper <- None
-
 let n t = t.n
 
 let graph t = t.graph

@@ -81,8 +81,6 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
 val set_tamper : 'm t -> 'm tamper -> unit
 (** Install the link-fault interposer (replacing any previous one). *)
 
-val clear_tamper : 'm t -> unit
-
 val broadcast : 'm t -> src:int -> 'm -> unit
 (** Without a graph: send to every process, including the sender (the
     paper's broadcast primitive).  With one: neighbor-multicast to the

@@ -16,7 +16,6 @@ type 'm t = {
   buffer : 'm Message_buffer.t;
   engine : 'm Message_buffer.delivery Engine.t;
   procs : 'm proc array;
-  alive : bool array;
   trace : Trace.t;
   (* Hooks in registration order, in a doubling array: amortized O(1)
      registration (the old [hooks @ [hook]] recopied the list, quadratic
@@ -61,7 +60,6 @@ let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
     buffer;
     engine;
     procs;
-    alive = Array.make n true;
     trace;
     hooks = [||];
     n_hooks = 0;
@@ -103,22 +101,6 @@ let clock t pid =
   check_pid t pid "clock";
   t.clocks.(pid)
 
-let kill t pid =
-  check_pid t pid "kill";
-  t.alive.(pid) <- false
-
-let revive t pid =
-  check_pid t pid "revive";
-  t.alive.(pid) <- true
-
-let is_alive t pid =
-  check_pid t pid "is_alive";
-  t.alive.(pid)
-
-let replace t pid proc =
-  check_pid t pid "replace";
-  t.procs.(pid) <- proc
-
 let add_delivery_hook t hook =
   let cap = Array.length t.hooks in
   if t.n_hooks = cap then begin
@@ -143,7 +125,7 @@ let apply_action t ~self action =
 
 let handle_delivery t time (delivery : 'm Message_buffer.delivery) =
   let dst = delivery.dst in
-  if t.alive.(dst) && Message_buffer.admit t.buffer delivery ~now:time then begin
+  if Message_buffer.admit t.buffer delivery ~now:time then begin
     let interrupt =
       match delivery.body with
       | Message_buffer.Start -> Automaton.Start
@@ -180,17 +162,12 @@ let handle_delivery t time (delivery : 'm Message_buffer.delivery) =
     done
   end
   else
-    (* Dead process or collision drop: the record is dead on arrival. *)
+    (* Collision drop: the record is dead on arrival. *)
     Message_buffer.release t.buffer delivery
 
 let run_until t until =
   Engine.run_until t.engine ~until ~handler:(fun time delivery ->
       handle_delivery t time delivery)
-
-let run_until_quiescent t ~max_events =
-  Engine.drain t.engine
-    ~handler:(fun time delivery -> handle_delivery t time delivery)
-    ~max_events
 
 let messages_sent t = Message_buffer.sent_count t.buffer
 

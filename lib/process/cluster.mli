@@ -7,10 +7,11 @@
     the recipient's automaton, and performs the resulting actions - i.e., it
     implements the execution semantics of Section 2.3.
 
-    Processes are referenced by integer ids [0 .. n-1].  Faulty behaviour is
-    expressed either by installing an adversarial automaton (Byzantine) or
-    by {!kill} (crash: interrupts stop being delivered).  [replace] +
-    {!revive} support the reintegration scenario of Section 9.1. *)
+    Processes are referenced by integer ids [0 .. n-1].  Every fault is an
+    automaton: a Byzantine process runs an adversarial one, and a crash -
+    with or without the repair and reintegration of Section 9.1 - wraps
+    the process' automaton in {!Fault.crash_recover}.  The cluster keeps no
+    crash state of its own. *)
 
 type 'm proc =
   | Proc : ('s, 'm) Automaton.t * 's ref -> 'm proc
@@ -62,10 +63,6 @@ val schedule_starts_at_logical : 'm t -> t0:float -> corrs:float array -> unit
 val run_until : 'm t -> float -> unit
 (** Deliver every event up to and including the given real time. *)
 
-val run_until_quiescent : 'm t -> max_events:int -> int
-(** Deliver events until none remain (or the guard trips); returns the
-    number delivered. *)
-
 val phys_time : 'm t -> int -> float
 (** Process' physical-clock reading at the current real time. *)
 
@@ -77,17 +74,6 @@ val local_time : 'm t -> int -> float
     [run_until] that time. *)
 
 val clock : 'm t -> int -> Csync_clock.Hardware_clock.t
-
-val kill : 'm t -> int -> unit
-(** Crash: stop delivering interrupts to this process. *)
-
-val revive : 'm t -> int -> unit
-
-val is_alive : 'm t -> int -> bool
-
-val replace : 'm t -> int -> 'm proc -> unit
-(** Swap in a new automaton (e.g. the reintegration variant) for a process.
-    Pending messages addressed to it are delivered to the new automaton. *)
 
 val add_delivery_hook : 'm t -> (float -> int -> 'm Automaton.interrupt -> unit) -> unit
 (** Called after each interrupt is processed: (real time, recipient,

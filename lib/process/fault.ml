@@ -1,5 +1,3 @@
-module Rng = Csync_sim.Rng
-
 let silent () =
   let auto =
     Automaton.stateless ~name:"fault.silent" (fun ~self:_ ~phys:_ _ -> [])
@@ -30,11 +28,6 @@ let periodic ~name ~first_phys ~period_phys actions =
 
 type ('a, 'b) lifecycle = Running of 'a | Down of 'a | Recovered of 'b
 
-let lifecycle_phase = function
-  | Running _ -> `Running
-  | Down _ -> `Down
-  | Recovered _ -> `Recovered
-
 let recovered_state = function Recovered s -> Some s | Running _ | Down _ -> None
 
 let crash_recover ~crash_phys ~recover_phys ~(recovery : ('b, 'm) Automaton.t)
@@ -44,8 +37,9 @@ let crash_recover ~crash_phys ~recover_phys ~(recovery : ('b, 'm) Automaton.t)
   let start_recovery ~self ~phys interrupt =
     (* The repaired process boots its recovery automaton from scratch: a
        fresh START, then - if the waking interrupt was a genuine message -
-       that message, which the recovered process really does receive.
-       Timers from its previous life died with it. *)
+       that message, which the recovered process really does receive.  A
+       waking timer was armed in its previous life and is dropped; later
+       stale timers reach the recovery automaton like any interrupt. *)
     let st, acts = recovery.Automaton.handle ~self ~phys Automaton.Start recovery.Automaton.initial in
     match interrupt with
     | Automaton.Message _ ->
@@ -71,52 +65,4 @@ let crash_recover ~crash_phys ~recover_phys ~(recovery : ('b, 'm) Automaton.t)
       (function
       | Running s | Down s -> auto.Automaton.corr s
       | Recovered s -> recovery.Automaton.corr s);
-  }
-
-let crash_at ~phys:deadline auto =
-  {
-    auto with
-    Automaton.name = auto.Automaton.name ^ "+crash";
-    handle =
-      (fun ~self ~phys interrupt state ->
-        if phys >= deadline then (state, [])
-        else auto.Automaton.handle ~self ~phys interrupt state);
-  }
-
-let receive_omission ~rng ~drop_probability auto =
-  if drop_probability < 0. || drop_probability > 1. then
-    invalid_arg "Fault.receive_omission: probability out of range";
-  {
-    auto with
-    Automaton.name = auto.Automaton.name ^ "+recv-omission";
-    handle =
-      (fun ~self ~phys interrupt state ->
-        match interrupt with
-        | Automaton.Message _ when Rng.float rng < drop_probability -> (state, [])
-        | _ -> auto.Automaton.handle ~self ~phys interrupt state);
-  }
-
-let broadcast_to_sends ~n action =
-  match action with
-  | Automaton.Broadcast m -> List.init n (fun dst -> Automaton.Send (dst, m))
-  | other -> [ other ]
-
-let send_omission ~rng ~drop_probability auto =
-  if drop_probability < 0. || drop_probability > 1. then
-    invalid_arg "Fault.send_omission: probability out of range";
-  {
-    auto with
-    Automaton.name = auto.Automaton.name ^ "+send-omission";
-    handle =
-      (fun ~self ~phys interrupt state ->
-        let state, actions = auto.Automaton.handle ~self ~phys interrupt state in
-        (* One coin per Send; a Broadcast is kept or dropped wholesale (the
-           cluster, not the strategy, knows n - strategies wanting
-           per-recipient drops should emit Sends via broadcast_to_sends). *)
-        let keep = function
-          | Automaton.Send _ | Automaton.Broadcast _ ->
-            Rng.float rng >= drop_probability
-          | Automaton.Set_timer_logical _ | Automaton.Set_timer_phys _ -> true
-        in
-        (state, List.filter keep actions));
   }

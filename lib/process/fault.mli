@@ -25,16 +25,10 @@ val periodic :
     scheduled timers use the physical clock, so a drifting faulty clock
     perturbs the firing times - as it would in reality. *)
 
-val crash_at : phys:float -> ('s, 'm) Automaton.t -> ('s, 'm) Automaton.t
-(** Behaves exactly like the wrapped automaton until its physical clock
-    reaches [phys], then ignores every interrupt (crash failure). *)
-
 type ('a, 'b) lifecycle = Running of 'a | Down of 'a | Recovered of 'b
 (** State of a {!crash_recover} process: the original automaton's state
     while healthy, the frozen pre-crash state while down, the recovery
     automaton's state after repair. *)
-
-val lifecycle_phase : ('a, 'b) lifecycle -> [ `Running | `Down | `Recovered ]
 
 val recovered_state : ('a, 'b) lifecycle -> 'b option
 
@@ -49,24 +43,11 @@ val crash_recover :
     completely silent until [recover_phys], then - at the first interrupt
     after repair - boot [recovery] from its initial state with a fresh
     START (replaying the waking interrupt into it when it is a message,
-    since the repaired process really receives it).  Timers armed before
-    the crash are ignored in every later phase.  Pair with
-    {!Csync_core.Reintegration} as the recovery automaton to model a
-    repaired process rejoining the synchronized pack.
+    since the repaired process really receives it).  A timer armed before
+    the crash is dropped while the process is down, and also when it is the
+    interrupt that wakes it; once [Recovered], every interrupt - a stale
+    pre-crash timer included - goes to [recovery].  With [recover_phys =
+    infinity] this is a crash with no repair: silent forever from
+    [crash_phys] on.  Pair with {!Csync_core.Reintegration} as the recovery
+    automaton to model a repaired process rejoining the synchronized pack.
     @raise Invalid_argument if [recover_phys <= crash_phys]. *)
-
-val receive_omission :
-  rng:Csync_sim.Rng.t -> drop_probability:float -> ('s, 'm) Automaton.t -> ('s, 'm) Automaton.t
-(** Drops each incoming ordinary message independently with the given
-    probability (START and TIMER are never dropped, so the automaton's own
-    schedule survives). *)
-
-val send_omission :
-  rng:Csync_sim.Rng.t -> drop_probability:float -> ('s, 'm) Automaton.t -> ('s, 'm) Automaton.t
-(** Suppresses each outgoing Send (and each Broadcast, wholesale)
-    independently with the given probability.  Strategies that need
-    per-recipient drops should emit Sends (see {!broadcast_to_sends}). *)
-
-val broadcast_to_sends : n:int -> 'm Automaton.action -> 'm Automaton.action list
-(** Expand a [Broadcast] into point-to-point [Send]s (identity on other
-    actions).  Useful for writing two-faced strategies. *)

@@ -7,7 +7,6 @@ module Fault = Csync_process.Fault
 module Hw = Csync_clock.Hardware_clock
 module Drift = Csync_clock.Drift
 module Delay = Csync_net.Delay
-module Rng = Csync_sim.Rng
 open Helpers
 
 let t name f = Alcotest.test_case name `Quick f
@@ -120,8 +119,13 @@ let basic_tests =
         check_float "local" 6.5 (Cluster.local_time cluster 0);
         check_float "phys" 4. (Cluster.phys_time cluster 0);
         check_float "corr" 2.5 (Cluster.corr cluster 0));
-    t "kill stops delivery; revive resumes" (fun () ->
-        let proc, read = Cluster.make_proc (recorder ()) in
+    t "crash_recover: silent while down, recovery receives after repair"
+      (fun () ->
+        let auto =
+          Fault.crash_recover ~crash_phys:0.2 ~recover_phys:2.
+            ~recovery:(recorder ()) (recorder ())
+        in
+        let proc, read = Cluster.make_proc auto in
         let sender =
           Fault.periodic ~name:"ticker" ~first_phys:0.5 ~period_phys:1.
             (fun ~self:_ ~phys:_ ~count:_ -> [ Automaton.Send (0, ()) ])
@@ -129,21 +133,16 @@ let basic_tests =
         in
         let cluster = cluster_of_procs [| proc; sender |] in
         Cluster.schedule_start cluster ~pid:1 ~time:0.;
-        Cluster.kill cluster 0;
-        check_bool "dead" false (Cluster.is_alive cluster 0);
-        Cluster.run_until cluster 2.;
-        check_int "nothing received while dead" 0 (List.length (read ()));
-        Cluster.revive cluster 0;
+        Cluster.run_until cluster 1.9;
+        (match read () with
+        | Fault.Down log -> check_int "nothing received while down" 0 (List.length log)
+        | _ -> Alcotest.fail "expected the down state");
         Cluster.run_until cluster 4.;
-        check_true "received after revive" (List.length (read ()) > 0));
-    t "replace swaps the automaton" (fun () ->
-        let proc, _ = Cluster.make_proc (recorder ()) in
-        let cluster = cluster_of_procs [| proc |] in
-        let proc2, read2 = Cluster.make_proc (recorder ()) in
-        Cluster.replace cluster 0 proc2;
-        Cluster.schedule_start cluster ~pid:0 ~time:1.;
-        Cluster.run_until cluster 2.;
-        check_int "new automaton got it" 1 (List.length (read2 ())));
+        match Fault.recovered_state (read ()) with
+        | Some log ->
+          (* Ticks at ~2.51 and ~3.51: booted by the first, then the second. *)
+          check_int "START + two ticks after repair" 3 (List.length log)
+        | None -> Alcotest.fail "expected a recovered state");
     t "delivery hooks fire in order" (fun () ->
         let proc, _ = Cluster.make_proc (recorder ()) in
         let cluster = cluster_of_procs [| proc |] in
@@ -186,7 +185,7 @@ let basic_tests =
               (Cluster.create ~clocks:(perfect_clocks 2)
                  ~delay:(Delay.constant 0.01) ~procs:[| proc |] ()));
         let cluster = cluster_of_procs [| proc |] in
-        check_raises_invalid "pid range" (fun () -> Cluster.kill cluster 5));
+        check_raises_invalid "pid range" (fun () -> Cluster.corr cluster 5));
   ]
 
 let fault_tests =
@@ -212,15 +211,18 @@ let fault_tests =
             ignore
               (Fault.periodic ~name:"x" ~first_phys:0. ~period_phys:0.
                  (fun ~self:_ ~phys:_ ~count:_ -> []))));
-    t "crash_at stops reacting" (fun () ->
+    t "unrepaired crash_recover stops reacting" (fun () ->
+        let count =
+          {
+            Automaton.name = "count";
+            initial = 0;
+            handle = (fun ~self:_ ~phys:_ _ n -> (n + 1, []));
+            corr = (fun _ -> 0.);
+          }
+        in
         let auto =
-          Fault.crash_at ~phys:2.
-            {
-              Automaton.name = "echo";
-              initial = 0;
-              handle = (fun ~self:_ ~phys:_ _ n -> (n + 1, []));
-              corr = (fun _ -> 0.);
-            }
+          Fault.crash_recover ~crash_phys:2. ~recover_phys:infinity
+            ~recovery:count count
         in
         let proc, read = Cluster.make_proc auto in
         let ticker =
@@ -232,152 +234,19 @@ let fault_tests =
         Cluster.schedule_start cluster ~pid:1 ~time:0.;
         Cluster.run_until cluster 6.;
         (* ticks at ~0.51, 1.51 counted; later ones ignored *)
-        check_int "stopped at 2" 2 (read ()));
-    t "receive_omission drops everything at p=1" (fun () ->
-        let auto =
-          Fault.receive_omission ~rng:(Rng.create 1) ~drop_probability:1.
-            {
-              Automaton.name = "count";
-              initial = 0;
-              handle =
-                (fun ~self:_ ~phys:_ i n ->
-                  match i with Automaton.Message _ -> (n + 1, []) | _ -> (n, []));
-              corr = (fun _ -> 0.);
-            }
-        in
-        let proc, read = Cluster.make_proc auto in
-        let ticker =
-          fst
-            (Fault.periodic ~name:"tick" ~first_phys:0.5 ~period_phys:1.
-               (fun ~self:_ ~phys:_ ~count:_ -> [ Automaton.Send (0, ()) ]))
-        in
-        let cluster = cluster_of_procs [| proc; ticker |] in
-        Cluster.schedule_start cluster ~pid:1 ~time:0.;
-        Cluster.run_until cluster 5.;
-        check_int "all dropped" 0 (read ()));
-    t "send_omission drops everything at p=1" (fun () ->
-        let auto =
-          Fault.send_omission ~rng:(Rng.create 1) ~drop_probability:1.
-            (Automaton.stateless ~name:"b" (fun ~self:_ ~phys:_ -> function
-               | Automaton.Start -> [ Automaton.Broadcast "x"; Automaton.Send (0, "y") ]
-               | _ -> []))
-        in
-        let proc, _ = Cluster.make_proc auto in
-        let cluster = cluster_of_procs [| proc |] in
-        Cluster.schedule_start cluster ~pid:0 ~time:0.;
-        Cluster.run_until cluster 1.;
-        check_int "nothing sent" 0 (Cluster.messages_sent cluster));
-    t "broadcast_to_sends expands" (fun () ->
-        let sends = Fault.broadcast_to_sends ~n:3 (Automaton.Broadcast "m") in
-        check_int "three sends" 3 (List.length sends);
-        let other = Fault.broadcast_to_sends ~n:3 (Automaton.Set_timer_phys 1.) in
-        check_int "identity" 1 (List.length other));
-    t "omission probability validation" (fun () ->
-        check_raises_invalid "p" (fun () ->
-            ignore
-              (Fault.receive_omission ~rng:(Rng.create 1) ~drop_probability:2.
-                 (recorder ()))));
-    t "receive_omission drop rate converges to the probability" (fun () ->
-        let counter =
-          {
-            Automaton.name = "count";
-            initial = 0;
-            handle =
-              (fun ~self:_ ~phys:_ i n ->
-                match i with Automaton.Message _ -> (n + 1, []) | _ -> (n, []));
-            corr = (fun _ -> 0.);
-          }
-        in
-        List.iter
-          (fun prob ->
-            let auto =
-              Fault.receive_omission ~rng:(Rng.create 7) ~drop_probability:prob
-                counter
-            in
-            let draws = 2000 in
-            let st = ref auto.Automaton.initial in
-            for i = 1 to draws do
-              let s, _ =
-                auto.Automaton.handle ~self:0 ~phys:(float_of_int i)
-                  (Automaton.Message (1, ())) !st
-              in
-              st := s
-            done;
-            let observed =
-              1. -. (float_of_int !st /. float_of_int draws)
-            in
-            check_true
-              (Printf.sprintf "p=%.2f observed %.3f" prob observed)
-              (Float.abs (observed -. prob) < 0.05))
-          [ 0.1; 0.3; 0.7 ]);
-    t "receive_omission never drops START or TIMER" (fun () ->
-        let auto =
-          Fault.receive_omission ~rng:(Rng.create 1) ~drop_probability:1.
-            (recorder ())
-        in
-        let s = auto.Automaton.initial in
-        let s, _ = auto.Automaton.handle ~self:0 ~phys:0. Automaton.Start s in
-        let s, _ = auto.Automaton.handle ~self:0 ~phys:1. (Automaton.Timer 1.) s in
-        let s, _ = auto.Automaton.handle ~self:0 ~phys:2. (Automaton.Message (1, ())) s in
-        check_int "start and timer got through, message did not" 2 (List.length s));
-    t "send_omission drop rate converges to the probability" (fun () ->
-        let chatty =
-          Automaton.stateless ~name:"chat" (fun ~self:_ ~phys:_ -> function
-            | Automaton.Timer _ -> [ Automaton.Send (0, "m") ]
+        match read () with
+        | Fault.Running n | Fault.Down n -> check_int "stopped at 2" 2 n
+        | Fault.Recovered _ -> Alcotest.fail "recovered without a repair");
+    t "unrepaired crash_recover is permanently silent afterwards"
+      (fun () ->
+        let echo =
+          Automaton.stateless ~name:"echo" (fun ~self:_ ~phys:_ -> function
+            | Automaton.Message (q, ()) -> [ Automaton.Send (q, ()) ]
             | _ -> [])
         in
-        List.iter
-          (fun prob ->
-            let auto =
-              Fault.send_omission ~rng:(Rng.create 13) ~drop_probability:prob
-                chatty
-            in
-            let draws = 2000 in
-            let sent = ref 0 in
-            let st = ref auto.Automaton.initial in
-            for i = 1 to draws do
-              let s, actions =
-                auto.Automaton.handle ~self:1 ~phys:(float_of_int i)
-                  (Automaton.Timer (float_of_int i)) !st
-              in
-              st := s;
-              List.iter
-                (function Automaton.Send _ -> incr sent | _ -> ())
-                actions
-            done;
-            let observed = 1. -. (float_of_int !sent /. float_of_int draws) in
-            check_true
-              (Printf.sprintf "p=%.2f observed %.3f" prob observed)
-              (Float.abs (observed -. prob) < 0.05))
-          [ 0.2; 0.5; 0.9 ]);
-    t "send_omission never suppresses timer-setting actions" (fun () ->
         let auto =
-          Fault.send_omission ~rng:(Rng.create 1) ~drop_probability:1.
-            (Automaton.stateless ~name:"b" (fun ~self:_ ~phys:_ -> function
-               | Automaton.Start ->
-                 [
-                   Automaton.Set_timer_phys 1.;
-                   Automaton.Broadcast "x";
-                   Automaton.Send (0, "y");
-                   Automaton.Set_timer_logical 2.;
-                 ]
-               | _ -> []))
-        in
-        let _, actions =
-          auto.Automaton.handle ~self:0 ~phys:0. Automaton.Start
-            auto.Automaton.initial
-        in
-        match actions with
-        | [ Automaton.Set_timer_phys t1; Automaton.Set_timer_logical t2 ] ->
-          check_float "phys" 1. t1;
-          check_float "logical" 2. t2
-        | _ -> Alcotest.fail "expected exactly the two timer actions");
-    t "crash_at is permanently silent afterwards" (fun () ->
-        let auto =
-          Fault.crash_at ~phys:2.
-            (Automaton.stateless ~name:"echo" (fun ~self:_ ~phys:_ -> function
-               | Automaton.Message (q, ()) -> [ Automaton.Send (q, ()) ]
-               | _ -> []))
+          Fault.crash_recover ~crash_phys:2. ~recover_phys:infinity
+            ~recovery:echo echo
         in
         let st = ref auto.Automaton.initial in
         let outputs = ref 0 in
@@ -409,15 +278,20 @@ let fault_tests =
           st := s;
           outputs := !outputs + List.length actions
         in
-        check_true "running"
-          (Fault.lifecycle_phase !st = `Running);
+        let phase () =
+          match !st with
+          | Fault.Running _ -> "running"
+          | Fault.Down _ -> "down"
+          | Fault.Recovered _ -> "recovered"
+        in
+        Alcotest.(check string) "initially" "running" (phase ());
         feed 1. (Automaton.Message (1, ()));
         check_int "echoed while healthy" 1 !outputs;
         feed 3. (Automaton.Message (1, ()));
-        check_true "down" (Fault.lifecycle_phase !st = `Down);
+        Alcotest.(check string) "after the crash" "down" (phase ());
         check_int "silent while down" 1 !outputs;
         feed 5. (Automaton.Message (2, ()));
-        check_true "recovered" (Fault.lifecycle_phase !st = `Recovered);
+        Alcotest.(check string) "after repair" "recovered" (phase ());
         (match Fault.recovered_state !st with
         | Some log ->
           (* The recovery automaton was booted with a fresh START and then
@@ -431,6 +305,30 @@ let fault_tests =
             ignore
               (Fault.crash_recover ~crash_phys:2. ~recover_phys:2.
                  ~recovery:(recorder ()) echo)));
+    t "crash_recover: stale timers are dropped only until the recovery boots"
+      (fun () ->
+        let auto =
+          Fault.crash_recover ~crash_phys:2. ~recover_phys:4.
+            ~recovery:(recorder ()) (recorder ())
+        in
+        let feed phys i s = fst (auto.Automaton.handle ~self:0 ~phys i s) in
+        let recovered_log s =
+          match Fault.recovered_state s with
+          | Some log -> List.rev_map snd log
+          | None -> Alcotest.fail "expected a recovered state"
+        in
+        (* Timers armed before the crash fire while down (dropped), then
+           one wakes the process (dropped: recovery sees only its START),
+           then one fires after recovery (delivered to the recovery). *)
+        let s = feed 1. (Automaton.Timer 1.) auto.Automaton.initial in
+        let s = feed 3. (Automaton.Timer 3.) s in
+        check_true "down" (Fault.recovered_state s = None);
+        let s = feed 4. (Automaton.Timer 4.) s in
+        check_true "waking timer dropped"
+          (recovered_log s = [ Automaton.Start ]);
+        let s = feed 5. (Automaton.Timer 1.5) s in
+        check_true "later stale timer reaches the recovery"
+          (recovered_log s = [ Automaton.Start; Automaton.Timer 1.5 ]));
   ]
 
 let suite = basic_tests @ fault_tests

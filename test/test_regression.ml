@@ -91,4 +91,22 @@ let suite =
         in
         let s = r.Csync_harness.Runner_baseline.slope_max in
         check_true (Printf.sprintf "slope %.6f" s) (s > 0.9998 && s < 1.0003));
+    t "E9 anchor: full-mode rows are pinned" (fun () ->
+        (* The three full-mode rows, byte for byte: one per wake round. *)
+        let rows =
+          Csync_harness.Experiment.tasks ~quick:false
+            Csync_harness.Exp_reintegration.experiment
+          |> List.concat_map (fun (_, thunk) -> thunk ())
+        in
+        Alcotest.(check (list (list string)))
+          "rows"
+          [
+            [ "8.4"; "0.371"; "11"; "3.707e-01"; "1.067e-04"; "5.221e-04";
+              "3.799e-04"; "yes" ];
+            [ "8.9"; "0.371"; "11"; "3.707e-01"; "1.067e-04"; "5.221e-04";
+              "3.799e-04"; "yes" ];
+            [ "12.1"; "0.371"; "15"; "3.705e-01"; "1.038e-04"; "5.221e-04";
+              "3.799e-04"; "yes" ];
+          ]
+          rows);
   ]

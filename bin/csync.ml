@@ -935,9 +935,8 @@ let fleet_cmd =
         Thread.create (fun () -> Collector.serve collector ~out ~stop ()) ()
       in
       let live =
-        Live.run_maintenance ~base_port ~seed ~degrade:true
-          ~telemetry_port:cport ~telemetry_period:period ?restart ~params
-          ~duration ()
+        Live.run_maintenance ~base_port ~seed ~telemetry_port:cport
+          ~telemetry_period:period ?restart ~params ~duration ()
       in
       (* Straggler datagrams from the final emitter flushes. *)
       Thread.delay 0.3;

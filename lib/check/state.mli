@@ -2,9 +2,9 @@
 
     At scope (rho = 0, perfect clocks, zero offsets) the entire protocol
     state at a round boundary is the vector of corrections CORR of the
-    nonfaulty processes: physical clocks all read real time, and the
-    arrival array is rewritten from scratch every round (stale entries are
-    reduced away exactly like the never-heard sentinel).  Two reductions
+    nonfaulty processes: physical clocks all read real time, and a stale
+    arrival-array entry is older than every one heard since the last update,
+    so it is reduced away like the never-heard sentinel.  Two reductions
     keep the state space small, both exact:
 
     - {b translation}: the round transition commutes with adding a common

@@ -7,20 +7,20 @@
     injects the chosen per-link delays and Byzantine agenda, runs to just
     past the round's update, and reads the resulting corrections back.
     Soundness of the round boundary: at scope (rho = 0) the only state a
-    round hands to the next is CORR - stale arrival-array entries from a
-    late Byzantine message are ultra-low values that the fault-tolerant
-    reduce discards exactly like the never-heard sentinel (the
-    checker-vs-replay test in [test_check.ml] exercises this).
+    round hands to the next is CORR - with n - f senders heard, a stale
+    arrival-array entry is older than every fresh one, and
+    [Maintenance.average_heard] reduces it away like the never-heard
+    sentinel (the checker-vs-replay test in [test_check.ml] exercises this).
 
     Precondition: the abstraction is exact while the boundary CORR spread
     stays within beta, so every nonfaulty broadcast lands inside every
     receiver's wait window (Lemma 5).  In-theorem (n >= 3f+1) scopes
     maintain this invariant round over round; in the deliberately broken
     n = 3f scopes a state can exceed it, after which a missed nonfaulty
-    message makes the mini-simulation average a sentinel where the
-    continuous run averages a stale value - both wildly divergent, but not
-    bit-equal.  The explorer stops at the first violating depth, which is
-    reached before such states are ever expanded. *)
+    message leaves a sentinel in the mini-simulation's ARR where the
+    continuous run holds a stale value, and the two need not be bit-equal.
+    The explorer stops at the first violating depth, which is reached
+    before such states are ever expanded. *)
 
 type outcome = {
   corrs : float array;  (** post-update CORR, indexed by nonfaulty pid *)

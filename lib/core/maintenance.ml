@@ -39,7 +39,6 @@ type config = {
   stagger : float;
   record_history : bool;
   initial_corr : float;
-  degrade : bool;
 }
 
 let arr_sentinel = -1e12
@@ -56,7 +55,7 @@ let exchange_spacing (p : Params.t) =
     ~beta:p.Params.beta
 
 let config ?(averaging = Averaging.midpoint) ?(exchanges = 1) ?(stagger = 0.)
-    ?(record_history = true) ?(initial_corr = 0.) ?(degrade = false) params =
+    ?(record_history = true) ?(initial_corr = 0.) params =
   if exchanges < 1 then invalid_arg "Maintenance.config: exchanges must be >= 1";
   if stagger < 0. then invalid_arg "Maintenance.config: negative stagger";
   if exchanges > 1 then begin
@@ -67,7 +66,7 @@ let config ?(averaging = Averaging.midpoint) ?(exchanges = 1) ?(stagger = 0.)
     if used >= params.Params.big_p then
       invalid_arg "Maintenance.config: P too short for this many exchanges"
   end;
-  { params; averaging; exchanges; stagger; record_history; initial_corr; degrade }
+  { params; averaging; exchanges; stagger; record_history; initial_corr }
 
 (* The local-time window between a broadcast and its update timer.  With
    staggering, late-offset senders (up to (n-1)*sigma later) must still be
@@ -104,53 +103,36 @@ let[@inline] record_arrival cfg ~src ~local s =
   s
 
 let do_broadcast cfg ~phys s =
-  let fresh = Array.make (Array.length s.fresh) false in
   let update_at = s.t +. wait_window cfg in
-  ( { s with flag = Update; fresh; broadcast_phys = phys; update_at },
+  ( { s with flag = Update; broadcast_phys = phys; update_at },
     [ Automaton.Broadcast s.t; Automaton.Set_timer_logical update_at ] )
 
-(* Degraded averaging: use only this round's actual arrivals, discarding as
-   many extremes as the live population can afford (g such that the 3g+1
-   rule still holds within the heard set).  When fewer peers answer than n
-   expects - beyond-f silence, a net split - the paper's fixed-f reduction
-   would average leftover sentinels into garbage; shrinking the discard
-   count instead keeps the correction anchored to the peers that are
-   actually alive.  With a full house it coincides with the paper's rule. *)
 let sorted_arrivals ?scratch a =
   match scratch with
   | Some buf -> Multiset.Scratch.sorted_of_array buf a
   | None -> Multiset.of_array a
 
-let degraded_average ?scratch cfg s =
-  let p = cfg.params in
+(* The rule is argued in the mli.  A [for] loop counts: an [Array.iter]
+   closure over a ref would allocate on every update. *)
+let average_heard ?scratch cfg ~t ~arr ~heard =
+  let { Params.n; f; delta; _ } = cfg.params in
   let count = ref 0 in
-  Array.iter (fun fresh -> if fresh then incr count) s.fresh;
-  if !count = 0 then None
-  else begin
-    (* One pass to collect the heard arrival times, no intermediate list. *)
-    let heard = Array.make !count 0. in
-    let k = ref 0 in
-    Array.iteri
-      (fun q fresh ->
-        if fresh then begin
-          heard.(!k) <- s.arr.(q);
-          incr k
-        end)
-      s.fresh;
-    let g = min p.Params.f ((!count - 1) / 3) in
-    Some (Averaging.apply cfg.averaging ~f:g (sorted_arrivals ?scratch heard))
-  end
+  for q = 0 to n - 1 do
+    if heard.(q) then incr count
+  done;
+  let count = !count in
+  if count >= n - f || not cfg.averaging.Averaging.reduce then
+    Averaging.apply cfg.averaging ~f (sorted_arrivals ?scratch arr)
+  else if count = 0 then t +. delta
+  else
+    let values = Array.make count 0. and k = ref 0 in
+    Array.iteri (fun q x -> if heard.(q) then (values.(!k) <- x; incr k)) arr;
+    Averaging.apply cfg.averaging ~f:(Sweep.g_of ~f ~count)
+      (sorted_arrivals ?scratch values)
 
 let do_update ?scratch cfg ~phys s =
   let p = cfg.params in
-  let av =
-    if cfg.degrade then
-      match degraded_average ?scratch cfg s with
-      | Some av -> av
-      | None -> s.t +. p.Params.delta (* heard nobody: free-run this round *)
-    else
-      Averaging.apply cfg.averaging ~f:p.Params.f (sorted_arrivals ?scratch s.arr)
-  in
+  let av = average_heard ?scratch cfg ~t:s.t ~arr:s.arr ~heard:s.fresh in
   let adj = s.t +. p.Params.delta -. av in
   let corr = s.corr +. adj in
   let arrivals = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 s.fresh in
@@ -184,7 +166,10 @@ let do_update ?scratch cfg ~phys s =
   (* Preserve this process' stagger slot relative to the round start. *)
   let self_offset = s.bcast_at -. s.t in
   let bcast_at = t +. self_offset in
-  ( { s with corr; t; bcast_at; flag = Bcast; round; exchange; history },
+  (* Restarted here, not at the broadcast: a faster peer's message may land
+     before this process' own broadcast and still belongs to the next update. *)
+  let fresh = Array.make (Array.length s.fresh) false in
+  ( { s with corr; t; bcast_at; flag = Bcast; fresh; round; exchange; history },
     [ Automaton.Set_timer_logical bcast_at ] )
 
 let handle ?scratch cfg ~self:_ ~phys interrupt s =

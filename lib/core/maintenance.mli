@@ -14,8 +14,8 @@
 
     Any arriving ordinary message stores its local arrival time in ARR
     indexed by sender, exactly as in the paper; entries are never reset, so
-    a silent process leaves a stale (very old) value that the reduction
-    discards as one of the f lowest.
+    a silent process leaves a stale value that {!average_heard} keeps out of
+    AV, counting the senders heard since the previous update.
 
     The messages carry the round's clock value T^i as a float.
 
@@ -41,7 +41,7 @@ type round_record = {
   av : float;  (** AV: the fault-tolerantly averaged arrival time *)
   adj : float;  (** ADJ = T + delta - AV *)
   corr_after : float;  (** CORR after applying ADJ *)
-  arrivals : int;  (** messages recorded since this round's broadcast *)
+  arrivals : int;  (** distinct senders heard since the previous update *)
 }
 
 type state
@@ -53,7 +53,6 @@ type config = private {
   stagger : float;
   record_history : bool;
   initial_corr : float;
-  degrade : bool;
 }
 
 val config :
@@ -62,20 +61,26 @@ val config :
   ?stagger:float ->
   ?record_history:bool ->
   ?initial_corr:float ->
-  ?degrade:bool ->
   Params.t ->
   config
 (** Defaults: midpoint averaging, one exchange per round, no stagger,
-    history recording on, zero initial correction, no degraded mode.
-
-    [degrade] enables beyond-the-paper graceful degradation: each update
-    averages only the arrivals actually recorded since the round's
-    broadcast, discarding [min f ((heard-1)/3)] extremes per side instead
-    of a fixed [f], and free-runs (ADJ = 0) if nothing was heard.  With all
-    n processes alive it coincides with the paper's rule; with mass silence
-    (a partition, most peers down) it keeps the survivors averaging over
-    each other instead of over stale sentinels.
+    history recording on, zero initial correction.
     @raise Invalid_argument if [exchanges < 1] or [stagger < 0]. *)
+
+val average_heard :
+  ?scratch:Csync_multiset.Scratch.buf ->
+  config ->
+  t:float ->
+  arr:float array ->
+  heard:bool array ->
+  float
+(** AV for the exchange that broadcast [t]; [heard.(q)] says [arr.(q)] was
+    written since the previous update.  With at least [n - f] heard, or an
+    unreduced [averaging], it is the paper's rule over all of [arr]: every
+    unheard entry is older than every heard one, so [reduce] discards it
+    among the [f] lowest.  With fewer, it averages the heard values alone,
+    discarding [Sweep.g_of ~f ~count] extremes per side, so no stale entry
+    reaches CORR.  With nobody heard it is [t + delta] (ADJ = 0). *)
 
 val initial_state : config -> self:int -> state
 (** The phase-BCAST state a process starts in (also the automaton's
@@ -105,13 +110,13 @@ val history : state -> round_record list
 (** Completed exchanges, oldest first.  Empty if [record_history] is off. *)
 
 val arr : state -> float array
-(** Copy of the ARR array (local arrival times; huge-negative sentinel for
+(** Copy of the ARR array (local arrival times; {!arr_sentinel} for
     never-heard-from senders).  A snapshot: later messages handled on the
     state do not change it. *)
 
 val fresh : state -> bool array
 (** Copy of the per-sender freshness flags: true iff that sender was heard
-    since this round's broadcast.  A snapshot, like {!arr}. *)
+    since the previous update.  A snapshot, like {!arr}. *)
 
 val arr_sentinel : float
 (** The "initially arbitrary" value entries start at. *)

@@ -1,6 +1,5 @@
 module Automaton = Csync_process.Automaton
 module Cluster = Csync_process.Cluster
-module Multiset = Csync_multiset
 
 type mode_tag = Observing | Collecting | Joined
 
@@ -105,9 +104,9 @@ let handle cfg ~self ~phys interrupt s =
     end
     else (s, [])
   | Collect c, Automaton.Timer tag when c.deadline = Some tag ->
+    let heard = Array.map (fun x -> x <> Maintenance.arr_sentinel) c.arr in
     let av =
-      Averaging.apply cfg.maintenance.Maintenance.averaging ~f:p.Params.f
-        (Multiset.of_array c.arr)
+      Maintenance.average_heard cfg.maintenance ~t:c.target ~arr:c.arr ~heard
     in
     let adj = c.target +. p.Params.delta -. av in
     let corr = s.corr +. adj in

@@ -16,7 +16,9 @@
       every nonfaulty process (anchoring on the very first arrival would
       let a faulty early broadcast close the window before any nonfaulty
       message lands).  It then runs the same fault-tolerant averaging as the main
-      algorithm, ADJ = T^i + delta - mid(reduce(ARR)), and applies it.
+      algorithm ({!Maintenance.average_heard}: mid(reduce(ARR)) with at
+      least n - f senders heard, the heard values' own reduced midpoint
+      with fewer), ADJ = T^i + delta - AV, and applies it.
       Its own ARR slot stays empty: during reintegration the process counts
       as one of the f faulty ones, which could always fail to send.
     + {b Join}: its clock is now within beta (real time) of the nonfaulty

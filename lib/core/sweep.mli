@@ -8,12 +8,11 @@
     [width] floats per process, sorted and averaged in place with zero
     allocation.
 
-    The degradation rule matches {!Maintenance}'s degraded average: a row
-    that heard [count] estimates discards its [g = min f ((count - 1) / 3)]
+    A row that heard [count] estimates discards [g = min f ((count - 1) / 3)]
     extremes on each side, so partially-heard rows (crashed neighbours,
-    sparse topologies) still produce a defined correction.  With full
-    attendance ([count = n] and [f < n/3]) this is exactly the paper's
-    [mid o reduce]. *)
+    sparse topologies) still produce a defined correction.  This matches
+    {!Maintenance.average_heard} at full attendance ([count = n] and
+    [f < n/3]: the paper's [mid o reduce]) and below [n - f] heard only. *)
 
 val g_of : f:int -> count:int -> int
 (** Per-row discard width: [min f ((count - 1) / 3)] (0 for an empty row),

@@ -123,6 +123,6 @@ let assemble ~quick:_ rows =
 
 let experiment =
   Experiment.of_cells ~id:"E15"
-    ~title:"Self-stabilization under transient state corruption"
+    ~title:"Self-stabilization: recovery from at most f transient corruptions"
     ~paper_ref:"Section 9.1 (reintegration reused as stabilizing recovery)"
     ~cells ~assemble

@@ -114,7 +114,7 @@ let run t =
           profile)
   in
   let delay = Delay.uniform ~delta ~eps ~rng:delay_rng in
-  let cfg = Maintenance.config ~degrade:true t.params in
+  let cfg = Maintenance.config t.params in
   let crashes = Plan.crash_schedule t.plan in
   let corruptions = Plan.corruption_schedule t.plan in
   let life_readers = Hashtbl.create 4 in

@@ -32,10 +32,10 @@ type t = {
   plan : Csync_chaos.Plan.t;
   rounds : int;
 }
-(** The maintenance automata always run in degraded mode
-    ([Maintenance.config ~degrade:true]).  Plans that isolate a process
-    need it: a partitioned victim hears nobody, and the paper's fixed-f
-    reduction would average stale sentinels into an unbounded correction. *)
+(** A partitioned victim hears fewer than [n - f] senders, or nobody;
+    {!Csync_core.Maintenance.average_heard} then averages the senders it
+    did hear, or free-runs, instead of averaging stale ARR entries into
+    its correction. *)
 
 val make :
   ?seed:int ->

@@ -156,7 +156,7 @@ end
 type slot = { pid : int; prov : Prov.id; fresh : bool }
 (** One ARR slot at the moment of an update: the process it came from,
     the provenance of the last message that wrote it, and whether that
-    message arrived in the current round. *)
+    message arrived since the previous update. *)
 
 type violation = {
   monitor : check;

@@ -23,8 +23,8 @@
     the full reduced-midpoint jump (Welch-Lynch) or the gradient
     neighbor-averaging rule ({!Csync_topo.Gradient}).  Faults are crash
     (broadcasts nothing) or pull (broadcasts [skew] late, a simple
-    Byzantine pattern); the per-row discard follows the same degradation
-    rule as {!Csync_core.Maintenance}'s degraded average. *)
+    Byzantine pattern); the per-row discard is {!Csync_core.Sweep.g_of},
+    as in {!Csync_core.Maintenance.average_heard} below n - f heard. *)
 
 type mode =
   | Midpoint  (** jump all the way to the row's reduced midpoint *)

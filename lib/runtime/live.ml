@@ -29,8 +29,8 @@ type report = {
   duration : float;
 }
 
-let run_maintenance ?(base_port = 17_400) ?(seed = 1) ?plan ?(degrade = false)
-    ?active ?telemetry_port ?(telemetry_period = 0.25) ?restart
+let run_maintenance ?(base_port = 17_400) ?(seed = 1) ?plan ?active
+    ?telemetry_port ?(telemetry_period = 0.25) ?restart
     ~(params : Params.t) ~duration ?(stagger = 0.) () =
   let n = params.Params.n in
   let active = match active with None -> List.init n Fun.id | Some a -> a in
@@ -61,7 +61,7 @@ let run_maintenance ?(base_port = 17_400) ?(seed = 1) ?plan ?(degrade = false)
           ~hi:(1. +. params.Params.rho))
   in
   let peers = List.init n (fun pid -> (pid, base_port + pid)) in
-  let cfg = Maintenance.config ~stagger ~degrade params in
+  let cfg = Maintenance.config ~stagger params in
   let stats = Injector.stats () in
   (* The emitter bakes the theoretical envelopes into every node
      manifest so the collector side needs no dependency on the

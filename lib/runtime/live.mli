@@ -37,7 +37,6 @@ val run_maintenance :
   ?base_port:int ->
   ?seed:int ->
   ?plan:Csync_chaos.Plan.t ->
-  ?degrade:bool ->
   ?active:int list ->
   ?telemetry_port:int ->
   ?telemetry_period:float ->
@@ -57,11 +56,11 @@ val run_maintenance :
     {!Csync_core.Stabilize} wrapper, which overwrites its state at the
     scheduled instant and must then detect the breach and recover on its
     own (every node runs under the wrapper; detection is enabled on the
-    corrupted ones).  [degrade] makes every node average over whichever
-    peers it actually heard this round instead of insisting on all [n].
-    [active] launches only the listed pids (default: all [n]) - with
-    [degrade] this demonstrates graceful operation of a partial
-    deployment, the missing peers showing up only as send errors.
+    corrupted ones).  [active] launches only the listed pids (default:
+    all [n]); a node that hears fewer than [n - f] peers averages over
+    those it heard ({!Csync_core.Maintenance.average_heard}), so this
+    demonstrates graceful operation of a partial deployment, the missing
+    peers showing up only as send errors.
 
     [telemetry_port] gives every node its own {!Emitter}: an enabled
     registry plus exchanged-timestamp samples from the node's receive

@@ -72,6 +72,6 @@ val last_heard : t -> peer:int -> float option
 
 val live_peers : t -> now:float -> within:float -> int list
 (** Pids (self included, once heard) whose last valid frame arrived at
-    most [within] seconds before [now].  With the maintenance automaton
-    configured to degrade, this is the set the node keeps averaging
-    over. *)
+    most [within] seconds before [now].  When fewer than [n - f] peers
+    are live, this is the set the maintenance automaton averages over
+    ({!Csync_core.Maintenance.average_heard}). *)

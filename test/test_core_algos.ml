@@ -370,6 +370,77 @@ let reintegration_tests =
         | _ -> Alcotest.fail "expected join timer");
   ]
 
+(* Three of n = 7 senders are never heard, one more than f = 2: the
+   reduction alone would keep one ARR sentinel and move CORR by ~5e11 s.
+   The four heard arrivals sit at T + delta + [lateness]. *)
+let lateness = [| 1e-4; 2e-4; 3e-4; 5e-4 |]
+
+let within_heard ~t av =
+  av >= t +. p.Params.delta +. lateness.(0)
+  && av <= t +. p.Params.delta +. lateness.(Array.length lateness - 1)
+
+let heard_tests =
+  [
+    t "maintenance: three silent senders never reach CORR" (fun () ->
+        let auto = Maintenance.automaton ~self_hint:0 cfg in
+        let s, _ =
+          auto.Automaton.handle ~self:0 ~phys:0. Automaton.Start
+            auto.Automaton.initial
+        in
+        let s =
+          List.fold_left
+            (fun s q ->
+              fst
+                (auto.Automaton.handle ~self:0
+                   ~phys:(p.Params.delta +. lateness.(q))
+                   (Automaton.Message (q, 0.)) s))
+            s [ 0; 1; 2; 3 ]
+        in
+        let s, _ =
+          auto.Automaton.handle ~self:0 ~phys:(Params.update_time p 0)
+            (Automaton.Timer (Params.update_time p 0)) s
+        in
+        match Maintenance.history s with
+        | [ r ] ->
+          check_int "arrivals" 4 r.Maintenance.arrivals;
+          check_true
+            (Printf.sprintf "AV %g within the heard values" r.Maintenance.av)
+            (within_heard ~t:p.Params.t0 r.Maintenance.av);
+          check_true (Printf.sprintf "|ADJ| %g within bound" r.Maintenance.adj)
+            (Float.abs r.Maintenance.adj <= Params.adjustment_bound p)
+        | _ -> Alcotest.fail "one history record");
+    t "reintegration: three silent senders never reach CORR" (fun () ->
+        let rcfg = Reintegration.config cfg in
+        let auto = Reintegration.automaton ~self_hint:6 rcfg in
+        let feed s phys (q, v) =
+          fst (auto.Automaton.handle ~self:6 ~phys (Automaton.Message (q, v)) s)
+        in
+        let s, _ =
+          auto.Automaton.handle ~self:6 ~phys:0. Automaton.Start
+            auto.Automaton.initial
+        in
+        let s = List.fold_left (fun s q -> feed s 0.1 (q, 0.)) s [ 0; 1; 2 ] in
+        let target = p.Params.big_p in
+        check_true "target" (Reintegration.target s = Some target);
+        let arrive q = target +. p.Params.delta +. lateness.(q) in
+        let s =
+          List.fold_left (fun s q -> feed s (arrive q) (q, target)) s [ 0; 1; 2; 3 ]
+        in
+        (* The window opens at the (f+1)-th distinct sender, pid 2. *)
+        let deadline = arrive 2 +. Reintegration.collect_window p in
+        let s, _ =
+          auto.Automaton.handle ~self:6 ~phys:deadline (Automaton.Timer deadline) s
+        in
+        check_true "joined" (Reintegration.mode s = Reintegration.Joined);
+        (* Zero initial correction: CORR is this collect's ADJ. *)
+        let adj = Reintegration.corr s in
+        let av = target +. p.Params.delta -. adj in
+        check_true (Printf.sprintf "AV %g within the heard values" av)
+          (within_heard ~t:target av);
+        check_true (Printf.sprintf "|ADJ| %g within bound" adj)
+          (Float.abs adj <= Params.adjustment_bound p));
+  ]
+
 let suite =
   averaging_tests @ bounds_tests @ maintenance_unit_tests @ maintenance_e2e_tests
-  @ reintegration_tests
+  @ reintegration_tests @ heard_tests

@@ -199,6 +199,48 @@ let liveness_props =
           r.Scenario.histories);
   ]
 
+(* Maintenance.average_heard against the paper's fixed-f formula over an
+   ARR whose silent entries hold the sentinel: bit-identical while at most
+   f senders are silent, and inside the heard range beyond that. *)
+let average_heard_props =
+  [
+    qcheck ~count:300
+      ~name:"average_heard: paper formula up to f silent, heard range beyond"
+      QCheck2.Gen.(
+        int_range 4 16 >>= fun n ->
+        quad (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 2)
+          (array_size (return n) (float_range (-1e-3) 1e-3)))
+      (fun (silent, shift, combine, values) ->
+        let n = Array.length values in
+        let f = (n - 1) / 3 in
+        let averaging =
+          List.nth
+            [ Csync_core.Averaging.midpoint; Csync_core.Averaging.mean;
+              Csync_core.Averaging.median ]
+            combine
+        in
+        let cfg =
+          Maintenance.config ~averaging (Csync_harness.Defaults.base ~n ~f ())
+        in
+        let heard = Array.init n (fun q -> (q - shift + n) mod n >= silent) in
+        let arr =
+          Array.mapi
+            (fun q v -> if heard.(q) then v else Maintenance.arr_sentinel)
+            values
+        in
+        let av = Maintenance.average_heard cfg ~t:0. ~arr ~heard in
+        if silent <= f then
+          Int64.equal (Int64.bits_of_float av)
+            (Int64.bits_of_float
+               (Csync_core.Averaging.apply averaging ~f (M.of_array arr)))
+        else
+          let heard_values =
+            List.filteri (fun q _ -> heard.(q)) (Array.to_list values)
+          in
+          List.fold_left Float.min infinity heard_values <= av
+          && av <= List.fold_left Float.max neg_infinity heard_values);
+  ]
+
 let suite =
   engine_props @ multiset_props @ params_props @ marzullo_props
-  @ smoothing_props @ approx_props @ liveness_props
+  @ smoothing_props @ approx_props @ liveness_props @ average_heard_props

@@ -61,8 +61,14 @@ let suite =
             (float_of_int k
              <= cfg.Csync_harness.Runner_reintegration.wake_round +. 3.)
         | None -> Alcotest.fail "never joined");
-    t "E11 anchor: sigma=0 wedges within 2 rounds, sigma=4eps is lossless"
+    t "E11 anchor: sigma=0 updates hear fewer than n - f, |ADJ| stays bounded; \
+       sigma=4eps is lossless"
       (fun () ->
+        (* Section 9.3's pathology: simultaneous broadcasts overflow the
+           receive buffers, so every update hears fewer than n - f
+           senders.  The survivors' average keeps every process running
+           with |ADJ| under the Theorem 18 bound; staggering by 4 eps
+           removes the drops. *)
         let params = Csync_harness.Defaults.base () in
         let run sigma =
           Scenario.run
@@ -73,15 +79,38 @@ let suite =
               rounds = 12;
             }
         in
-        let jammed = run 0. in
-        let jammed_rounds =
-          List.fold_left
-            (fun acc (_, records) -> min acc (List.length records))
-            max_int jammed.Scenario.histories
+        let updates r = List.concat_map snd r.Scenario.histories in
+        let short r =
+          List.length
+            (List.filter
+               (fun u ->
+                 u.Csync_core.Maintenance.arrivals
+                 < params.Params.n - params.Params.f)
+               (updates r))
         in
-        check_true "jammed" (jammed_rounds <= 2);
+        let jammed = run 0. in
+        check_int "sigma=0 drops" 391 jammed.Scenario.dropped;
+        check_int "processes" 7 (List.length jammed.Scenario.histories);
+        List.iter
+          (fun (pid, records) ->
+            check_int (Printf.sprintf "pid %d rounds" pid) 14
+              (List.length records))
+          jammed.Scenario.histories;
+        check_int "sigma=0 short updates" 98 (short jammed);
+        check_int "sigma=0 updates" 98 (List.length (updates jammed));
+        let max_adj =
+          List.fold_left
+            (fun acc u -> Float.max acc (Float.abs u.Csync_core.Maintenance.adj))
+            0. (updates jammed)
+        in
+        check_float_tol 1e-6 "sigma=0 max |ADJ|" 3.16e-4 max_adj;
+        check_true
+          (Printf.sprintf "max |ADJ| %.3e within bound" max_adj)
+          (max_adj <= Params.adjustment_bound params);
         let staggered = run (4. *. params.Params.eps) in
-        check_int "no drops" 0 staggered.Scenario.dropped);
+        check_int "no drops" 0 staggered.Scenario.dropped;
+        check_int "sigma=4eps updates" 98 (List.length (updates staggered));
+        check_int "sigma=4eps short updates" 0 (short staggered));
     t "E4 anchor: synchronized slope within 1 +- 2e-4" (fun () ->
         let params = Csync_harness.Defaults.base ~rho:1e-5 () in
         let r =
@@ -109,4 +138,28 @@ let suite =
               "3.799e-04"; "yes" ];
           ]
           rows);
+    t "E15 beyond f: clean skew stays under P at breadth 3 and 4" (fun () ->
+        (* More victims than f is outside the paper's model, so gamma is not
+           owed; but no update may average an ARR sentinel (~5e11 s). *)
+        let params = Csync_harness.Defaults.base () in
+        List.iter
+          (fun (breadth, severity, seed) ->
+            let r =
+              Csync_harness.Runner_chaos.run
+                (Csync_harness.Runner_chaos.make ~seed ~params
+                   (Csync_harness.Exp_stabilization.plan ~params ~breadth
+                      ~severity))
+            in
+            let skew = r.Csync_harness.Runner_chaos.max_clean_skew in
+            check_true
+              (Printf.sprintf "breadth %d sev %.2f seed %d: clean skew %.3e < P"
+                 breadth severity seed skew)
+              (skew < params.Params.big_p))
+          (List.concat_map
+             (fun breadth ->
+               List.concat_map
+                 (fun severity ->
+                   List.map (fun seed -> (breadth, severity, seed)) [ 1; 2; 3 ])
+                 [ 0.5; 1.0 ])
+             [ 3; 4 ]));
   ]

@@ -149,13 +149,13 @@ let live_tests =
           (report.Live.final_skew <= Params.gamma params));
     Alcotest.test_case "partial deployment degrades gracefully" `Slow
       (fun () ->
-        (* Only 3 of 5 configured nodes exist; with degrade each node
-           averages over whoever it actually hears instead of wedging on
-           the missing majority. *)
+        (* Only 3 of 5 configured nodes exist; hearing fewer than n - f
+           peers, each node averages over whoever it actually hears
+           instead of over the missing majority's stale entries. *)
         let params = live_params ~n:5 ~f:1 in
         let report =
-          Live.run_maintenance ~base_port:17_580 ~params ~degrade:true
-            ~active:[ 0; 1; 2 ] ~duration:2.0 ()
+          Live.run_maintenance ~base_port:17_580 ~params ~active:[ 0; 1; 2 ]
+            ~duration:2.0 ()
         in
         check_int "three launched" 3 (List.length report.Live.nodes);
         check_true "rounds happened"
@@ -164,8 +164,8 @@ let live_tests =
           (report.Live.final_skew < report.Live.initial_skew /. 3.));
     Alcotest.test_case "a chaos plan cuts live links" `Slow (fun () ->
         (* Isolate node 3 for the first half of the run: the rest must
-           stay within gamma (degrade keeps their averages over live
-           peers), and node 3 must still complete rounds on its own. *)
+           stay within gamma (the reduction discards node 3's stale
+           entry), and node 3 must still complete rounds on its own. *)
         let params = live_params ~n:4 ~f:1 in
         let plan =
           [
@@ -178,8 +178,7 @@ let live_tests =
           ]
         in
         let report =
-          Live.run_maintenance ~base_port:17_600 ~params ~plan ~degrade:true
-            ~duration:2.0 ()
+          Live.run_maintenance ~base_port:17_600 ~params ~plan ~duration:2.0 ()
         in
         check_true "rounds happened"
           (List.for_all (fun n -> n.Live.rounds >= 2) report.Live.nodes);
@@ -199,8 +198,7 @@ let live_tests =
           [ Plan.State_corrupt { pid = 1; at = 0.9; severity = 0.3 } ]
         in
         let report =
-          Live.run_maintenance ~base_port:17_620 ~params ~plan ~degrade:true
-            ~duration:2.5 ()
+          Live.run_maintenance ~base_port:17_620 ~params ~plan ~duration:2.5 ()
         in
         let node1 = List.find (fun n -> n.Live.pid = 1) report.Live.nodes in
         check_int "corruption applied" 1 node1.Live.corruptions;
@@ -340,7 +338,7 @@ let fleet_tests =
             ()
         in
         let report =
-          Live.run_maintenance ~base_port:17_640 ~params ~degrade:true
+          Live.run_maintenance ~base_port:17_640 ~params
             ~telemetry_port:(Collector.port col) ~telemetry_period:0.15
             ~restart:(2, 1.8, 3.0) ~duration:5.0 ()
         in

@@ -521,19 +521,21 @@ let delivery_alloc () =
         Csync_clock.Hardware_clock.create Csync_clock.Drift.perfect)
   in
   let delay = Csync_net.Delay.constant 0.01 in
+  (* The automaton counts the deliveries it is stepped with. *)
+  let delivered = ref 0 in
   let auto =
-    Automaton.stateless ~name:"ping-pong" (fun ~self ~phys:_ -> function
-      | Automaton.Start -> [ Automaton.Send ((self + 1) mod n, ()) ]
-      | Automaton.Message (src, ()) -> [ Automaton.Send (src, ()) ]
-      | Automaton.Timer _ -> [])
+    Automaton.stateless ~name:"ping-pong" (fun ~self ~phys:_ interrupt ->
+        incr delivered;
+        match interrupt with
+        | Automaton.Start -> [ Automaton.Send ((self + 1) mod n, ()) ]
+        | Automaton.Message (src, ()) -> [ Automaton.Send (src, ()) ]
+        | Automaton.Timer _ -> [])
   in
   let procs = Array.init n (fun _ -> fst (Cluster.make_proc auto)) in
   let cluster = Cluster.create ~clocks ~delay ~procs () in
   for pid = 0 to n - 1 do
     Cluster.schedule_start cluster ~pid ~time:(0.001 *. float_of_int pid)
   done;
-  let delivered = ref 0 in
-  Cluster.add_delivery_hook cluster (fun _ _ _ -> incr delivered);
   Cluster.run_until cluster 5.;
   let start = !delivered in
   let words =

@@ -170,16 +170,21 @@ let params_cmd =
 (* csync simulate *)
 let simulate_cmd =
   let run quick seed n f rounds faults trace =
+    let module Mon = Csync_obs.Monitor in
     let params = Csync_harness.Defaults.base ~n ~f () in
     let scenario =
       { (Csync_harness.Scenario.default ~seed params) with
-        Csync_harness.Scenario.rounds = (if quick then min rounds 10 else rounds);
-        trace = trace > 0 }
+        Csync_harness.Scenario.rounds = (if quick then min rounds 10 else rounds) }
     in
     let scenario =
       if faults then Csync_harness.Scenario.with_standard_faults scenario
       else scenario
     in
+    (* --trace reads the run's message copies from a check-free monitor's
+       provenance ring: one id per send, so the last ids are the last
+       sends. *)
+    let mon = if trace > 0 then Mon.create ~checks:[] () else Mon.none in
+    Mon.install mon;
     let r = Csync_harness.Scenario.run scenario in
     Format.printf "%a@." Csync_core.Params.pp params;
     Format.printf "nonfaulty processes : %s@."
@@ -197,13 +202,15 @@ let simulate_cmd =
        | `Violated _ -> "VIOLATED");
     Format.printf "messages sent       : %d@." r.Csync_harness.Scenario.messages;
     if trace > 0 then begin
-      let entries = r.Csync_harness.Scenario.trace in
-      let skip = max 0 (List.length entries - trace) in
-      Format.printf "last %d trace entries:@." (min trace (List.length entries));
-      List.iteri
-        (fun i (time, msg) ->
-          if i >= skip then Format.printf "  [%12.6f] %s@." time msg)
-        entries
+      let copies =
+        Mon.Prov.recent mon ~below:r.Csync_harness.Scenario.messages trace
+      in
+      Format.printf "last %d message copies:@." (List.length copies);
+      List.iter
+        (fun (e : Mon.Prov.entry) ->
+          Format.printf "  [%12.6f] p%d -> p%d delay %.6e s@." e.sent e.src
+            e.dst e.delay)
+        copies
     end;
     `Ok ()
   in
@@ -218,7 +225,9 @@ let simulate_cmd =
     Arg.(
       value & opt int 0
       & info [ "trace" ]
-          ~doc:"Print the last N delivery-trace entries after the run.")
+          ~doc:
+            "Print the run's last N message copies after it: send time, \
+             sender and recipient, and the delay each copy drew.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one ad-hoc maintenance simulation.")

@@ -20,14 +20,13 @@ type config = {
   params : Params.t;
   update : f:int -> float array -> float;
   name : string;
-  record_history : bool;
   initial_corr : float;
 }
 
 let est_sentinel = 1e12
 
-let config ~params ~update ~name ?(record_history = true) ?(initial_corr = 0.) () =
-  { params; update; name; record_history; initial_corr }
+let config ~params ~update ~name ?(initial_corr = 0.) () =
+  { params; update; name; initial_corr }
 
 let wait_window (p : Params.t) =
   (1. +. p.Params.rho) *. (p.Params.beta +. p.Params.delta +. p.Params.eps)
@@ -67,9 +66,7 @@ let handle cfg ~self:_ ~phys interrupt s =
         Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 s.fresh
       in
       let history =
-        if cfg.record_history then
-          { round = s.round; adj; corr_after = corr; arrivals } :: s.history
-        else s.history
+        { round = s.round; adj; corr_after = corr; arrivals } :: s.history
       in
       let t = s.t +. cfg.params.Params.big_p in
       ( { s with corr; t; flag = Bcast; round = s.round + 1; history },

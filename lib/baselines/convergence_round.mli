@@ -30,7 +30,6 @@ type config = private {
   update : f:int -> float array -> float;
       (** The averaging rule: estimate array (with sentinels) to adjustment. *)
   name : string;
-  record_history : bool;
   initial_corr : float;
 }
 
@@ -38,7 +37,6 @@ val config :
   params:Csync_core.Params.t ->
   update:(f:int -> float array -> float) ->
   name:string ->
-  ?record_history:bool ->
   ?initial_corr:float ->
   unit ->
   config

@@ -63,17 +63,9 @@ type state = {
   history : round_record list; (* newest first *)
 }
 
-type config = {
-  params : Params.t;
-  initial_error : float;
-  initial_corr : float;
-}
+type config = { params : Params.t; initial_corr : float }
 
-let config ~params ?initial_error ?(initial_corr = 0.) () =
-  let initial_error =
-    Option.value initial_error ~default:(params.Params.beta +. params.Params.eps)
-  in
-  { params; initial_error; initial_corr }
+let config ~params ?(initial_corr = 0.) () = { params; initial_corr }
 
 let wait_window (p : Params.t) =
   (1. +. p.Params.rho) *. (p.Params.beta +. p.Params.delta +. p.Params.eps)
@@ -81,7 +73,7 @@ let wait_window (p : Params.t) =
 let initial_state cfg =
   {
     corr = cfg.initial_corr;
-    err = cfg.initial_error;
+    err = cfg.params.Params.beta +. cfg.params.Params.eps;
     t = cfg.params.Params.t0;
     flag = Bcast;
     received = Array.make cfg.params.Params.n None;

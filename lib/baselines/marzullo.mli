@@ -36,12 +36,9 @@ type state
 type config
 
 val config :
-  params:Csync_core.Params.t ->
-  ?initial_error:float ->
-  ?initial_corr:float ->
-  unit ->
-  config
-(** [initial_error] defaults to beta + eps: the initial offset bound. *)
+  params:Csync_core.Params.t -> ?initial_corr:float -> unit -> config
+(** Every process starts with error beta + eps: the initial offset
+    bound. *)
 
 val create : self:int -> config -> (float * float) Csync_process.Cluster.proc * (unit -> state)
 

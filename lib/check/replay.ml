@@ -4,16 +4,23 @@ module Cluster = Csync_process.Cluster
 module Hardware_clock = Csync_clock.Hardware_clock
 module Drift = Csync_clock.Drift
 module Delay = Csync_net.Delay
-module Trace = Csync_sim.Trace
+module Mon = Csync_obs.Monitor
 
 type t = {
   round_spreads : float array;
   final_corrs : float array;
   skew : float;
-  delay_log : Trace.delay_choice list;
+  delay_log : Mon.Prov.entry list;
 }
 
+(* The run records into a monitor of its own, with no checks: its
+   provenance ring is the delay log, and the caller's monitor sees none of
+   the replay. *)
 let run (cex : Cex.t) =
+  let caller = Mon.installed () in
+  let mon = Mon.create ~checks:[] () in
+  Mon.install mon;
+  Fun.protect ~finally:(fun () -> Mon.install caller) @@ fun () ->
   let p = cex.Cex.params in
   let n_c = cex.Cex.n_correct in
   let n = n_c + if cex.Cex.has_byz then 1 else 0 in
@@ -58,12 +65,10 @@ let run (cex : Cex.t) =
           rounds.(round_of now).Cex.delays.(src).(dst)
         else p.Params.delta)
   in
-  let trace = Trace.create ~capacity:65536 () in
-  Trace.set_delays_enabled trace true;
   let cluster =
     Cluster.create
       ~clocks:(Array.init n (fun _ -> Hardware_clock.create Drift.perfect))
-      ~delay ~trace ~procs ()
+      ~delay ~procs ()
   in
   for pid = 0 to n_c - 1 do
     Cluster.schedule_start cluster ~pid
@@ -93,7 +98,8 @@ let run (cex : Cex.t) =
     round_spreads = spreads;
     final_corrs;
     skew = (if depth = 0 then State.spread final_corrs else spreads.(depth - 1));
-    delay_log = Trace.delays trace;
+    delay_log =
+      Mon.Prov.recent mon ~below:(Cluster.messages_sent cluster) max_int;
   }
 
 type mismatch = {
@@ -116,20 +122,14 @@ let diff_provenance (cex : Cex.t) log =
     if r < 0 then 0 else if r >= depth then depth - 1 else r
   in
   List.filter_map
-    (fun (d : Trace.delay_choice) ->
+    (fun (d : Mon.Prov.entry) ->
       let expected =
-        if d.Trace.src < n_c && d.Trace.dst < n_c then
-          rounds.(round_of d.Trace.sent).Cex.delays.(d.Trace.src).(d.Trace.dst)
+        if d.src < n_c && d.dst < n_c then
+          rounds.(round_of d.sent).Cex.delays.(d.src).(d.dst)
         else p.Params.delta
       in
-      if d.Trace.delay = expected then None
+      if d.delay = expected then None
       else
         Some
-          {
-            at = d.Trace.sent;
-            src = d.Trace.src;
-            dst = d.Trace.dst;
-            expected;
-            actual = d.Trace.delay;
-          })
+          { at = d.sent; src = d.src; dst = d.dst; expected; actual = d.delay })
     log

@@ -9,7 +9,10 @@
     spreads equal the checker's bit-for-bit; [test_check.ml] asserts
     exactly that over every schedule of a small scope.
 
-    The run records delay provenance ({!Csync_sim.Trace.delay_choice}), so
+    The run installs a monitor of its own with no checks
+    ([Monitor.create ~checks:[] ()]) and restores the caller's afterwards,
+    so the caller's monitor records nothing of the replay.  That monitor's
+    provenance ring ({!Csync_obs.Monitor.Prov}) is the run's delay log, so
     a replay can also be audited choice-by-choice against the schedule it
     was supposed to follow. *)
 
@@ -17,7 +20,9 @@ type t = {
   round_spreads : float array;  (** post-update CORR spread, per round *)
   final_corrs : float array;
   skew : float;  (** the final round's spread - compare to [Cex.measured] *)
-  delay_log : Csync_sim.Trace.delay_choice list;
+  delay_log : Csync_obs.Monitor.Prov.entry list;
+      (** one entry per message copy, oldest first: the last 65536 sends
+          of the run (the provenance ring's capacity) *)
 }
 
 val run : Cex.t -> t
@@ -30,6 +35,6 @@ type mismatch = {
   actual : float;
 }
 
-val diff_provenance : Cex.t -> Csync_sim.Trace.delay_choice list -> mismatch list
+val diff_provenance : Cex.t -> Csync_obs.Monitor.Prov.entry list -> mismatch list
 (** Event-by-event diff of a replay's recorded delay choices against the
     counterexample's schedule; empty iff the replay followed it exactly. *)

@@ -35,13 +35,11 @@ type state = {
 type config = {
   params : Params.t;
   averaging : Averaging.t;
-  record_history : bool;
   initial_corr : float;
 }
 
-let config ?(averaging = Averaging.midpoint) ?(record_history = true)
-    ?(initial_corr = 0.) params =
-  { params; averaging; record_history; initial_corr }
+let config ?(averaging = Averaging.midpoint) ?(initial_corr = 0.) params =
+  { params; averaging; initial_corr }
 
 let diff_sentinel = -1e12
 
@@ -78,17 +76,15 @@ let begin_round cfg ~phys ~adjustment ~was_early s =
   let local = phys +. s.corr in
   let u = local +. first_interval cfg.params in
   let history =
-    if cfg.record_history then
-      {
-        round = s.round;
-        begin_local = local;
-        begin_phys = phys;
-        adjustment;
-        corr = s.corr;
-        early_end = was_early;
-      }
-      :: s.history
-    else s.history
+    {
+      round = s.round;
+      begin_local = local;
+      begin_phys = phys;
+      adjustment;
+      corr = s.corr;
+      early_end = was_early;
+    }
+    :: s.history
   in
   ( {
       s with

@@ -44,16 +44,10 @@ type state
 type config = private {
   params : Params.t;
   averaging : Averaging.t;
-  record_history : bool;
   initial_corr : float;
 }
 
-val config :
-  ?averaging:Averaging.t ->
-  ?record_history:bool ->
-  ?initial_corr:float ->
-  Params.t ->
-  config
+val config : ?averaging:Averaging.t -> ?initial_corr:float -> Params.t -> config
 (** [initial_corr] is this process' arbitrary starting correction (the whole
     point: it need not be close to anyone else's). *)
 

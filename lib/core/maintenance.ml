@@ -37,7 +37,6 @@ type config = {
   averaging : Averaging.t;
   exchanges : int;
   stagger : float;
-  record_history : bool;
   initial_corr : float;
 }
 
@@ -55,7 +54,7 @@ let exchange_spacing (p : Params.t) =
     ~beta:p.Params.beta
 
 let config ?(averaging = Averaging.midpoint) ?(exchanges = 1) ?(stagger = 0.)
-    ?(record_history = true) ?(initial_corr = 0.) params =
+    ?(initial_corr = 0.) params =
   if exchanges < 1 then invalid_arg "Maintenance.config: exchanges must be >= 1";
   if stagger < 0. then invalid_arg "Maintenance.config: negative stagger";
   if exchanges > 1 then begin
@@ -66,7 +65,7 @@ let config ?(averaging = Averaging.midpoint) ?(exchanges = 1) ?(stagger = 0.)
     if used >= params.Params.big_p then
       invalid_arg "Maintenance.config: P too short for this many exchanges"
   end;
-  { params; averaging; exchanges; stagger; record_history; initial_corr }
+  { params; averaging; exchanges; stagger; initial_corr }
 
 (* The local-time window between a broadcast and its update timer.  With
    staggering, late-offset senders (up to (n-1)*sigma later) must still be
@@ -137,20 +136,18 @@ let do_update ?scratch cfg ~phys s =
   let corr = s.corr +. adj in
   let arrivals = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 s.fresh in
   let history =
-    if cfg.record_history then
-      {
-        round = s.round;
-        exchange = s.exchange;
-        t_value = s.t;
-        broadcast_phys = s.broadcast_phys;
-        update_phys = phys;
-        av;
-        adj;
-        corr_after = corr;
-        arrivals;
-      }
-      :: s.history
-    else s.history
+    {
+      round = s.round;
+      exchange = s.exchange;
+      t_value = s.t;
+      broadcast_phys = s.broadcast_phys;
+      update_phys = phys;
+      av;
+      adj;
+      corr_after = corr;
+      arrivals;
+    }
+    :: s.history
   in
   let exchange = s.exchange + 1 in
   let spacing = exchange_spacing p in

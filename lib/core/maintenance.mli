@@ -51,7 +51,6 @@ type config = private {
   averaging : Averaging.t;
   exchanges : int;
   stagger : float;
-  record_history : bool;
   initial_corr : float;
 }
 
@@ -59,12 +58,11 @@ val config :
   ?averaging:Averaging.t ->
   ?exchanges:int ->
   ?stagger:float ->
-  ?record_history:bool ->
   ?initial_corr:float ->
   Params.t ->
   config
 (** Defaults: midpoint averaging, one exchange per round, no stagger,
-    history recording on, zero initial correction.
+    zero initial correction.
     @raise Invalid_argument if [exchanges < 1] or [stagger < 0]. *)
 
 val average_heard :
@@ -107,7 +105,7 @@ val current_phase : state -> phase
 val rounds_completed : state -> int
 
 val history : state -> round_record list
-(** Completed exchanges, oldest first.  Empty if [record_history] is off. *)
+(** Completed exchanges, oldest first. *)
 
 val arr : state -> float array
 (** Copy of the ARR array (local arrival times; {!arr_sentinel} for

@@ -152,8 +152,8 @@ let make_exn ~n ~f ~rho ~delta ~eps ~beta ~big_p ?t0 () =
          (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_error)
          errs)
 
-let auto ~n ~f ~rho ~delta ~eps ~big_p ?(beta_margin = 1.05) ?t0 () =
-  let beta = beta_margin *. beta_min ~rho ~delta ~eps ~big_p in
+let auto ~n ~f ~rho ~delta ~eps ~big_p ?t0 () =
+  let beta = 1.05 *. beta_min ~rho ~delta ~eps ~big_p in
   make ~n ~f ~rho ~delta ~eps ~beta ~big_p ?t0 ()
 
 let pp ppf t =

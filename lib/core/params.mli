@@ -92,12 +92,11 @@ val auto :
   delta:float ->
   eps:float ->
   big_p:float ->
-  ?beta_margin:float ->
   ?t0:float ->
   unit ->
   (t, error list) result
-(** Choose the smallest admissible beta for the given P (times
-    [beta_margin], default 1.05, for floating-point head-room). *)
+(** Choose the smallest admissible beta for the given P, times 1.05 for
+    floating-point head-room. *)
 
 (** {1 Derived bounds (Section 5.2 solvers)} *)
 

@@ -36,7 +36,6 @@ type t = {
   collision : (int * float) option;
   rounds : int;
   samples_per_round : int;
-  trace : bool;
   graph : Csync_topo.Graph.t option;
 }
 
@@ -54,7 +53,6 @@ let default ?(seed = 42) (params : Params.t) =
     collision = None;
     rounds = 30;
     samples_per_round = 8;
-    trace = false;
     graph = None;
   }
 
@@ -86,7 +84,6 @@ type result = {
   messages : int;
   dropped : int;
   histories : (int * Maintenance.round_record list) list;
-  trace : (float * string) list;
 }
 
 let build_fault t ~rng spec =
@@ -136,11 +133,9 @@ let run t =
           Hashtbl.add readers pid reader;
           proc)
   in
-  let trace = Csync_sim.Trace.create ~capacity:2048 () in
-  Csync_sim.Trace.set_enabled trace t.trace;
   let cluster =
     Cluster.create ~clocks:env.Env.clocks ?graph:t.graph ~delay:env.Env.delay
-      ~collision ~trace ~exchanges:t.exchanges ~procs ()
+      ~collision ~exchanges:t.exchanges ~procs ()
   in
   Cluster.schedule_starts_at_logical cluster ~t0 ~corrs:(Array.make n 0.);
   let tmin0 = Env.tmin0 env and tmax0 = Env.tmax0 env in
@@ -246,5 +241,4 @@ let run t =
     messages = Cluster.messages_sent cluster;
     dropped = Cluster.messages_dropped cluster;
     histories;
-    trace = Csync_sim.Trace.to_list trace;
   }

@@ -47,7 +47,6 @@ type t = {
   collision : (int * float) option;  (** (buffer capacity, window) *)
   rounds : int;  (** measurement horizon, in rounds *)
   samples_per_round : int;
-  trace : bool;  (** record a delivery trace (kept in [result.trace]) *)
   graph : Csync_topo.Graph.t option;
       (** communication topology; [None] = the paper's full mesh *)
 }
@@ -77,9 +76,11 @@ type result = {
   dropped : int;
   histories : (int * Csync_core.Maintenance.round_record list) list;
       (** per nonfaulty pid *)
-  trace : (float * string) list;
-      (** most recent delivery-trace entries, oldest first (empty unless
-          the scenario enabled tracing) *)
 }
 
 val run : t -> result
+(** Run under the installed monitor: its checks see every sample, and its
+    provenance ring ({!Csync_obs.Monitor.Prov}) records every message
+    copy, ids [0 .. messages - 1] when the monitor is fresh.  A monitor
+    with no checks ([Monitor.create ~checks:[] ()]) records only the
+    messages; that is how [csync simulate --trace] reads them. *)

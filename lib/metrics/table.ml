@@ -5,7 +5,7 @@ type t = {
   notes : string list; (* newest last *)
 }
 
-let make ~title ~columns ?(notes = []) () = { title; columns; rows = []; notes }
+let make ~title ~columns () = { title; columns; rows = []; notes = [] }
 
 let add_row t row =
   if List.length row <> List.length t.columns then

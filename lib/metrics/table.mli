@@ -6,7 +6,8 @@
 
 type t
 
-val make : title:string -> columns:string list -> ?notes:string list -> unit -> t
+val make : title:string -> columns:string list -> unit -> t
+(** An empty table; add notes with {!note}. *)
 
 val add_row : t -> string list -> t
 (** @raise Invalid_argument if the row width differs from the header. *)

@@ -1,6 +1,5 @@
 module Engine = Csync_sim.Engine
 module Event_queue = Csync_sim.Event_queue
-module Trace = Csync_sim.Trace
 module Obs = Csync_obs.Registry
 module Mon = Csync_obs.Monitor
 
@@ -23,7 +22,6 @@ type 'm t = {
   delay : Delay.t;
   collision : Collision.t;
   engine : 'm delivery Engine.t;
-  trace : Trace.t option;
   (* Free-list slab of delivery records.  Every scheduled event owns one
      record; the cluster returns it through [release] once the event has
      been handled, so a steady-state run stops allocating delivery records
@@ -41,7 +39,7 @@ type 'm t = {
   obs_link_delay : Obs.Grid.handle;
 }
 
-let create ~n ?graph ~delay ?(collision = Collision.none) ?trace ~engine () =
+let create ~n ?graph ~delay ?(collision = Collision.none) ~engine () =
   if n <= 0 then invalid_arg "Message_buffer.create: nonpositive n";
   (match graph with
   | Some g when Csync_topo.Graph.n g <> n ->
@@ -56,7 +54,6 @@ let create ~n ?graph ~delay ?(collision = Collision.none) ?trace ~engine () =
     delay;
     collision;
     engine;
-    trace;
     slab = [||];
     n_free = 0;
     sent = 0;
@@ -131,9 +128,6 @@ let send t ~src ~dst m =
     (* Fast path for the untampered cluster: no fate record, no closure -
        this is every message of every fault-free simulation. *)
     let d = Delay.draw t.delay ~src ~dst ~now in
-    (match t.trace with
-    | Some tr -> Trace.record_delay tr ~sent:now ~src ~dst ~delay:d
-    | None -> ());
     observe_delay t ~src ~dst d;
     let prov = Mon.Prov.mint t.mon ~src ~dst ~sent:now ~delay:d in
     Engine.schedule t.engine ~time:(now +. d) ~prio:Event_queue.prio_message
@@ -152,10 +146,6 @@ let send t ~src ~dst m =
            is added on top, so chaos-injected latency can exceed
            delta + eps. *)
         let d = Delay.draw t.delay ~src ~dst ~now in
-        (match t.trace with
-        | Some tr ->
-          Trace.record_delay tr ~sent:now ~src ~dst ~delay:(d +. extra_delay)
-        | None -> ());
         observe_delay t ~src ~dst (d +. extra_delay);
         (* Every copy of this send shares the fault kinds the injector
            staged while deciding the fates. *)
@@ -170,7 +160,7 @@ let send t ~src ~dst m =
 
 (* On the full mesh (graph = None, or a Complete graph whose broadcast
    list is 0 .. n-1) the two paths send to the same destinations in the
-   same order, so traces and provenance ids agree byte for byte. *)
+   same order, so provenance ids agree byte for byte. *)
 let broadcast t ~src m =
   match t.graph with
   | None ->

@@ -50,16 +50,18 @@ val create :
   ?graph:Csync_topo.Graph.t ->
   delay:Delay.t ->
   ?collision:Collision.t ->
-  ?trace:Csync_sim.Trace.t ->
   engine:'m delivery Csync_sim.Engine.t ->
   unit ->
   'm t
 (** [graph], when given, restricts {!broadcast} to the sender's
     neighborhood (see {!broadcast}); point-to-point {!send} is never
-    filtered.  [trace], when given and delay recording is enabled on it,
-    receives one {!Csync_sim.Trace.delay_choice} per scheduled message
-    copy (after any tamper-added extra delay), so a run's latency choices
-    can be audited against a model-checker schedule.
+    filtered.  The buffer captures the installed monitor
+    ({!Csync_obs.Monitor.installed}) and mints one
+    {!Csync_obs.Monitor.Prov.entry} on it per scheduled message copy:
+    sender, recipient, send time and total delay (after any tamper-added
+    extra), so a run's latency choices can be audited against a
+    model-checker schedule.  Nothing is recorded when that monitor is
+    disabled.
     @raise Invalid_argument if the graph's size differs from [n]. *)
 
 val n : 'm t -> int

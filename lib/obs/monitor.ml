@@ -271,6 +271,16 @@ module Prov = struct
             faults = c.kinds.(j);
           }
     end
+
+  let recent t ~below k =
+    let rec walk acc id k =
+      if k <= 0 || id < 0 then acc
+      else
+        match find t id with
+        | None -> acc
+        | Some e -> walk (e :: acc) (id - 1) (k - 1)
+    in
+    walk [] (below - 1) k
 end
 
 (* Bound comparisons tolerate float noise the same way the offline

@@ -149,6 +149,12 @@ module Prov : sig
 
   val find : t -> id -> entry option
   (** [None] for {!null}, unminted ids, and ring-evicted entries. *)
+
+  val recent : t -> below:id -> int -> entry list
+  (** [recent t ~below k]: the entries of ids [below - k .. below - 1],
+      oldest first.  The walk goes down from [below - 1] and stops at the
+      first id [t] cannot resolve, so an evicted prefix is left out
+      instead of ending the list early. *)
 end
 
 (** {2 Violations} *)

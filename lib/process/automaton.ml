@@ -21,11 +21,6 @@ let stateless ~name handle =
     corr = (fun () -> 0.);
   }
 
-let pp_interrupt pp_m ppf = function
-  | Start -> Format.fprintf ppf "START"
-  | Timer tag -> Format.fprintf ppf "TIMER(%g)" tag
-  | Message (src, m) -> Format.fprintf ppf "MSG(%d, %a)" src pp_m m
-
 let pp_action pp_m ppf = function
   | Send (dst, m) -> Format.fprintf ppf "send(%d, %a)" dst pp_m m
   | Broadcast m -> Format.fprintf ppf "broadcast(%a)" pp_m m

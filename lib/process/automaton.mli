@@ -47,8 +47,5 @@ type ('s, 'm) t = {
 val stateless : name:string -> (self:int -> phys:float -> 'm interrupt -> 'm action list) -> (unit, 'm) t
 (** An automaton with no state, for simple fault strategies. *)
 
-val pp_interrupt :
-  (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm interrupt -> unit
-
 val pp_action :
   (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm action -> unit

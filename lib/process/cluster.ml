@@ -1,5 +1,4 @@
 module Engine = Csync_sim.Engine
-module Trace = Csync_sim.Trace
 module Hardware_clock = Csync_clock.Hardware_clock
 module Logical_clock = Csync_clock.Logical_clock
 module Message_buffer = Csync_net.Message_buffer
@@ -16,12 +15,6 @@ type 'm t = {
   buffer : 'm Message_buffer.t;
   engine : 'm Message_buffer.delivery Engine.t;
   procs : 'm proc array;
-  trace : Trace.t;
-  (* Hooks in registration order, in a doubling array: amortized O(1)
-     registration (the old [hooks @ [hook]] recopied the list, quadratic
-     over registrations) and closure-free iteration on every delivery. *)
-  mutable hooks : (float -> int -> 'm Automaton.interrupt -> unit) array;
-  mutable n_hooks : int;
   mon : Mon.t;
 }
 
@@ -36,8 +29,7 @@ let wheel_width delay =
   else if delta > 0. then Some (delta /. 8.)
   else None
 
-let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
-    ?(exchanges = 1) ~procs () =
+let create ~clocks ?graph ~delay ?collision ?(exchanges = 1) ~procs () =
   let n = Array.length procs in
   if Array.length clocks <> n then
     invalid_arg "Cluster.create: clocks and procs length mismatch";
@@ -53,18 +45,9 @@ let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
   let expected = if exchanges <= 0 then 2 * n else bcast_total + (2 * n) in
   let engine = Engine.create ?width:(wheel_width delay) ~expected () in
   let buffer =
-    Message_buffer.create ~n ?graph ~delay ?collision ~trace ~engine ()
+    Message_buffer.create ~n ?graph ~delay ?collision ~engine ()
   in
-  {
-    clocks;
-    buffer;
-    engine;
-    procs;
-    trace;
-    hooks = [||];
-    n_hooks = 0;
-    mon = Mon.installed ();
-  }
+  { clocks; buffer; engine; procs; mon = Mon.installed () }
 
 let n t = Array.length t.procs
 
@@ -101,16 +84,6 @@ let clock t pid =
   check_pid t pid "clock";
   t.clocks.(pid)
 
-let add_delivery_hook t hook =
-  let cap = Array.length t.hooks in
-  if t.n_hooks = cap then begin
-    let grown = Array.make (max 4 (2 * cap)) hook in
-    Array.blit t.hooks 0 grown 0 t.n_hooks;
-    t.hooks <- grown
-  end;
-  t.hooks.(t.n_hooks) <- hook;
-  t.n_hooks <- t.n_hooks + 1
-
 let apply_action t ~self action =
   match action with
   | Automaton.Send (dst, m) -> Message_buffer.send t.buffer ~src:self ~dst m
@@ -144,22 +117,15 @@ let handle_delivery t time (delivery : 'm Message_buffer.delivery) =
     let phys = Hardware_clock.time t.clocks.(dst) time in
     let new_state, actions = auto.Automaton.handle ~self:dst ~phys interrupt !state in
     state := new_state;
-    (* Direct recursion and an indexed hook loop: no per-delivery closures
-       (this runs once per simulated event, the engine's innermost loop). *)
+    (* Direct recursion: no per-delivery closures (this runs once per
+       simulated event, the engine's innermost loop). *)
     let rec apply = function
       | [] -> ()
       | action :: rest ->
         apply_action t ~self:dst action;
         apply rest
     in
-    apply actions;
-    if Trace.enabled t.trace then
-      Trace.recordf t.trace ~time "p%d <- %a (%d actions)" dst
-        (Automaton.pp_interrupt (fun ppf _ -> Format.fprintf ppf "_"))
-        interrupt (List.length actions);
-    for i = 0 to t.n_hooks - 1 do
-      t.hooks.(i) time dst interrupt
-    done
+    apply actions
   end
   else
     (* Collision drop: the record is dead on arrival. *)

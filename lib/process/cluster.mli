@@ -11,7 +11,13 @@
     automaton: a Byzantine process runs an adversarial one, and a crash -
     with or without the repair and reintegration of Section 9.1 - wraps
     the process' automaton in {!Fault.crash_recover}.  The cluster keeps no
-    crash state of its own. *)
+    crash state of its own.
+
+    The one per-message record is the installed monitor's provenance
+    ring ({!Csync_obs.Monitor.Prov}): the buffer mints an entry per
+    scheduled copy, and the cluster publishes each delivery's id on that
+    monitor before stepping the recipient.  Install a monitor before
+    {!create} to record; the cluster keeps no trace or hooks of its own. *)
 
 type 'm proc =
   | Proc : ('s, 'm) Automaton.t * 's ref -> 'm proc
@@ -30,7 +36,6 @@ val create :
   ?graph:Csync_topo.Graph.t ->
   delay:Csync_net.Delay.t ->
   ?collision:Csync_net.Collision.t ->
-  ?trace:Csync_sim.Trace.t ->
   ?exchanges:int ->
   procs:'m proc array ->
   unit ->
@@ -74,10 +79,6 @@ val local_time : 'm t -> int -> float
     [run_until] that time. *)
 
 val clock : 'm t -> int -> Csync_clock.Hardware_clock.t
-
-val add_delivery_hook : 'm t -> (float -> int -> 'm Automaton.interrupt -> unit) -> unit
-(** Called after each interrupt is processed: (real time, recipient,
-    interrupt).  Hooks run in registration order. *)
 
 val messages_sent : 'm t -> int
 

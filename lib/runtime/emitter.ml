@@ -22,6 +22,9 @@ module Record = Csync_obs.Record
 module Btrace = Csync_obs.Btrace
 module Json = Csync_obs.Json
 
+(* Per-peer sample cap between flushes. *)
+let max_samples = 512
+
 type t = {
   src : int;
   sock : Unix.file_descr;
@@ -29,7 +32,6 @@ type t = {
   reg : Registry.t;
   manifest : Json.t;
   period_ns : int;
-  max_samples : int;
   on_flush : (Registry.t -> unit) option;
   mutable seq : int;
   mutable frames : int;  (* frames handed to the kernel *)
@@ -42,8 +44,7 @@ type t = {
   mutable closed : bool;
 }
 
-let create ~src ~peers ~port ?(period = 0.25) ?(max_samples = 512) ?on_flush
-    ~manifest () =
+let create ~src ~peers ~port ?(period = 0.25) ?on_flush ~manifest () =
   if src < 0 then invalid_arg "Emitter.create: negative src";
   if peers <= 0 then invalid_arg "Emitter.create: peers must be positive";
   if period <= 0. then invalid_arg "Emitter.create: nonpositive period";
@@ -56,7 +57,6 @@ let create ~src ~peers ~port ?(period = 0.25) ?(max_samples = 512) ?on_flush
     reg = Registry.create ();
     manifest;
     period_ns = int_of_float (period *. 1e9);
-    max_samples;
     on_flush;
     seq = 0;
     frames = 0;
@@ -141,7 +141,7 @@ let sample t ~peer ~own ~value =
   if not t.closed then begin
     let ts = Registry.now_ns () in
     if peer >= 0 && peer < Array.length t.xs then begin
-      if t.counts.(peer) >= t.max_samples then t.drops <- t.drops + 1
+      if t.counts.(peer) >= max_samples then t.drops <- t.drops + 1
       else begin
         t.xs.(peer) <- float_of_int ts :: t.xs.(peer);
         t.ys.(peer) <- (own -. value) :: t.ys.(peer);

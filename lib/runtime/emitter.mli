@@ -24,7 +24,6 @@ val create :
   peers:int ->
   port:int ->
   ?period:float ->
-  ?max_samples:int ->
   ?on_flush:(Csync_obs.Registry.t -> unit) ->
   manifest:Csync_obs.Json.t ->
   unit ->
@@ -32,10 +31,9 @@ val create :
 (** [src] is the node id stamped on telemetry frames; [peers] the fleet
     size (sample buffers are indexed by peer pid); [port] the collector's
     UDP port on localhost.  [period] (default 0.25 s) is the flush
-    cadence, [max_samples] (default 512) the per-peer buffer cap between
-    flushes.  [on_flush] runs against the registry just before each
-    snapshot — the place to poll gauges (round, message counters) from
-    node state.  [manifest] is re-emitted at the head of every segment.
+    cadence; each peer buffers at most 512 samples between flushes.
+    [on_flush] runs against the registry just before each snapshot — the
+    place to poll gauges (round, message counters) from node state.  [manifest] is re-emitted at the head of every segment.
     @raise Invalid_argument on a negative [src] or nonpositive
     [peers]/[period]. *)
 

@@ -48,7 +48,7 @@ let run_maintenance ?(base_port = 17_400) ?(seed = 1) ?plan ?active
        invalid_arg "Live.run_maintenance: restart window out of order");
   (match plan with None -> () | Some p -> Plan.validate ~n p);
   let rng = Rng.create seed in
-  let epoch = Unix.gettimeofday () +. 0.05 in
+  let epoch = Wall_clock.host_now () +. 0.05 in
   let offsets =
     Array.init n (fun pid ->
         if pid = 0 then 0.
@@ -236,12 +236,12 @@ let run_maintenance ?(base_port = 17_400) ?(seed = 1) ?plan ?active
               Node.run node ~start_at
                 ~until:(Float.min until (epoch +. stop_at));
               Option.iter Emitter.close em;
-              let nap = epoch +. resume_at -. Unix.gettimeofday () in
+              let nap = epoch +. resume_at -. Wall_clock.host_now () in
               if nap > 0. then Thread.delay nap;
               (* Restart with a fresh emitter stream - from the
                  collector's side this is the reconnect path. *)
               let node2, em2 = install pid (rejoin_node pid clock recv_filter) in
-              Node.run node2 ~start_at:(Unix.gettimeofday ()) ~until;
+              Node.run node2 ~start_at:(Wall_clock.host_now ()) ~until;
               Option.iter Emitter.close em2
             | _ ->
               Node.run node ~start_at ~until;
@@ -250,7 +250,7 @@ let run_maintenance ?(base_port = 17_400) ?(seed = 1) ?plan ?active
       nodes
   in
   List.iter Thread.join threads;
-  let wall_end = Unix.gettimeofday () in
+  let wall_end = Wall_clock.host_now () in
   let obs = Csync_obs.Registry.installed () in
   let reports =
     List.map

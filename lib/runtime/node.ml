@@ -94,7 +94,7 @@ let send t ~dst value =
   let verdict =
     match t.send_filter with
     | None -> `Deliver
-    | Some f -> f ~now:(Unix.gettimeofday ()) ~peer:dst
+    | Some f -> f ~now:(Wall_clock.host_now ()) ~peer:dst
   in
   match verdict with
   | `Drop -> ()
@@ -107,7 +107,7 @@ let send t ~dst value =
     t.sent <- t.sent + 2
 
 let add_timer t ~wall ~tag =
-  if wall > Unix.gettimeofday () then
+  if wall > Wall_clock.host_now () then
     t.timers <-
       List.sort (fun (a, _) (b, _) -> Float.compare a b) ((wall, tag) :: t.timers)
 
@@ -130,7 +130,7 @@ let deliver t interrupt =
    select, burst of datagrams) can leave several deadlines in the past,
    and firing one per loop turn starves the rest behind fresh traffic. *)
 let rec fire_due_timers t =
-  let now = Unix.gettimeofday () in
+  let now = Wall_clock.host_now () in
   match t.timers with
   | (wall, tag) :: rest when wall <= now ->
     t.timers <- rest;
@@ -149,7 +149,7 @@ let receive_one t =
     match Codec.decode ~max_src:(Array.length t.peer_addr - 1) t.buf ~len with
     | Error _ -> t.malformed <- t.malformed + 1
     | Ok (src, value) ->
-      let now = Unix.gettimeofday () in
+      let now = Wall_clock.host_now () in
       t.last_heard.(src) <- now;
       let verdict =
         match t.recv_filter with
@@ -175,7 +175,7 @@ let receive_one t =
 let run t ~start_at ~until =
   let started = ref false in
   let rec loop () =
-    let now = Unix.gettimeofday () in
+    let now = Wall_clock.host_now () in
     if now >= until then ()
     else begin
       if (not !started) && now >= start_at then begin

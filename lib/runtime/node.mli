@@ -15,7 +15,8 @@
     hear.
 
     Run one node per thread with {!run}; it returns when the wall-clock
-    deadline passes. *)
+    deadline passes.  Every wall time here - deadlines, filter [now],
+    {!last_heard} - is a {!Wall_clock.host_now} reading. *)
 
 type t
 

@@ -7,14 +7,18 @@
     injected parameters are known to the harness (not to the algorithm),
     so the true skew of the synchronized clocks can be computed exactly.
 
-    It reads [Unix.gettimeofday], so a host clock step steps it too.
-    Durations and telemetry timestamps read the monotonic
-    {!Csync_obs.Registry.now_ns} instead. *)
+    Its "wall" time is {!host_now}: the host's monotonic clock, so a
+    host clock step does not step it.  Every deadline of the live
+    runtime is on that same clock. *)
 
 type t
 
+val host_now : unit -> float
+(** {!Csync_obs.Registry.now_ns} in seconds: the live runtime's one
+    clock, from an unspecified epoch. *)
+
 val create : ?epoch:float -> offset:float -> rate:float -> unit -> t
-(** [epoch] defaults to the current wall time.
+(** [epoch] defaults to {!host_now}[ ()].
     @raise Invalid_argument if [rate <= 0]. *)
 
 val now : t -> float

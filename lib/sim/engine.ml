@@ -15,11 +15,11 @@ type 'a t = {
 (* The ambient registry is captured once, at creation; with telemetry
    disabled both handles are permanent no-ops and the hot path below
    costs one branch. *)
-let create ?(start_time = 0.) ?width ?expected () =
+let create ?width ?expected () =
   let obs = Obs.installed () in
   {
     queue = Event_queue.create ?width ?expected ();
-    now = start_time;
+    now = 0.;
     obs_events = Obs.counter obs "sim.events";
     obs_depth_hw = Obs.gauge obs "sim.queue_depth_hw";
     obs_occ_hw = Obs.gauge obs "sim.queue_occupancy_hw";

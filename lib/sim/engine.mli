@@ -7,11 +7,11 @@
 
 type 'a t
 
-val create :
-  ?start_time:float -> ?width:float -> ?expected:int -> unit -> 'a t
-(** [width] (the timing wheel's bucket width in simulated seconds) and
-    [expected] (a presize hint for the number of concurrently pending
-    events) are forwarded to {!Event_queue.create}. *)
+val create : ?width:float -> ?expected:int -> unit -> 'a t
+(** The clock starts at real time 0.  [width] (the timing wheel's bucket
+    width in simulated seconds) and [expected] (a presize hint for the
+    number of concurrently pending events) are forwarded to
+    {!Event_queue.create}. *)
 
 val now : 'a t -> float
 (** Current real time. *)

@@ -17,6 +17,7 @@ module Props = Csync_check.Props
 module Cex = Csync_check.Cex
 module Explorer = Csync_check.Explorer
 module Replay = Csync_check.Replay
+module Mon = Csync_obs.Monitor
 module Params = Csync_core.Params
 module Plan = Csync_chaos.Plan
 
@@ -378,6 +379,34 @@ let cex_tests =
         match Cex.of_sexp_string "(cex (version 99))" with
         | Ok _ -> Alcotest.fail "expected version error"
         | Error _ -> ());
+    t "replay keeps the caller's monitor, minting nothing on it" (fun () ->
+        let scope =
+          { (Scope.preset_exn "agreement-n3f1") with Scope.depth = 1 }
+        in
+        let p = scope.Scope.params in
+        let init = [| 0.; p.Params.beta /. 2.; p.Params.beta |] in
+        let rc, (o : Step.outcome) =
+          Explorer.apply_concrete scope ~round:0 ~corrs:init
+            (List.hd (choices_of scope))
+        in
+        let cex =
+          cex_of_rounds scope ~init ~rounds:[ rc ]
+            ~measured:(State.spread o.Step.corrs)
+        in
+        let mon = Mon.create () in
+        let mint () = Mon.Prov.mint mon ~src:0 ~dst:1 ~sent:0. ~delay:0. in
+        let before = mint () in
+        Mon.install mon;
+        let r =
+          Fun.protect ~finally:Mon.clear_installed (fun () ->
+              let r = Replay.run cex in
+              check_true "still installed" (Mon.installed () == mon);
+              r)
+        in
+        check_true "the replay logged its own sends" (r.Replay.delay_log <> []);
+        check_int "no mints on the caller's monitor" (before + 1) (mint ());
+        check_int "no checks on the caller's monitor" 0
+          (Mon.checks_performed mon));
   ]
 
 let suite = step_tests @ equality_tests @ explorer_tests @ cex_tests

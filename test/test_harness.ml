@@ -7,6 +7,7 @@ module Scenario = Csync_harness.Scenario
 module Registry = Csync_harness.Registry
 module Defaults = Csync_harness.Defaults
 module Params = Csync_core.Params
+module Mon = Csync_obs.Monitor
 open Helpers
 
 let t name f = Alcotest.test_case name `Quick f
@@ -163,16 +164,24 @@ let scenario_tests =
               Scenario.stagger = 4. *. p.Params.eps;
               rounds = 12 };
           ]);
-    t "tracing records deliveries when enabled" (fun () ->
-        let quiet = Scenario.run { (Scenario.default ~seed:4 p) with Scenario.rounds = 4 } in
-        check_true "no trace by default" (quiet.Scenario.trace = []);
-        let traced =
-          Scenario.run
-            { (Scenario.default ~seed:4 p) with Scenario.rounds = 4; trace = true }
+    t "a check-free monitor records every message copy" (fun () ->
+        let mon = Mon.create ~checks:[] () in
+        Mon.install mon;
+        let r =
+          Fun.protect ~finally:Mon.clear_installed (fun () ->
+              Scenario.run
+                { (Scenario.default ~seed:4 p) with Scenario.rounds = 4 })
         in
-        check_true "trace recorded" (List.length traced.Scenario.trace > 50);
-        (* entries are time-ordered *)
-        let times = List.map fst traced.Scenario.trace in
+        let copies =
+          Mon.Prov.recent mon ~below:r.Scenario.messages
+            r.Scenario.messages
+        in
+        check_int "one copy per send" r.Scenario.messages (List.length copies);
+        check_int "no checks" 0 (Mon.checks_performed mon);
+        (* copies are minted in send order *)
+        let times =
+          List.map (fun (e : Mon.Prov.entry) -> e.sent) copies
+        in
         check_true "ordered" (List.sort Float.compare times = times));
     t "message count matches rounds (honest run)" (fun () ->
         let r = Scenario.run { (Scenario.default ~seed:4 p) with Scenario.rounds = 6 } in

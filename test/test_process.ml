@@ -143,28 +143,6 @@ let basic_tests =
           (* Ticks at ~2.51 and ~3.51: booted by the first, then the second. *)
           check_int "START + two ticks after repair" 3 (List.length log)
         | None -> Alcotest.fail "expected a recovered state");
-    t "delivery hooks fire in order" (fun () ->
-        let proc, _ = Cluster.make_proc (recorder ()) in
-        let cluster = cluster_of_procs [| proc |] in
-        let calls = ref [] in
-        Cluster.add_delivery_hook cluster (fun _ pid _ -> calls := pid :: !calls);
-        Cluster.schedule_start cluster ~pid:0 ~time:0.;
-        Cluster.run_until cluster 1.;
-        Alcotest.(check (list int)) "hook" [ 0 ] !calls);
-    t "many hooks fire in registration order" (fun () ->
-        (* Exercises the doubling-array registration path well past its
-           initial capacity. *)
-        let proc, _ = Cluster.make_proc (recorder ()) in
-        let cluster = cluster_of_procs [| proc |] in
-        let calls = ref [] in
-        for i = 0 to 19 do
-          Cluster.add_delivery_hook cluster (fun _ _ _ -> calls := i :: !calls)
-        done;
-        Cluster.schedule_start cluster ~pid:0 ~time:0.;
-        Cluster.run_until cluster 1.;
-        Alcotest.(check (list int))
-          "order" (List.init 20 (fun i -> i))
-          (List.rev !calls));
     t "schedule_starts_at_logical places START at c_p(T0)" (fun () ->
         (* Clock reads T0 = 10 at real time 2 (offset 8, rate 1). *)
         let proc, read = Cluster.make_proc (recorder ()) in

@@ -1,11 +1,11 @@
 (* Tests for the simulation substrate: RNG, heap, event queue (against a
-   heap-based reference), engine and trace recorder. *)
+   heap-based reference), engine, and the message buffer's provenance. *)
 
 module Rng = Csync_sim.Rng
 module Heap = Csync_sim.Heap
 module Event_queue = Csync_sim.Event_queue
 module Engine = Csync_sim.Engine
-module Trace = Csync_sim.Trace
+module Mon = Csync_obs.Monitor
 open Helpers
 
 let t name f = Alcotest.test_case name `Quick f
@@ -402,7 +402,8 @@ let engine_tests =
             match ev with `A -> Engine.schedule e ~time:1.5 `B | `B -> ());
         check_int "both" 2 !seen);
     t "run_until earlier than now is a no-op" (fun () ->
-        let e = Engine.create ~start_time:10. () in
+        let e = Engine.create () in
+        Engine.run_until e ~until:10. ~handler:(fun _ () -> ());
         Engine.run_until e ~until:5. ~handler:(fun _ () -> Alcotest.fail "no");
         check_float "now" 10. (Engine.now e));
     t "drain respects max_events" (fun () ->
@@ -416,95 +417,6 @@ let engine_tests =
     t "step returns false on empty" (fun () ->
         check_bool "empty" false
           (Engine.step (Engine.create ()) ~handler:(fun _ () -> ())));
-  ]
-
-let trace_tests =
-  [
-    t "disabled by default" (fun () ->
-        let tr = Trace.create () in
-        Trace.record tr ~time:1. "x";
-        check_int "empty" 0 (Trace.length tr));
-    t "records when enabled" (fun () ->
-        let tr = Trace.create () in
-        Trace.set_enabled tr true;
-        Trace.record tr ~time:1. "x";
-        Trace.recordf tr ~time:2. "y=%d" 7;
-        Alcotest.(check (list (pair (float 0.) string)))
-          "entries"
-          [ (1., "x"); (2., "y=7") ]
-          (Trace.to_list tr));
-    t "ring buffer evicts oldest" (fun () ->
-        let tr = Trace.create ~capacity:3 () in
-        Trace.set_enabled tr true;
-        List.iter (fun i -> Trace.record tr ~time:(float_of_int i) (string_of_int i))
-          [ 1; 2; 3; 4; 5 ];
-        check_int "capped" 3 (Trace.length tr);
-        check_int "total" 5 (Trace.total tr);
-        Alcotest.(check (list string))
-          "latest three" [ "3"; "4"; "5" ]
-          (List.map snd (Trace.to_list tr)));
-    t "clear resets" (fun () ->
-        let tr = Trace.create () in
-        Trace.set_enabled tr true;
-        Trace.record tr ~time:0. "x";
-        Trace.clear tr;
-        check_int "empty" 0 (Trace.length tr));
-    t "capacity must be positive" (fun () ->
-        check_raises_invalid "cap" (fun () -> ignore (Trace.create ~capacity:0 ())));
-    t "Trace.create allocates <= 16 words" (fun () ->
-        (* The rings wait for their first switch-on; a trace nobody enables
-           costs its header only. *)
-        let tr = ref (Trace.create ()) in
-        let words = allocated_words (fun () -> tr := Trace.create ()) in
-        if words > 16. then Alcotest.failf "%.0f words" words;
-        check_int "nothing retained" 0 (Trace.length !tr));
-    t "lazy rings keep the last 4096 in order" (fun () ->
-        let tr = Trace.create () in
-        Trace.set_enabled tr true;
-        Trace.set_delays_enabled tr true;
-        for i = 1 to 5000 do
-          let x = float_of_int i in
-          Trace.record tr ~time:x (string_of_int i);
-          Trace.record_delay tr ~sent:x ~src:(i mod 7) ~dst:(i mod 5) ~delay:x
-        done;
-        check_int "retained" 4096 (Trace.length tr);
-        check_int "total" 5000 (Trace.total tr);
-        check_int "delays total" 5000 (Trace.delays_total tr);
-        let expect = List.init 4096 (fun k -> float_of_int (905 + k)) in
-        Alcotest.(check (list (float 0.)))
-          "text ring" expect
-          (List.map fst (Trace.to_list tr));
-        Alcotest.(check (list (float 0.)))
-          "delay ring" expect
-          (List.map (fun (d : Trace.delay_choice) -> d.sent) (Trace.delays tr)));
-    qcheck ~count:300 ~name:"ring semantics for arbitrary capacity and load"
-      QCheck2.Gen.(pair (int_range 1 10) (pair (int_range 0 40) (int_range 0 40)))
-      (fun (capacity, (texts, delays)) ->
-        let tr = Trace.create ~capacity () in
-        Trace.set_enabled tr true;
-        Trace.set_delays_enabled tr true;
-        for i = 1 to texts do
-          Trace.record tr ~time:(float_of_int i) (string_of_int i)
-        done;
-        for i = 1 to delays do
-          Trace.record_delay tr ~sent:(float_of_int i) ~src:0 ~dst:1
-            ~delay:(float_of_int i)
-        done;
-        (* Retention is capped; totals count evictions; both rings return
-           exactly the newest entries, oldest-first. *)
-        let expect_texts =
-          List.init (min texts capacity) (fun j ->
-              string_of_int (texts - min texts capacity + j + 1))
-        in
-        let expect_delays =
-          List.init (min delays capacity) (fun j ->
-              float_of_int (delays - min delays capacity + j + 1))
-        in
-        Trace.length tr = min texts capacity
-        && Trace.total tr = texts
-        && Trace.delays_total tr = delays
-        && List.map snd (Trace.to_list tr) = expect_texts
-        && List.map (fun c -> c.Trace.sent) (Trace.delays tr) = expect_delays);
   ]
 
 (* The canonical-state model checker (lib/check) assumes the event order of
@@ -845,47 +757,62 @@ let occupancy_tests =
           (gauges "sim.queue_depth_hw" = [ 48.; 48. ]));
   ]
 
-let delay_trace_tests =
+(* The buffer's one per-message record is the installed monitor's
+   provenance ring: one entry per scheduled copy, after tampering. *)
+let provenance_tests =
+  let module MB = Csync_net.Message_buffer in
+  let buffer () =
+    MB.create ~n:2 ~delay:(Csync_net.Delay.constant 0.005)
+      ~engine:(Engine.create ()) ()
+  in
   [
     t "delay provenance off by default" (fun () ->
-        let tr = Trace.create () in
-        Trace.record_delay tr ~sent:1. ~src:0 ~dst:1 ~delay:0.01;
-        check_int "empty" 0 (List.length (Trace.delays tr));
-        check_bool "flag" false (Trace.delays_enabled tr));
-    t "delay provenance records and clears" (fun () ->
-        let tr = Trace.create ~capacity:2 () in
-        Trace.set_delays_enabled tr true;
-        Trace.record_delay tr ~sent:1. ~src:0 ~dst:1 ~delay:0.01;
-        Trace.record_delay tr ~sent:2. ~src:1 ~dst:0 ~delay:0.02;
-        Trace.record_delay tr ~sent:3. ~src:2 ~dst:0 ~delay:0.03;
-        check_int "total" 3 (Trace.delays_total tr);
-        (match Trace.delays tr with
-        | [ a; b ] ->
-          check_float "evicted oldest" 2. a.Trace.sent;
-          check_float "kept newest" 3. b.Trace.sent;
-          check_float "delay" 0.03 b.Trace.delay;
-          check_int "src" 2 b.Trace.src
-        | l -> Alcotest.failf "expected 2 retained, got %d" (List.length l));
-        Trace.clear tr;
-        check_int "cleared" 0 (Trace.delays_total tr));
-    t "message buffer records provenance when wired" (fun () ->
-        let module MB = Csync_net.Message_buffer in
-        let tr = Trace.create () in
-        Trace.set_delays_enabled tr true;
-        let engine = Engine.create () in
-        let buf =
-          MB.create ~n:2 ~delay:(Csync_net.Delay.constant 0.005) ~trace:tr
-            ~engine ()
-        in
+        Mon.clear_installed ();
+        let buf = buffer () in
+        MB.send buf ~src:0 ~dst:1 42.;
+        let provs = ref [] in
+        Engine.run_until (MB.engine buf) ~until:1. ~handler:(fun _ d ->
+            provs := d.MB.prov :: !provs);
+        check_true "only null ids" (!provs = [ Mon.Prov.null ]));
+    t "message buffer records provenance on the monitor" (fun () ->
+        let mon = Mon.create ~checks:[] () in
+        Mon.install mon;
+        Fun.protect ~finally:Mon.clear_installed @@ fun () ->
+        let buf = buffer () in
         MB.send buf ~src:0 ~dst:1 42.;
         MB.broadcast buf ~src:1 7.;
-        match Trace.delays tr with
-        | [ a; b; c ] ->
-          check_int "first src" 0 a.Trace.src;
-          check_float "modelled delay" 0.005 a.Trace.delay;
-          check_int "bcast to 0" 0 b.Trace.dst;
-          check_int "bcast to 1 (self)" 1 c.Trace.dst
-        | l -> Alcotest.failf "expected 3 records, got %d" (List.length l));
+        (* A tampered send scheduling two copies, the second late. *)
+        MB.set_tamper buf (fun ~now:_ ~src:_ ~dst:_ m ->
+            [ { MB.payload = m; extra_delay = 0. };
+              { MB.payload = m; extra_delay = 0.002 } ]);
+        MB.send buf ~src:0 ~dst:1 9.;
+        match Mon.Prov.recent mon ~below:5 5 with
+        | [ a; b; c; d; e ] ->
+          check_int "first src" 0 a.Mon.Prov.src;
+          check_float "modelled delay" 0.005 a.Mon.Prov.delay;
+          check_int "bcast to 0" 0 b.Mon.Prov.dst;
+          check_int "bcast to 1 (self)" 1 c.Mon.Prov.dst;
+          check_float "first copy" 0.005 d.Mon.Prov.delay;
+          check_float "delay includes the extra" 0.007 e.Mon.Prov.delay;
+          check_int "ids in send order" 4 e.Mon.Prov.id
+        | l -> Alcotest.failf "expected 5 records, got %d" (List.length l));
+    t "recent walks down and stops at evicted ids" (fun () ->
+        let mon = Mon.create ~checks:[] () in
+        let cap = 65536 and extra = 3 in
+        for i = 0 to cap + extra - 1 do
+          ignore
+            (Mon.Prov.mint mon ~src:0 ~dst:1 ~sent:(float_of_int i) ~delay:0.)
+        done;
+        let ids k =
+          List.map
+            (fun (e : Mon.Prov.entry) -> e.id)
+            (Mon.Prov.recent mon ~below:(cap + extra) k)
+        in
+        Alcotest.(check (list int)) "newest two" [ cap + 1; cap + 2 ] (ids 2);
+        let all = ids max_int in
+        check_int "the ring's worth" cap (List.length all);
+        check_int "oldest retained" extra (List.hd all);
+        Alcotest.(check (list int)) "k = 0" [] (ids 0));
   ]
 
 let alloc_tests =
@@ -929,4 +856,4 @@ let alloc_tests =
 let suite =
   rng_tests @ heap_tests @ horizon_edge_tests @ heap_sort_tests
   @ queue_tests @ tie_break_tests @ wheel_tests @ occupancy_tests
-  @ engine_tests @ trace_tests @ delay_trace_tests @ alloc_tests
+  @ engine_tests @ provenance_tests @ alloc_tests

@@ -296,8 +296,8 @@ let multicast_tests =
 (* ---------- full-mesh scenario identity ---------- *)
 
 (* The cluster runner with an explicit complete graph must reproduce the
-   legacy graphless run exactly - measurements, trace and message counts -
-   with telemetry off and on. *)
+   legacy graphless run exactly - measurements and message counts, and with
+   a monitor on, every message copy's provenance. *)
 let scenario_identity_tests =
   [
     t "complete-graph scenario is bit-exact vs legacy, monitor off and on"
@@ -306,7 +306,6 @@ let scenario_identity_tests =
           {
             (Scenario.with_standard_faults (Scenario.default ~seed:5 (params ()))) with
             Scenario.rounds = 6;
-            trace = true;
             graph;
           }
         in
@@ -316,8 +315,7 @@ let scenario_identity_tests =
             r.Scenario.round_spread,
             Array.to_list r.Scenario.adjustments,
             r.Scenario.messages,
-            r.Scenario.dropped,
-            r.Scenario.trace )
+            r.Scenario.dropped )
         in
         let plain_legacy = fingerprint (Scenario.run (scenario None)) in
         let plain_mesh =
@@ -328,12 +326,24 @@ let scenario_identity_tests =
           let mon = Mon.create () in
           Mon.install mon;
           Fun.protect ~finally:Mon.clear_installed (fun () ->
-              let fp = fingerprint (Scenario.run (scenario graph)) in
-              (fp, Mon.checks_performed mon, Mon.violations_total mon))
+              let r = Scenario.run (scenario graph) in
+              let copies =
+                Mon.Prov.recent mon ~below:r.Scenario.messages
+                  r.Scenario.messages
+              in
+              check_int "every copy recorded" r.Scenario.messages
+                (List.length copies);
+              ( fingerprint r,
+                copies,
+                Mon.checks_performed mon,
+                Mon.violations_total mon ))
         in
-        let mon_legacy, checks_l, viol_l = monitored None in
-        let mon_mesh, checks_m, viol_m = monitored (Some (Graph.complete ~n:7)) in
+        let mon_legacy, prov_l, checks_l, viol_l = monitored None in
+        let mon_mesh, prov_m, checks_m, viol_m =
+          monitored (Some (Graph.complete ~n:7))
+        in
         check_true "telemetry on" (mon_legacy = mon_mesh);
+        check_true "same provenance" (prov_l = prov_m);
         check_int "same checks" checks_l checks_m;
         check_int "same violations" viol_l viol_m;
         check_true "monitored = unmonitored measurements"

@@ -195,6 +195,17 @@ let bench_round =
        Csync_process.Soa.create ~graph ~f:2 ~seed:1
          ~mode:(Csync_process.Soa.Gradient_avg 1.0) ~n:100_000 ())
   in
+  (* Rows past the sweep's rank-sort cut: E17's widest full configuration,
+     cliques of 64 under an 8-ary leader tree at n = 4096, so every row
+     holds 64 or more estimates and takes the insertion sort. *)
+  let hier_model =
+    lazy
+      (let graph =
+         Csync_topo.Graph.hier_tree ~n:4096 ~cluster:64 ~branching:8
+       in
+       Csync_process.Soa.create ~graph ~f:2 ~seed:3
+         ~mode:(Csync_process.Soa.Gradient_avg 1.0) ~n:4096 ())
+  in
   Test.make_grouped ~name:"simulation"
     [
       Test.make ~name:"five-rounds-n7"
@@ -207,6 +218,9 @@ let bench_round =
       Test.make ~name:"gradient-round-n100k"
         (Staged.stage (fun () ->
              ignore (Csync_harness.Scale.round (Lazy.force gradient_model))));
+      Test.make ~name:"hier-round-c64"
+        (Staged.stage (fun () ->
+             ignore (Csync_harness.Scale.round (Lazy.force hier_model))));
     ]
 
 (* The model checker's exploration loop, at a scope small enough to finish

@@ -20,9 +20,16 @@ val g_of : f:int -> count:int -> int
     keeping a nonempty, majority-correct core. *)
 
 val sort_row : float array -> off:int -> len:int -> unit
-(** Insertion-sort [slab.(off .. off+len-1)] ascending, in place:
-    O(len + inversions), which for rows of a bounded in-degree is a
-    handful of moves with no setup cost. *)
+(** Sort [slab.(off .. off+len-1)] ascending, in place and stably, with
+    [-0.] and [0.] equal.  A row of at most 32 values takes a
+    comparison-count (rank) sort: it is copied to a scratch array, each
+    pair is compared once without a branch, and each value is written
+    straight to its rank.  Its cost is quadratic, so a longer row takes
+    an insertion sort instead (O(len + inversions)); so does a row
+    holding a NaN, whose ranks could collide.  Both give the same bits
+    on every NaN-free row.  The scratch is one fixed pair of arrays per
+    domain, so sweeps running at once on the harness's [Pool] workers
+    never share it, and a warm sort allocates nothing. *)
 
 val mid_row : float array -> off:int -> count:int -> f:int -> float
 (** Sort one row in place and return its reduced midpoint
@@ -38,8 +45,10 @@ val sweep_rows :
     midpoint to [out.(i)], indexed like [counts]; empty rows
     ([counts.(i) = 0]) write [nan].  Other rows and other [out] cells
     are not touched, so disjoint ranges of one slab may be swept
-    concurrently into one [out].  Allocation-free: the test suite sweeps
-    a 10^4-row slab and checks that it allocates zero words.
+    concurrently into one [out], each from its own domain.  Rows are
+    sorted by {!sort_row}: rank sort up to 32 estimates, insertion sort
+    past that or on a NaN.  Allocation-free: the test suite sweeps a
+    10^4-row slab and checks that it allocates zero words.
     @raise Invalid_argument unless [0 <= lo <= hi <= Array.length counts],
     [out] holds at least [hi] entries, the slab holds [hi * width],
     [f >= 0], and every count in the range is in [0, width]. *)

@@ -71,13 +71,13 @@ let min_in_degree t = fold_degrees t Int.min max_int
    slot [w] (the scratch; [w] is where p's row starts) and returns how
    many it wrote.  A [sorted] family's candidates are then insertion-
    sorted in place and compacted, dropping p itself and repeats; the ring
-   keeps the order it wrote.  When candidates were dropped, one trimming
-   copy of [adj] closes the build. *)
+   and the expander write their rows in final order and keep them.  When
+   candidates were dropped, one trimming copy of [adj] closes the build. *)
 
 (* Insertion-sort adj.(w) .. adj.(w + k - 1) ascending, then compact the
    run in place without [self] and repeats; returns the end of the kept
-   run.  Candidate runs are short or already ascending, so this is linear
-   in practice. *)
+   run.  The grid and torus write four candidates, the complete graph and
+   the hierarchy write theirs already ascending, so this is linear. *)
 let sort_dedup (adj : int array) ~self w k =
   for i = w + 1 to w + k - 1 do
     let x = adj.(i) in
@@ -215,16 +215,33 @@ let expander ~n ~degree ~seed =
          !g
        end)
   done;
-  (* 1 <= g <= (n-1)/2, so p + g and p - g never meet p or each other. *)
-  build ~kind:Expander ~seed ~n ~cap:(n * 2 * half) ~sorted:true
+  (* The generators are distinct and 1 <= g <= (n-1)/2, so for any two
+     g, g' (equal or not) g + g' < n: no p + g meets p or any p - g'
+     (mod n), and no run below repeats or hits p.  With them ascending,
+     p's in-neighbours come out already sorted, in four ascending runs
+     each below the next: the wrapped p + g - n, then p - g, then p + g,
+     then the wrapped p - g + n. *)
+  Array.sort Int.compare gens;
+  build ~kind:Expander ~seed ~n ~cap:(n * 2 * half) ~sorted:false
     (fun adj w p ->
+      let k = ref 0 in
       for i = 0 to half - 1 do
         let g = gens.(i) in
-        let a = p + g and b = p - g in
-        adj.(w + (2 * i)) <- (if a >= n then a - n else a);
-        adj.(w + (2 * i) + 1) <- (if b < 0 then b + n else b)
+        if p + g >= n then k := push adj w !k (p + g - n)
       done;
-      2 * half)
+      for i = half - 1 downto 0 do
+        let g = gens.(i) in
+        if g <= p then k := push adj w !k (p - g)
+      done;
+      for i = 0 to half - 1 do
+        let g = gens.(i) in
+        if p + g < n then k := push adj w !k (p + g)
+      done;
+      for i = half - 1 downto 0 do
+        let g = gens.(i) in
+        if g > p then k := push adj w !k (p - g + n)
+      done;
+      !k)
 
 (* Hierarchical synchronization clusters: consecutive blocks of [cluster]
    nodes form cliques (the per-cluster full mesh a Welch-Lynch instance

@@ -723,9 +723,62 @@ let trace_identity_tests =
           (Helpers.contains (Buffer.contents buf) "no differences"));
   ]
 
+(* ---------- the rank sort against insertion sort ----------
+
+   [Sweep.sort_row] sorts rows of up to 32 estimates by counting ranks and
+   longer rows, or rows holding a NaN, by insertion.  Either way it must
+   leave every bit where the plain insertion sort below leaves it. *)
+
+let insertion_sort (a : float array) ~off ~len =
+  for i = off + 1 to off + len - 1 do
+    let x = a.(i) in
+    let j = ref i in
+    while !j > off && a.(!j - 1) > x do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- x
+  done
+
+(* Lengths 0 to 80, a third of them at the cut; values with many ties,
+   both zeros and both infinities.  A third of the rows also draw NaNs,
+   so the other two thirds reach the rank sort at every length. *)
+let gen_long_row =
+  QCheck.Gen.(
+    let value ~nans =
+      frequency
+        [
+          (4, oneofl [ 0.; -0.; 1.; -1.; 2.5; infinity; neg_infinity ]);
+          ((if nans then 1 else 0), return nan);
+          (5, float_range (-100.) 100.);
+        ]
+    in
+    frequency [ (1, oneofl [ 31; 32; 33 ]); (2, 0 -- 80) ] >>= fun len ->
+    oneofl [ false; false; true ] >>= fun nans ->
+    array_size (return len) (value ~nans))
+
+let rank_sort_tests =
+  [
+    qcheck
+      (QCheck.Test.make ~count:2000
+         ~name:"sort_row matches insertion sort bit for bit"
+         (QCheck.make
+            ~print:(fun a -> print_row (Array.to_list a))
+            gen_long_row)
+         (fun a ->
+           let len = Array.length a in
+           let embed () = Array.concat [ [| -7.5 |]; a; [| 7.5 |] ] in
+           let got = embed () and want = embed () in
+           Sweep.sort_row got ~off:1 ~len;
+           insertion_sort want ~off:1 ~len;
+           Array.for_all2
+             (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+             got want));
+  ]
+
 let suite =
   List.concat
     [
       sweep_tests; soa_tests; scale_tests; monitored_identity_tests;
-      trace_identity_tests;
+      trace_identity_tests; rank_sort_tests;
     ]

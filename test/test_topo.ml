@@ -649,6 +649,36 @@ let csr_tests =
           ]);
   ]
 
+(* The expander writes each row in ascending order instead of sorting it;
+   the CSR must stay the one the sorting build made.  The digest was taken
+   on that build, over an (n, degree, seed) grid that covers the capped
+   degrees of small n and rows that wrap on both sides. *)
+let expander_grid_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let add x = Buffer.add_int64_le b (Int64.of_int x) in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun degree ->
+          for seed = 1 to 5 do
+            let off, adj = Graph.in_csr (Graph.expander ~n ~degree ~seed) in
+            add n;
+            add degree;
+            add seed;
+            Array.iter add off;
+            Array.iter add adj
+          done)
+        [ 2; 3; 4; 5; 8; 9; 16; 20 ])
+    [ 4; 5; 6; 7; 8; 9; 16; 17; 64; 101; 1000; 10_000 ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expander_pin_tests =
+  [
+    t "expander CSR digest is pinned" (fun () ->
+        Alcotest.(check string)
+          "digest" "99ec36750ecebaa0c7228e92f52d8fe0" (expander_grid_digest ()));
+  ]
+
 let suite =
   List.concat
     [
@@ -660,4 +690,5 @@ let suite =
       monitor_tests;
       experiment_identity_tests;
       csr_tests;
+      expander_pin_tests;
     ]

@@ -855,8 +855,7 @@ let trace_cmd =
          "Run a target with telemetry enabled and capture the full trace \
           (manifest, counters, gauges, series, histograms, spans, events) \
           as a binary btrace file.  The run's tables are byte-identical \
-          to an untraced run; render the capture with csync report or \
-          watch it with csync top.")
+          to an untraced run; render the capture with csync report.")
     Term.(
       ret
         (const run $ quick_arg $ jobs_arg $ seed $ monitor_arg $ tighten_arg
@@ -899,7 +898,7 @@ let collect_cmd =
       & info [ "snapshot-period" ] ~docv:"SECONDS"
           ~doc:
             "Rewrite the merged trace every $(docv) seconds (atomically, so \
-             csync top --fleet can watch it grow).")
+             csync report --fleet --watch can watch it grow).")
   in
   let max_src_arg =
     Arg.(
@@ -912,8 +911,8 @@ let collect_cmd =
          "Run the fleet telemetry collector: accept csync-btrace/1 streams \
           from any number of live nodes concurrently over UDP, tolerate \
           per-node loss and reconnects, and keep rewriting the canonical \
-          merged fleet trace.  Render the result with csync report --fleet \
-          or watch it with csync top --fleet.")
+          merged fleet trace.  Render the result with csync report --fleet, \
+          or watch it with csync report --fleet --watch.")
     Term.(
       ret
         (const run $ port_arg $ out_arg $ duration_arg $ snap_arg $ max_src_arg))
@@ -1052,19 +1051,18 @@ let fleet_cmd =
 let report_cmd =
   let module Report = Csync_obs.Report in
   let load read file =
-    match read file with
-    | exception Sys_error e -> Error e
-    | Error e -> Error (Printf.sprintf "%s: %s" file e)
-    | Ok t -> Ok t
+    Result.map_error (Printf.sprintf "%s: %s" file) (read file)
   in
   let print_json () r =
     print_string (Csync_obs.Json.to_string (Csync_obs.Record.to_json r));
     print_char '\n'
   in
-  let run label diff fleet json files =
+  let run label diff fleet json watch files =
     match (diff, files) with
     | _ when Bool.to_int diff + Bool.to_int fleet + Bool.to_int json > 1 ->
       `Error (true, "--diff, --fleet and --json are exclusive")
+    | _ when watch <> None && (diff || json) ->
+      `Error (true, "--watch is exclusive with --diff and --json")
     | true, [ a; b ] -> (
       match (load Report.of_file a, load Report.of_file b) with
       | Error e, _ | _, Error e -> `Error (false, e)
@@ -1077,12 +1075,15 @@ let report_cmd =
       | Error e -> `Error (false, e)
       | Ok () -> `Ok ())
     | false, [ file ] -> (
-      match load Report.of_file file with
-      | Error e -> `Error (false, e)
-      | Ok t ->
-        if fleet then Report.render_fleet Format.std_formatter t
-        else Report.render ?focus:label Format.std_formatter t;
-        `Ok ())
+      match watch with
+      | Some interval -> Report.watch ?focus:label ~fleet ~interval file
+      | None -> (
+        match load Report.of_file file with
+        | Error e -> `Error (false, e)
+        | Ok t ->
+          if fleet then Report.render_fleet Format.std_formatter t
+          else Report.render ?focus:label Format.std_formatter t;
+          `Ok ()))
     | false, _ -> `Error (true, "report renders exactly one FILE")
   in
   let label_arg =
@@ -1120,6 +1121,15 @@ let report_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
+  let watch_arg =
+    let doc =
+      "Redraw the report every $(docv) seconds (clamped to >= 0.1) until \
+       interrupted, e.g. on the merged trace a running csync collect \
+       keeps rewriting.  While the file ends mid-record the last good \
+       frame stays up with a \"capture in progress\" note."
+    in
+    Arg.(value & opt (some float) None & info [ "watch" ] ~docv:"SECONDS" ~doc)
+  in
   let files_arg =
     Arg.(
       non_empty & pos_all string []
@@ -1134,9 +1144,12 @@ let report_cmd =
          "Render a captured trace (skew timelines, ADJ-per-round tables, \
           message-delay histograms, pool utilization, chaos ledger, monitor \
           verdicts, exploration statistics) - or, with --diff, the \
-          differences between two traces.")
+          differences between two traces; --watch redraws it while the \
+          trace is still being written.")
     Term.(
-      ret (const run $ label_arg $ diff_arg $ fleet_arg $ json_arg $ files_arg))
+      ret
+        (const run $ label_arg $ diff_arg $ fleet_arg $ json_arg $ watch_arg
+       $ files_arg))
 
 (* csync topo *)
 let topo_cmd =
@@ -1261,62 +1274,6 @@ let topo_cmd =
         (const run $ family_arg $ n_arg $ degree_arg $ cluster_arg
         $ branching_arg $ seed_arg $ rounds_arg $ gain_arg))
 
-(* csync top *)
-let top_cmd =
-  let run label interval fleet once file =
-    match Csync_obs.Top.watch ?focus:label ~interval ~fleet ~once file with
-    | Ok () -> `Ok ()
-    | Error e -> `Error (false, e)
-  in
-  let label_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "label" ] ~docv:"CELL"
-          ~doc:"Cell label to focus the sparkline/phase sections on.")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Refresh period (clamped to >= 0.1s).")
-  in
-  let fleet_arg =
-    Arg.(
-      value & flag
-      & info [ "fleet" ]
-          ~doc:
-            "Per-node fleet panel over a merged fleet trace (the file \
-             csync collect keeps rewriting): round, measured skew, stream \
-             frames/gaps, emitter drops, and last-seen per node.")
-  in
-  let once_arg =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Render a single frame (no ANSI clear, no loop) and exit - \
-             the scriptable / CI smoke mode.")
-  in
-  let file_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Trace to watch (csync-btrace/1), typically the $(b,--out) \
-             of a csync trace still running.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live terminal view of a trace: round counter, convergence \
-          sparklines, round-phase time bars, monitor verdict lights and \
-          fault counters, redrawn in place as the capture grows.  Point \
-          it at the --out file of a running csync trace, or replay a \
-          finished one.")
-    Term.(
-      ret (const run $ label_arg $ interval_arg $ fleet_arg $ once_arg $ file_arg))
-
 let main_cmd =
   let doc =
     "Fault-tolerant clock synchronization (Welch & Lynch 1984/1988) - \
@@ -1324,7 +1281,7 @@ let main_cmd =
   in
   Cmd.group (Cmd.info "csync" ~version:"1.0.0" ~doc)
     [ list_cmd; run_cmd; params_cmd; simulate_cmd; chaos_cmd; check_cmd;
-      export_cmd; bench_cmd; trace_cmd; report_cmd; top_cmd; topo_cmd;
+      export_cmd; bench_cmd; trace_cmd; report_cmd; topo_cmd;
       collect_cmd; fleet_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

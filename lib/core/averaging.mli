@@ -3,12 +3,15 @@
 
     The heart of the algorithm: a multiset of n estimates, up to f of which
     are adversarial, is reduced by discarding the f largest and f smallest
-    values, and an ordinary average of the remainder is taken.  The paper
-    uses the {e midpoint} (halving the error each round) and notes that the
-    {e mean} converges at rate ~ f/(n-2f), approaching a 2 eps floor for
-    large n.  The {e median} is included as a natural third point, and
-    reduction can be disabled for the E12 ablation (showing that without it
-    no ordinary average survives Byzantine values). *)
+    values, and an ordinary average of the remainder is taken — the
+    function of the Dolev-Lynch-Pinter-Stark-Weihl synchronous
+    approximate-agreement algorithm [DLPSW], which the paper adapts to
+    clocks.  The paper uses the {e midpoint} (halving the error each
+    round) and notes that the {e mean} converges at rate ~ f/(n-2f),
+    approaching a 2 eps floor for large n.  The {e median} is included as
+    a natural third point, and reduction can be disabled for the E12
+    ablation (showing that without it no ordinary average survives
+    Byzantine values). *)
 
 type combine = Midpoint | Mean | Median
 

@@ -287,7 +287,7 @@ let open_frame w tag =
   w.len <- w.len + 2
 
 (* Flushing every few frames bounds how stale a tailing reader ([csync
-   top --follow]) can observe the file. *)
+   report --watch]) can observe the file. *)
 let close_frame w =
   let start = w.frame + 1 in
   let len = w.len - start in
@@ -1055,32 +1055,40 @@ let write_file path records =
 let fold_chunk = 65536
 
 let fold_file path ~init ~f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      match really_input_string ic (String.length magic) with
-      | exception End_of_file ->
-        Error "not a csync-btrace/1 file (truncated magic)"
-      | m when m <> magic -> Error "not a csync-btrace/1 file (bad magic)"
-      | _ ->
-        let fd = feed () in
-        fd.expect_magic <- false;
-        let chunk = Bytes.create fold_chunk in
-        let rec drain acc i =
-          match feed_next fd with
-          | `Record r -> drain (f acc r) (i + 1)
-          | `Await -> read acc i
-          | `Error e -> Error (Printf.sprintf "record %d: %s" i e)
-        and read acc i =
-          match input ic chunk 0 fold_chunk with
-          | 0 when fd.flen = 0 -> Ok acc
-          | 0 ->
-            Error
-              (Printf.sprintf "record %d: truncated trace (file ends mid-record)"
-                 i)
-          | n ->
-            feed_bytes fd (Bytes.sub_string chunk 0 n);
-            drain acc i
-        in
-        read init 1)
+  match open_in_bin path with
+  | exception Sys_error e ->
+    (* [Sys_error] reads "<path>: <reason>"; callers name the file. *)
+    let prefix = path ^ ": " in
+    Error
+      (if String.starts_with ~prefix e then
+         String.sub e (String.length prefix) (String.length e - String.length prefix)
+       else e)
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        match really_input_string ic (String.length magic) with
+        | exception End_of_file ->
+          Error "not a csync-btrace/1 file (truncated magic)"
+        | m when m <> magic -> Error "not a csync-btrace/1 file (bad magic)"
+        | _ ->
+          let fd = feed () in
+          fd.expect_magic <- false;
+          let chunk = Bytes.create fold_chunk in
+          let rec drain acc i =
+            match feed_next fd with
+            | `Record r -> drain (f acc r) (i + 1)
+            | `Await -> read acc i
+            | `Error e -> Error (Printf.sprintf "record %d: %s" i e)
+          and read acc i =
+            match input ic chunk 0 fold_chunk with
+            | 0 when fd.flen = 0 -> Ok acc
+            | 0 ->
+              Error
+                (Printf.sprintf "record %d: truncated trace (file ends mid-record)"
+                   i)
+            | n ->
+              feed_bytes fd (Bytes.sub_string chunk 0 n);
+              drain acc i
+          in
+          read init 1)

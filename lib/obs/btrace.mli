@@ -45,8 +45,9 @@ val fold_file :
   string -> init:'a -> f:('a -> Record.t -> 'a) -> ('a, string) result
 (** Stream every record of a file through [f] in constant memory: the
     file is read in fixed-size chunks through a {!feed}.  A file that
-    ends mid-record is an error.  An error names the record it stopped
-    at, counting from 1. *)
+    cannot be opened or ends mid-record is an error, not an exception.
+    An error names the record it stopped at, counting from 1, but not
+    the file. *)
 
 (** {2 Incremental byte-feed reading}
 

@@ -199,17 +199,25 @@ let render_manifest ppf j =
       [ "n"; "f"; "rho"; "delta"; "eps"; "beta"; "big_p"; "t0";
         "gamma"; "adjustment_bound" ])
 
-let render_skews ppf ~focus t =
-  let skews =
+(* Round- or time-indexed series worth a sparkline, and the bases that
+   pick the default focused cell. *)
+let timeline_bases =
+  [
+    "run.skew"; "run.clean_skew"; "scale.spread"; "scale.local_skew_max";
+    "scale.events_per_round"; "check.frontier";
+  ]
+
+let render_timelines ppf ~focus t =
+  let shown =
     List.filter
       (fun (name, xs, _) ->
         let l, base = split_name name in
         Array.length xs > 0
-        && (base = "run.skew" || base = "run.clean_skew")
+        && List.mem base timeline_bases
         && (focus = "" || l = focus))
       t.series
   in
-  if skews <> [] then begin
+  if shown <> [] then begin
     section ppf "Skew timelines";
     List.iter
       (fun (name, xs, ys) ->
@@ -219,9 +227,14 @@ let render_skews ppf ~focus t =
         Format.fprintf ppf "%-48s %s@."
           (Printf.sprintf "%s (max %.3g, final %.3g)" name mx last)
           (MSeries.sparkline s))
-      skews;
-    Format.fprintf ppf
-      "@.(y = max pairwise skew across the clean set at each sample time)@."
+      shown;
+    let is_run_skew (name, _, _) =
+      let _, base = split_name name in
+      base = "run.skew" || base = "run.clean_skew"
+    in
+    if List.exists is_run_skew shown then
+      Format.fprintf ppf
+        "@.(y = max pairwise skew across the clean set at each sample time)@."
   end
 
 let render_adj ppf ~focus t =
@@ -804,9 +817,7 @@ let render_fleet ppf t =
 let default_focus t =
   match
     List.find_opt
-      (fun (name, _, _) ->
-        let _, base = split_name name in
-        base = "run.skew" || base = "run.clean_skew")
+      (fun (name, _, _) -> List.mem (snd (split_name name)) timeline_bases)
       t.series
   with
   | Some (name, _, _) -> fst (split_name name)
@@ -833,7 +844,7 @@ let render ?focus ppf t =
           (if l = "" then "(unlabeled)" else l))
       ls;
     Format.fprintf ppf "@.(* = focused cell; pick another with --label)@.");
-  render_skews ppf ~focus t;
+  render_timelines ppf ~focus t;
   render_adj ppf ~focus t;
   render_hists ppf ~focus t;
   render_profile ppf ~focus t;
@@ -843,3 +854,34 @@ let render ?focus ppf t =
   render_check ppf t;
   render_residual ppf t;
   render_warnings ppf t
+
+(* ---------- watching a capture that is still being written ---------- *)
+
+(* A btrace being written can end mid-record; that read fails, and the
+   view keeps the last good frame with a note until a later read finds
+   the record whole. *)
+let refresh ?focus ~fleet ~last path =
+  match of_file path with
+  | Ok t ->
+    let frame =
+      if fleet then Format.asprintf "%a" render_fleet t
+      else Format.asprintf "%a" (render ?focus) t
+    in
+    (Some frame, frame)
+  | Error e -> (
+    match last with
+    | Some frame ->
+      (last, frame ^ Printf.sprintf "(capture in progress: %s)\n" e)
+    | None -> (None, Printf.sprintf "%s\nwaiting for trace data: %s\n" path e))
+
+let watch ?focus ~fleet ~interval path =
+  let interval = Float.max 0.1 interval in
+  let rec loop last =
+    let last, f = refresh ?focus ~fleet ~last path in
+    print_string "\027[2J\027[H";
+    print_string f;
+    Printf.printf "(refreshing every %gs — ctrl-c to quit)\n%!" interval;
+    Unix.sleepf interval;
+    loop last
+  in
+  loop None

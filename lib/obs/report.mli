@@ -66,19 +66,15 @@ val monitors : t -> (string * monitor_rec) list
 val warnings : t -> string list
 (** Reader warnings: skipped unknown record kinds / manifest fields. *)
 
-val phase_rank : string -> int
-(** Position of a round phase name in the scale pipeline's order
-    (["fill"], ["sweep"], ["apply"], ["advance"], ["checksum"]: the
-    [<phase>] of the ["profile.<phase>"] spans); unknown names sort
-    last. *)
-
 val render : ?focus:string -> Format.formatter -> t -> unit
-(** Render the report: manifest, skew timelines, ADJ-per-round table,
-    delay/skew histograms (via {!Csync_metrics.Histogram.render}), the
-    round-phase profile table, pool utilization, chaos ledger,
-    exploration stats, and residual counters/gauges.  [focus] picks the
-    cell label for the per-cell sections (default: the first cell with a
-    skew series). *)
+(** Render the report: manifest, timelines (run skew, scale spread and
+    local skew, events per round, model-checker frontier),
+    ADJ-per-round table, delay/skew histograms (via
+    {!Csync_metrics.Histogram.render}), the round-phase profile table,
+    pool utilization, chaos ledger, monitor verdicts, exploration stats,
+    and residual counters/gauges.  [focus] picks the cell label for the
+    per-cell sections (default: the first cell with a timeline
+    series). *)
 
 (** {2 Fleet validation} ([csync report --fleet])
 
@@ -118,3 +114,21 @@ val render_fleet : Format.formatter -> t -> unit
 (** The measured-vs-predicted table with per-pair verdicts and explicit
     [VIOLATION] lines, the per-node liveness/accounting table, monitor
     verdicts, and reader warnings. *)
+
+(** {2 Watching a capture} ([csync report --watch]) *)
+
+val refresh :
+  ?focus:string ->
+  fleet:bool ->
+  last:string option ->
+  string ->
+  string option * string
+(** One redraw of {!watch}: read [path] and return the last good frame
+    to keep, with the text to draw ({!render}, or {!render_fleet} when
+    [fleet]).  A trace still being written can end mid-record; that read
+    fails, and the text is [last] with a "capture in progress" note, or
+    a waiting notice before the first good read. *)
+
+val watch : ?focus:string -> fleet:bool -> interval:float -> string -> 'a
+(** Clear the terminal and draw {!refresh}'s frame every [interval]
+    seconds (clamped to >= 0.1) until interrupted. *)

@@ -3,8 +3,8 @@
    that lands on the port is counted in [rejected] and dropped) and fed
    to {!Csync_obs.Collect}, which owns stream reassembly, per-node
    resync, and the canonical merge.  Snapshots are written atomically
-   (tmp + rename) so [csync top --fleet] can re-read the merged trace
-   while the collector keeps rewriting it. *)
+   (tmp + rename) so [csync report --fleet --watch] can re-read the
+   merged trace while the collector keeps rewriting it. *)
 
 module Collect = Csync_obs.Collect
 

@@ -9,8 +9,8 @@
     and merges them into one canonical fleet trace.
 
     Snapshots go to disk atomically (write to [path ^ ".tmp"], then
-    rename), so a concurrent [csync top --fleet] or [csync report
-    --fleet] never reads a half-written merge. *)
+    rename), so a concurrent [csync report --fleet] (once or with
+    [--watch]) never reads a half-written merge. *)
 
 type t
 

@@ -1,9 +1,7 @@
-(* Tests for the extension modules: adjustment smoothing, approximate
-   agreement, and the live-runtime clock arithmetic (plus one short real
-   UDP round-trip). *)
+(* Tests for the extension modules: adjustment smoothing and the
+   live-runtime clock arithmetic (plus one short real UDP round-trip). *)
 
 module Smoothing = Csync_core.Smoothing
-module Approx = Csync_core.Approx_agreement
 module Params = Csync_core.Params
 module Wall_clock = Csync_runtime.Wall_clock
 open Helpers
@@ -111,66 +109,6 @@ let smoothing_tests =
              ~phys:(last.Csync_core.Maintenance.update_phys +. (1.1 *. p.Params.big_p))));
   ]
 
-let approx_tests =
-  [
-    t "validates inputs" (fun () ->
-        check_raises_invalid "3f+1" (fun () ->
-            ignore (Approx.run ~n:6 ~f:2 ~rounds:1 ~initial:[| 1.; 2.; 3.; 4. |] ()));
-        check_raises_invalid "length" (fun () ->
-            ignore (Approx.run ~n:7 ~f:2 ~rounds:1 ~initial:[| 1. |] ())));
-    t "fault-free convergence to the midpoint" (fun () ->
-        let r = Approx.run ~n:4 ~f:1 ~rounds:1 ~initial:[| 0.; 10.; 4. |] () in
-        (* Each receiver: values {0,10,4, own}; reduce f=1 then midpoint. *)
-        check_true "diameter shrinks" (List.hd r.diameters < 10.));
-    t "halving guarantee across rounds" (fun () ->
-        let r =
-          Approx.run ~n:7 ~f:2 ~rounds:10 ~initial:[| 0.; 1.; 2.; 3.; 100. |] ()
-        in
-        let rec check_halves diam = function
-          | [] -> ()
-          | d :: rest ->
-            check_true "at most half" (d <= (diam /. 2.) +. 1e-9);
-            check_halves d rest
-        in
-        check_halves 100. r.diameters;
-        check_true "converged" (List.nth r.diameters 9 < 0.2));
-    t "validity: values stay in the initial nonfaulty range" (fun () ->
-        let adversary ~round:_ ~faulty:_ ~target:_ = Some 1e9 in
-        let r =
-          Approx.run ~n:7 ~f:2 ~rounds:5 ~adversary ~initial:[| 0.; 1.; 2.; 3.; 4. |] ()
-        in
-        Array.iter
-          (fun v -> check_true "in range" (v >= 0. && v <= 4.))
-          r.final);
-    t "two-faced adversary cannot prevent halving" (fun () ->
-        (* Lies placed at the honest extremes - the Lemma 24 tight case. *)
-        let r_holder = ref [| 0.; 4.; 8.; 12.; 16. |] in
-        let adversary ~round:_ ~faulty:_ ~target =
-          let values = !r_holder in
-          let lo = Array.fold_left Float.min values.(0) values in
-          let hi = Array.fold_left Float.max values.(0) values in
-          Some (if target < 3 then hi else lo)
-        in
-        let r = Approx.run ~n:7 ~f:2 ~rounds:8 ~adversary ~initial:!r_holder () in
-        (* Diameter still halves (the multiset lemma bound). *)
-        let rec go diam = function
-          | [] -> ()
-          | d :: rest ->
-            check_true "<= diam/2" (d <= (diam /. 2.) +. 1e-9);
-            go d rest
-        in
-        go 16. r.diameters);
-    t "omissions count as the recipient's own value" (fun () ->
-        let r = Approx.run ~n:4 ~f:1 ~rounds:3 ~initial:[| 1.; 1.; 1. |] () in
-        Array.iter (fun v -> check_float "fixed point" 1. v) r.final);
-    t "rounds_to_converge" (fun () ->
-        check_int "1024 -> 1 is 10 halvings" 10
-          (Approx.rounds_to_converge ~diam0:1024. ~target:1.);
-        check_int "already there" 0 (Approx.rounds_to_converge ~diam0:1. ~target:2.);
-        check_raises_invalid "bad input" (fun () ->
-            ignore (Approx.rounds_to_converge ~diam0:0. ~target:1.)));
-  ]
-
 let runtime_tests =
   [
     t "wall clock arithmetic" (fun () ->
@@ -208,4 +146,4 @@ let runtime_tests =
           (report.Csync_runtime.Live.final_skew <= Csync_core.Params.gamma params));
   ]
 
-let suite = smoothing_tests @ approx_tests @ runtime_tests
+let suite = smoothing_tests @ runtime_tests

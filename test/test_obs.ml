@@ -1720,69 +1720,6 @@ let canonical_jobs_tests =
         check_same_lines "check canonical" canon1 canon4);
   ]
 
-(* ---------- csync top ---------- *)
-
-module Top = Csync_obs.Top
-
-let top_tests =
-  [
-    t "top frame renders every section from a report" (fun () ->
-        let rep =
-          Report.of_records
-            [
-              Record.Manifest
-                (Json.Obj
-                   [
-                     ("record", Json.Str "manifest");
-                     ("target", Json.Str "E16");
-                     ("seed", Json.num_of_int 7);
-                     ("jobs", Json.num_of_int 4);
-                   ]);
-              Record.Series
-                ( "cell/scale.spread",
-                  [| 1.; 2.; 3. |],
-                  [| 0.5; 0.25; 0.125 |] );
-              Record.Series
-                ( "cell/scale.events_per_round",
-                  [| 1.; 2.; 3. |],
-                  [| 10.; 10.; 10. |] );
-              Record.Counter ("cell/scale.events", 30);
-              Record.Counter ("chaos.dropped", 2);
-              Record.Span
-                ( "cell/profile.fill",
-                  { Record.count = 3; total_s = 0.3; max_s = 0.2 } );
-              Record.Span
-                ( "cell/profile.sweep",
-                  { Record.count = 3; total_s = 0.1; max_s = 0.05 } );
-              Record.Monitor
-                ("local_skew", { Record.checks = 10; violations = 0; first = None });
-              Record.Monitor
-                ("agreement", { Record.checks = 5; violations = 2; first = None });
-            ]
-        in
-        let f = Top.frame rep ~path:"test.btrace" in
-        List.iter
-          (fun needle ->
-            check_true (Printf.sprintf "frame mentions %S" needle)
-              (contains f needle))
-          [
-            "csync top — E16"; "seed 7"; "jobs 4"; "cell cell"; "round 3";
-            "events 30"; "scale.spread"; "scale.events_per_round"; "fill";
-            "sweep"; "75"; "[ok]   local_skew"; "[FAIL] agreement";
-            "chaos.dropped";
-          ];
-        check_true "fill bar dominates"
-          (contains f "fill         ########################"));
-    t "top frame degrades gracefully on an empty trace" (fun () ->
-        let f = Top.frame (Report.of_records []) ~path:"x" in
-        check_true "header still renders" (contains f "csync top"));
-    t "top watch --once renders a written trace" (fun () ->
-        with_tmp ".btrace" (fun path ->
-            Btrace.write_file path
-              [ Record.Counter ("cell/scale.events", 3) ];
-            check_true "ok" (Top.watch ~once:true path = Ok ())));
-  ]
-
 (* ---------- streaming feed + fleet collection ---------- *)
 
 module Collect = Csync_obs.Collect
@@ -2729,6 +2666,113 @@ let clock_span_tests =
             ]));
   ]
 
+(* ---------- one report view: timelines, verdicts, --watch ---------- *)
+
+(* Listed right after the collector tests in [suite], the slot of the
+   three live-view tests these replace: alcotest numbers tests by
+   position, and this keeps the later numbers stable. *)
+let report_view_tests =
+  [
+    t "report renders every timeline, phase row and monitor verdict" (fun () ->
+        let rep =
+          Report.of_records
+            [
+              Record.Manifest
+                (Json.Obj
+                   [
+                     ("record", Json.Str "manifest");
+                     ("target", Json.Str "E16");
+                     ("seed", Json.num_of_int 7);
+                     ("jobs", Json.num_of_int 4);
+                   ]);
+              Record.Series
+                ( "cell/scale.spread",
+                  [| 1.; 2.; 3. |],
+                  [| 0.5; 0.25; 0.125 |] );
+              Record.Series
+                ( "cell/scale.events_per_round",
+                  [| 1.; 2.; 3. |],
+                  [| 10.; 10.; 10. |] );
+              Record.Counter ("cell/scale.events", 30);
+              Record.Counter ("chaos.dropped", 2);
+              Record.Span
+                ( "cell/profile.fill",
+                  { Record.count = 3; total_s = 0.3; max_s = 0.2 } );
+              Record.Span
+                ( "cell/profile.sweep",
+                  { Record.count = 3; total_s = 0.1; max_s = 0.05 } );
+              Record.Monitor
+                ("local_skew", { Record.checks = 10; violations = 0; first = None });
+              Record.Monitor
+                ("agreement", { Record.checks = 5; violations = 2; first = None });
+              Record.Monitor
+                ("halving", { Record.checks = 0; violations = 0; first = None });
+            ]
+        in
+        let out = Format.asprintf "%a" (Report.render ?focus:None) rep in
+        let lines = String.split_on_char '\n' out in
+        let line_starting prefix =
+          match List.find_opt (String.starts_with ~prefix) lines with
+          | Some l -> l
+          | None -> Alcotest.failf "no line starts with %S in:\n%s" prefix out
+        in
+        List.iter
+          (fun needle ->
+            check_true (Printf.sprintf "report mentions %S" needle)
+              (contains out needle))
+          [
+            "target: E16"; "seed: 7"; "jobs: 4"; "* cell";
+            "cell/scale.spread (max 0.5, final 0.125)";
+            "cell/scale.events_per_round (max 10, final 10)"; "chaos.dropped";
+            "agreement    5 checks, 2 violations";
+          ];
+        check_true "fill row carries 75% of the round"
+          (contains (line_starting "fill ") " 75% ");
+        check_true "sweep row carries 25% of the round"
+          (contains (line_starting "sweep ") " 25% ");
+        check_true "a checked clean monitor reads ok"
+          (contains (line_starting "local_skew ") "[ok]");
+        check_true "a monitor that ran no checks does not read ok"
+          (not (contains (line_starting "halving ") "[ok]")));
+    t "report --watch keeps the last good frame while a record is half-written"
+      (fun () ->
+        with_tmp ".btrace" (fun path ->
+            Btrace.write_file path
+              [
+                Record.Series ("cell/scale.spread", [| 1.; 2. |], [| 0.5; 0.25 |]);
+                Record.Counter ("cell/scale.events", 3);
+              ];
+            let whole = read_all path in
+            let last, good = Report.refresh ~fleet:false ~last:None path in
+            check_true "a whole trace's frame is kept" (last = Some good);
+            check_true "the frame is the report"
+              (match Report.of_file path with
+              | Ok t -> Format.asprintf "%a" (Report.render ?focus:None) t = good
+              | Error _ -> false);
+            (* The writer is mid-record: the file lacks its last byte. *)
+            let oc = open_out_bin path in
+            output_string oc (String.sub whole 0 (String.length whole - 1));
+            close_out oc;
+            let kept, partial = Report.refresh ~fleet:false ~last path in
+            check_true "the last good frame is kept" (kept = last);
+            check_true "last good frame, then the note"
+              (String.starts_with ~prefix:good partial
+              && contains partial "(capture in progress: record ");
+            let none, waiting = Report.refresh ~fleet:false ~last:None path in
+            check_true "nothing to keep before a good read" (none = None);
+            check_true "waiting notice"
+              (contains waiting (path ^ "\nwaiting for trace data: record "))));
+    t "Report.of_file on a missing path is an Error, not an exception"
+      (fun () ->
+        let path =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "csync-missing-%d.btrace" (Unix.getpid ()))
+        in
+        match Report.of_file path with
+        | Error e -> check_true "the reason is given" (e <> "")
+        | Ok _ -> Alcotest.fail "a missing file read as a trace");
+  ]
+
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
@@ -2736,5 +2780,5 @@ let suite =
   @ child_tests @ span_time_tests
   @ monitor_child_tests
   @ canonical_jobs_tests @ collect_tests
-  @ top_tests @ alloc_tests @ grid_tests @ render_tests @ capture_tests
+  @ report_view_tests @ alloc_tests @ grid_tests @ render_tests @ capture_tests
   @ json_decode_tests @ varint_boundary_tests @ clock_span_tests

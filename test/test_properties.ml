@@ -3,11 +3,9 @@
 
 module M = Csync_multiset
 module Engine = Csync_sim.Engine
-module Rng = Csync_sim.Rng
 module Params = Csync_core.Params
 module Maintenance = Csync_core.Maintenance
 module Smoothing = Csync_core.Smoothing
-module Approx = Csync_core.Approx_agreement
 module Marzullo = Csync_baselines.Marzullo
 module Scenario = Csync_harness.Scenario
 open Helpers
@@ -143,34 +141,6 @@ let smoothing_props =
         !ok);
   ]
 
-let approx_props =
-  [
-    qcheck ~count:100 ~name:"approximate agreement: validity + halving"
-      QCheck2.Gen.(
-        pair
-          (list_size (int_range 5 5) (float_bound_inclusive 100.))
-          (int_range 0 1000))
-      (fun (initial, seed) ->
-        let initial = Array.of_list initial in
-        let rng = Rng.create seed in
-        let adversary ~round:_ ~faulty:_ ~target:_ =
-          if Rng.bool rng then Some (Rng.uniform rng ~lo:(-200.) ~hi:200.)
-          else None
-        in
-        let r = Approx.run ~n:7 ~f:2 ~rounds:6 ~adversary ~initial () in
-        let lo = Array.fold_left Float.min initial.(0) initial in
-        let hi = Array.fold_left Float.max initial.(0) initial in
-        let diam0 = hi -. lo in
-        let validity = Array.for_all (fun v -> lo <= v && v <= hi) r.Approx.final in
-        let halving =
-          List.for_all2
-            (fun d prev -> d <= (prev /. 2.) +. 1e-9)
-            r.Approx.diameters
-            (diam0 :: List.filteri (fun i _ -> i < 5) r.Approx.diameters)
-        in
-        validity && halving);
-  ]
-
 (* Liveness: honest maintenance runs never wedge, whatever the seed and
    delay/drift profile. *)
 let liveness_props =
@@ -243,4 +213,4 @@ let average_heard_props =
 
 let suite =
   engine_props @ multiset_props @ params_props @ marzullo_props
-  @ smoothing_props @ approx_props @ liveness_props @ average_heard_props
+  @ smoothing_props @ liveness_props @ average_heard_props
